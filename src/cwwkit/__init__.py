@@ -15,18 +15,18 @@ from .extension import (DistanceWeights, TriTuple, aggregate_tri_tuples,
                         linguistic_approximation, uniform_triangular_partition,
                         weighted_distance)
 from .it2 import (CentroidInterval, DiscretizationGrid, SampledFOU,
-                  TrapezoidIT2, centroid, centroid_brute_force, centroid_mean,
+                  TrapezoidIT2, centroid, centroid_brute_force,
                   jaccard_similarity, lower_membership, lwa_exact, lwa_paper,
                   upper_membership)
-from .pipeline import (EvalOptions, EvaluationReport, Method, UniquenessSummary,
-                       evaluate_batch, evaluate_student, rank_students,
-                       uniqueness_report)
+from .pipeline import (EvalOptions, EvaluationReport, Method, Recommendation,
+                       UniquenessSummary, evaluate_batch, evaluate_student,
+                       rank_students, uniqueness_report)
 from .symbolic import WeightVector, sm2, sm_aggregate, sort_terms_descending
 from .two_tuple import TwoTuple, aggregate_beta, to_two_tuple
 from .vocabulary import (FeedbackRecord, LinguisticTerm, ParameterSchema,
-                         RawFeedback, Recommendation, TermSet,
-                         build_default_schema, read_feedback_file,
-                         resolve_feedback, write_feedback_file)
+                         RawFeedback, TermSet, build_default_schema,
+                         read_feedback_file, resolve_feedback,
+                         write_feedback_file)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "linguistic_approximation", "uniform_triangular_partition",
     "weighted_distance",
     "CentroidInterval", "DiscretizationGrid", "SampledFOU", "TrapezoidIT2",
-    "centroid", "centroid_brute_force", "centroid_mean", "jaccard_similarity",
+    "centroid", "centroid_brute_force", "jaccard_similarity",
     "lower_membership", "lwa_exact", "lwa_paper", "upper_membership",
     "EvalOptions", "EvaluationReport", "Method", "UniquenessSummary",
     "evaluate_batch", "evaluate_student", "rank_students", "uniqueness_report",

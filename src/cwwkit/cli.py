@@ -8,15 +8,16 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .codebook import (default_codebook, default_feedback_path, load_codebook,
                        verify_stored_centroids)
 from .errors import ConfigurationError, CwwError
-from .it2 import DiscretizationGrid
-from .pipeline import (ALL_METHODS, EvalOptions, Method, evaluate_batch,
-                       rank_students, uniqueness_report)
+from .it2 import DEFAULT_GRID, MAX_SAMPLE_COUNT, DiscretizationGrid
+from .pipeline import (ALL_METHODS, LWA_MODES, EvalOptions, Method,
+                       evaluate_batch, rank_students, uniqueness_report)
 from .reporting import (render_csv, render_json, render_ranking, render_table,
                         render_uniqueness)
 from .vocabulary import read_feedback_file
@@ -37,49 +38,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _grid(text: str) -> DiscretizationGrid:
+    """argparse type for --grid: a sample count, checked by the grid itself."""
+    try:
+        return DiscretizationGrid(sample_count=int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tolerance: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cwwkit",
                      description="Linguistic evaluation of examination strategies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    codebook_args = argparse.ArgumentParser(add_help=False)
+    codebook_args.add_argument("--codebook",
+                               help="codebook file (default: built-in)")
+    codebook_args.add_argument(
+        "--grid", type=_grid, default=DEFAULT_GRID, metavar="N",
+        help=f"grid sample count, 3 to {MAX_SAMPLE_COUNT} (default: 1001)")
+
     codebook = sub.add_parser("codebook", help="codebook maintenance")
     codebook_sub = codebook.add_subparsers(dest="codebook_command", required=True)
     validate = codebook_sub.add_parser(
-        "validate", help="check FOU invariants and stored centroids")
-    validate.add_argument("--codebook", help="codebook file (default: built-in)")
-    validate.add_argument("--tolerance", type=float, default=0.05,
+        "validate", parents=[codebook_args],
+        help="check FOU invariants, stored centroids and the scan cross-check")
+    validate.add_argument("--tolerance", type=_tolerance, default=0.05,
                           help="allowed |recomputed - stored| per centroid end")
-    validate.add_argument("--grid", type=int, default=1001, metavar="N",
-                          help="grid sample count")
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, parents=[codebook_args])
     common.add_argument("--feedback",
                         help="feedback batch file (default: built-in sample)")
-    common.add_argument("--codebook", help="codebook file (default: built-in)")
-    common.add_argument("--grid", type=int, default=1001, metavar="N",
-                        help="grid sample count")
-    common.add_argument("--lwa-mode", choices=("exact", "paper"), default="exact",
+    common.add_argument("--lwa-mode", choices=LWA_MODES, default="exact",
                         help="aggregation mode for the perceptual method")
     common.add_argument("--out", help="write output to this file instead of stdout")
 
-    evaluate = sub.add_parser("evaluate", parents=[common],
-                              help="evaluate a feedback batch")
-    evaluate.add_argument("--methods", default="all",
-                          help="comma-separated method names, or 'all'")
-    evaluate.add_argument("--format", choices=("table", "csv", "json"),
-                          default="table")
-    evaluate.add_argument("--verbose-precision", action="store_true",
-                          help="print perceptual scores at full precision")
+    report_args = argparse.ArgumentParser(add_help=False)
+    report_args.add_argument("--methods", default="all",
+                             help="comma-separated method names, or 'all'")
+    report_args.add_argument("--format", choices=("table", "csv", "json"),
+                             default="table")
+    report_args.add_argument("--verbose-precision", action="store_true",
+                             help="print perceptual scores at full precision")
 
-    compare = sub.add_parser("compare", parents=[common],
-                             help="evaluate plus a uniqueness summary")
-    compare.add_argument("--methods", default="all",
-                         help="comma-separated method names, or 'all'")
-    compare.add_argument("--format", choices=("table", "csv", "json"),
-                         default="table")
-    compare.add_argument("--verbose-precision", action="store_true",
-                         help="print perceptual scores at full precision")
-
+    sub.add_parser("evaluate", parents=[common, report_args],
+                   help="evaluate a feedback batch")
+    sub.add_parser("compare", parents=[common, report_args],
+                   help="evaluate plus a uniqueness summary")
     rank = sub.add_parser("rank", parents=[common],
                           help="rank the batch by one method's score")
     rank.add_argument("--method", required=True,
@@ -130,25 +144,31 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _options(args) -> EvalOptions:
-    return EvalOptions(
-        grid=DiscretizationGrid(sample_count=args.grid),
-        lwa_mode=args.lwa_mode,
+def _evaluate(args, methods):
+    cb = _load_codebook(args.codebook) if Method.PERCEPTUAL in methods else None
+    feedback = _load_feedback(args.feedback)
+    options = EvalOptions(grid=args.grid, lwa_mode=args.lwa_mode)
+    return evaluate_batch(feedback, methods, cb, options=options)
+
+
+def _exit_status(report) -> int:
+    """EXIT_DATA if any row or cell of the report was flagged."""
+    flagged = any(
+        row.error is not None or any(cell.error for cell in row.cells.values())
+        for row in report.rows
     )
+    return EXIT_DATA if flagged else EXIT_OK
 
 
 def _cmd_codebook_validate(args) -> int:
     cb = _load_codebook(args.codebook)
-    grid = DiscretizationGrid(sample_count=args.grid)
-    verification = verify_stored_centroids(cb, grid, args.tolerance)
+    verification = verify_stored_centroids(cb, args.grid, args.tolerance)
     print(verification.format_text())
-    for flag in cb.flags:
-        print(f"flag: {flag}")
     return EXIT_OK if verification.passed else EXIT_DATA
 
 
 def _render_report(report, args, uniqueness=None) -> str:
-    verbose = getattr(args, "verbose_precision", False)
+    verbose = args.verbose_precision
     if args.format == "csv":
         text = render_csv(report, verbose)
         if uniqueness is not None:
@@ -163,30 +183,19 @@ def _render_report(report, args, uniqueness=None) -> str:
 
 
 def _cmd_evaluate(args, with_uniqueness: bool) -> int:
-    methods = _parse_methods(args.methods)
-    cb = _load_codebook(args.codebook) if Method.PERCEPTUAL in methods else None
-    feedback = _load_feedback(args.feedback)
-    report = evaluate_batch(feedback, methods, cb, options=_options(args))
+    report = _evaluate(args, _parse_methods(args.methods))
     uniqueness = uniqueness_report(report) if with_uniqueness else None
     _emit(_render_report(report, args, uniqueness), args.out)
-    flagged = any(
-        row.error is not None or any(cell.error for cell in row.cells.values())
-        for row in report.rows
-    )
-    return EXIT_DATA if flagged else EXIT_OK
+    return _exit_status(report)
 
 
 def _cmd_rank(args) -> int:
     methods = _parse_methods(args.method)
     if len(methods) != 1:
         raise ConfigurationError("rank takes exactly one method")
-    method = methods[0]
-    cb = _load_codebook(args.codebook) if method is Method.PERCEPTUAL else None
-    feedback = _load_feedback(args.feedback)
-    report = evaluate_batch(feedback, (method,), cb, options=_options(args))
-    ranking = rank_students(report, method)
-    _emit(render_ranking(ranking, method), args.out)
-    return EXIT_OK
+    report = _evaluate(args, methods)
+    _emit(render_ranking(rank_students(report, methods[0]), methods[0]), args.out)
+    return _exit_status(report)
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
-from .errors import CodebookError
+from .errors import CodebookError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
-                  TrapezoidIT2, centroid)
+                  TrapezoidIT2, centroid, centroid_brute_force)
 from .vocabulary import LinguisticTerm, ParameterSchema, build_default_schema
 
 CODEBOOK_HEADER = (
@@ -26,9 +26,11 @@ CODEBOOK_HEADER = (
     "c_l", "c_r", "mean",
 )
 
-DEFAULT_DOMAIN = (0.0, 10.0)
-
 _MEAN_TOL = 0.01
+
+# Largest |iterative - exhaustive scan| centroid difference that
+# `verify_stored_centroids` accepts; the two routes agree to ~1e-14.
+SCAN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,14 +60,9 @@ class CodebookEntry:
 class Codebook:
     """Immutable word-to-FOU map covering every word of a schema."""
 
-    def __init__(self, schema: ParameterSchema, entries: Iterable[CodebookEntry],
-                 domain: tuple[float, float] = DEFAULT_DOMAIN):
+    def __init__(self, schema: ParameterSchema, entries: Iterable[CodebookEntry]):
         self.schema = schema
         self.entries = tuple(entries)
-        self.domain = (float(domain[0]), float(domain[1]))
-        self.flags: tuple[str, ...] = ()
-        if self.domain != DEFAULT_DOMAIN:
-            self.flags = (f"nonstandard domain scale {self.domain}",)
         self._by_key = {}
         for entry in self.entries:
             key = (entry.parameter.lower(), entry.term.code.lower())
@@ -77,7 +74,7 @@ class Codebook:
         self._check_complete()
 
     def _check_complete(self):
-        term_sets = list(self.schema.parameters) + [self.schema.recommendation]
+        term_sets = self.schema.term_sets
         for ts in term_sets:
             for term in ts:
                 if (ts.name.lower(), term.code.lower()) not in self._by_key:
@@ -96,20 +93,16 @@ class Codebook:
             isinstance(other, Codebook)
             and self.schema == other.schema
             and self.entries == other.entries
-            and self.domain == other.domain
         )
 
-    def _term_set(self, parameter: str):
-        for ts in list(self.schema.parameters) + [self.schema.recommendation]:
-            if ts.name.lower() == parameter.lower():
-                return ts
-        raise CodebookError(f"unknown parameter {parameter!r}")
-
     def entry(self, parameter: str, word: str) -> CodebookEntry:
-        ts = self._term_set(parameter)
+        try:
+            ts = self.schema.term_set(parameter)
+        except SchemaError as exc:
+            raise CodebookError(str(exc)) from None
         try:
             term = ts.find(word)
-        except Exception:
+        except WordResolutionError:
             raise CodebookError(
                 f"no codebook entry for word {word!r} under {parameter!r}"
             ) from None
@@ -124,8 +117,7 @@ class Codebook:
         return tuple(self.lookup(ts.name, term.code) for term in ts)
 
 
-def load_codebook(path, schema: ParameterSchema | None = None,
-                  domain: tuple[float, float] = DEFAULT_DOMAIN) -> Codebook:
+def load_codebook(path, schema: ParameterSchema | None = None) -> Codebook:
     """Parse and validate a codebook file.
 
     Raises CodebookError with the offending row number for malformed
@@ -133,17 +125,16 @@ def load_codebook(path, schema: ParameterSchema | None = None,
     words without an entry.
     """
     schema = schema or build_default_schema()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _parse_codebook(handle, schema, domain, source=str(path))
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        return _parse_codebook(handle, schema, source=str(path))
 
 
-def loads_codebook(text: str, schema: ParameterSchema | None = None,
-                   domain: tuple[float, float] = DEFAULT_DOMAIN) -> Codebook:
+def loads_codebook(text: str, schema: ParameterSchema | None = None) -> Codebook:
     schema = schema or build_default_schema()
-    return _parse_codebook(io.StringIO(text), schema, domain, source="<string>")
+    return _parse_codebook(io.StringIO(text), schema, source="<string>")
 
 
-def _parse_codebook(handle, schema, domain, source) -> Codebook:
+def _parse_codebook(handle, schema, source) -> Codebook:
     reader = csv.reader(handle)
     try:
         header = next(reader)
@@ -164,17 +155,14 @@ def _parse_codebook(handle, schema, domain, source) -> Codebook:
             )
         parameter, label, code = (cell.strip() for cell in row[:3])
         try:
-            ts = next(
-                t for t in list(schema.parameters) + [schema.recommendation]
-                if t.name.lower() == parameter.lower()
-            )
-        except StopIteration:
+            ts = schema.term_set(parameter)
+        except SchemaError:
             raise CodebookError(
                 f"{source}:{lineno}: unknown parameter {parameter!r}"
             ) from None
         try:
             term = ts.find(code)
-        except Exception:
+        except WordResolutionError:
             raise CodebookError(
                 f"{source}:{lineno}: word {label!r} ({code}) is not in {ts.name!r}"
             ) from None
@@ -198,7 +186,7 @@ def _parse_codebook(handle, schema, domain, source) -> Codebook:
             except ValueError as exc:
                 raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
         entries.append(CodebookEntry(ts.name, term, fou, stored))
-    return Codebook(schema, entries, domain)
+    return Codebook(schema, entries)
 
 
 def dumps_codebook(cb: Codebook) -> str:
@@ -270,10 +258,12 @@ class CentroidCheck:
 class CentroidVerification:
     checks: tuple[CentroidCheck, ...]
     tolerance: float
+    scan_delta: float  # worst |iterative - exhaustive scan| over all ends
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return (all(check.passed for check in self.checks)
+                and self.scan_delta <= SCAN_TOLERANCE)
 
     def format_text(self) -> str:
         lines = [
@@ -295,21 +285,32 @@ class CentroidVerification:
                     f"{ch.parameter:34s} {ch.code:6s} {rec:>19s} "
                     f"{sto:>17s} {ch.delta_c_l:7.4f} {ch.delta_c_r:7.4f} {status}"
                 )
+        lines.append(f"iterative vs exhaustive scan, worst delta: {self.scan_delta:.3e}")
         lines.append("result: " + ("all entries pass" if self.passed else "FAILED"))
         return "\n".join(lines)
 
 
 def verify_stored_centroids(cb: Codebook, grid: DiscretizationGrid = DEFAULT_GRID,
                             tolerance: float = 0.05) -> CentroidVerification:
-    """Recompute every entry's centroid and compare with the stored values."""
-    checks = tuple(
-        CentroidCheck(
+    """Recompute every entry's centroid and compare with the stored values.
+
+    Each centroid is also recomputed by the exhaustive switch scan; the
+    verification fails if the two routes differ by more than
+    SCAN_TOLERANCE at either end.
+    """
+    checks = []
+    scan_delta = 0.0
+    for entry in cb.entries:
+        recomputed = centroid(entry.fou, grid)
+        scan = centroid_brute_force(entry.fou, grid)
+        scan_delta = max(scan_delta, abs(recomputed.c_l - scan.c_l),
+                         abs(recomputed.c_r - scan.c_r))
+        checks.append(CentroidCheck(
             parameter=entry.parameter,
             code=entry.term.code,
-            recomputed=centroid(entry.fou, grid),
+            recomputed=recomputed,
             stored=entry.stored,
             tolerance=tolerance,
-        )
-        for entry in cb.entries
-    )
-    return CentroidVerification(checks=checks, tolerance=tolerance)
+        ))
+    return CentroidVerification(checks=tuple(checks), tolerance=tolerance,
+                                scan_delta=scan_delta)

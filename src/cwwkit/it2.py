@@ -99,9 +99,14 @@ def lower_membership(fou: TrapezoidIT2, x):
     return _trapezoid(x, *fou.lmf, fou.lmf_height)
 
 
+# Largest accepted grid: 100x the default resolution. Every sampled
+# array (and the exhaustive centroid scan's prefix sums) grows with it.
+MAX_SAMPLE_COUNT = 100_001
+
+
 @dataclass(frozen=True)
 class DiscretizationGrid:
-    """Uniform sampling of the evaluation scale."""
+    """Uniform sampling of the evaluation scale, 3 to MAX_SAMPLE_COUNT points."""
 
     domain_min: float = 0.0
     domain_max: float = 10.0
@@ -110,6 +115,10 @@ class DiscretizationGrid:
     def __post_init__(self):
         if self.sample_count < 3:
             raise ValueError(f"grid needs at least 3 samples, got {self.sample_count}")
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise ValueError(
+                f"grid takes at most {MAX_SAMPLE_COUNT} samples, got {self.sample_count}"
+            )
         if not self.domain_min < self.domain_max:
             raise ValueError("grid domain must be a nonempty interval")
 
@@ -140,26 +149,22 @@ class SampledFOU:
         if (self.lower - self.upper).max() > _CONTAINMENT_TOL:
             raise ValueError("lower membership exceeds upper membership")
 
-    def resampled(self, grid: DiscretizationGrid) -> "SampledFOU":
-        xs = grid.samples
-        return SampledFOU(
-            xs=xs,
-            upper=np.interp(xs, self.xs, self.upper, left=0.0, right=0.0),
-            lower=np.interp(xs, self.xs, self.lower, left=0.0, right=0.0),
-            height=self.height,
-        )
-
 
 def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Upper/lower membership arrays of a trapezoidal or sampled FOU."""
+    """Upper/lower membership arrays of a trapezoidal or sampled FOU.
+
+    A sampled FOU must already lie on `grid`; it is not interpolated.
+    """
     if isinstance(fou, TrapezoidIT2):
         xs = grid.samples
         return upper_membership(fou, xs), lower_membership(fou, xs)
     if isinstance(fou, SampledFOU):
         if len(fou.xs) == grid.sample_count and np.array_equal(fou.xs, grid.samples):
             return fou.upper, fou.lower
-        r = fou.resampled(grid)
-        return r.upper, r.lower
+        raise ValueError(
+            f"sampled FOU has {len(fou.xs)} samples that are not the "
+            f"{grid.sample_count}-point grid on [{grid.domain_min}, {grid.domain_max}]"
+        )
     raise TypeError(f"unsupported FOU type {type(fou).__name__}")
 
 
@@ -175,11 +180,6 @@ class CentroidInterval:
     @property
     def mean(self) -> float:
         return 0.5 * (self.c_l + self.c_r)
-
-
-def centroid_mean(ci: CentroidInterval) -> float:
-    """Midpoint of the centroid interval."""
-    return ci.mean
 
 
 def _check_mass(upper: np.ndarray) -> None:

@@ -6,7 +6,7 @@ grid) are immutable, and report rows preserve input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -14,10 +14,13 @@ import numpy as np
 from . import extension, symbolic, two_tuple
 from .codebook import Codebook
 from .errors import ConfigurationError, CwwError
-from .it2 import (DEFAULT_GRID, DiscretizationGrid, centroid,
+from .extension import TriTuple
+from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid, centroid,
                   jaccard_similarity, lwa_exact, lwa_paper)
-from .vocabulary import (FeedbackRecord, Method, ParameterSchema, RawFeedback,
-                         Recommendation, build_default_schema, resolve_feedback)
+from .two_tuple import TwoTuple
+from .vocabulary import (FeedbackRecord, LinguisticTerm, Method,
+                         ParameterSchema, RawFeedback, build_default_schema,
+                         resolve_feedback)
 
 ALL_METHODS = tuple(Method)
 
@@ -35,11 +38,7 @@ class EvalOptions:
     """Tunable evaluation settings; defaults reproduce the reference setup."""
 
     grid: DiscretizationGrid = DEFAULT_GRID
-    distance_weights: extension.DistanceWeights = extension.DEFAULT_DISTANCE_WEIGHTS
-    symbolic_weights: symbolic.WeightVector | None = None
-    lwa_weights: tuple[float, ...] | None = None
     lwa_mode: str = "exact"
-    alpha_levels: int = 65
 
     def __post_init__(self):
         if self.lwa_mode not in LWA_MODES:
@@ -49,6 +48,29 @@ class EvalOptions:
 
 
 DEFAULT_OPTIONS = EvalOptions()
+
+
+@dataclass(frozen=True)
+class Recommendation:
+    """Per-method evaluation outcome: a numeric payload, its score and a word.
+
+    The numeric payload is method specific: the matched triangular tuple
+    for the extension principle, an integer index for the symbolic method,
+    the aggregated mean for the 2-tuple method and the centroid mean
+    rounded to two decimals for perceptual computing. `score` is the
+    full-precision number students are ranked by (the middle of the
+    matched tuple, the index, the mean, the unrounded centroid mean).
+    The remaining fields are intermediates, each set only by its method.
+    """
+
+    method: Method
+    numeric: object
+    linguistic: LinguisticTerm
+    score: float
+    aggregate: TriTuple | None = None  # extension principle
+    two_tuple: TwoTuple | None = None  # 2-tuple
+    centroid: CentroidInterval | None = None  # perceptual
+    similarities: tuple[float, ...] | None = None  # perceptual, per recommendation word
 
 
 @dataclass(frozen=True)
@@ -84,38 +106,37 @@ def _uniform_g(schema: ParameterSchema) -> int:
     return gs.pop()
 
 
-def _evaluate_extension(fb: FeedbackRecord, schema, options) -> Recommendation:
+def _evaluate_extension(fb: FeedbackRecord, schema) -> Recommendation:
     tuples = [
         extension.uniform_triangular_partition(len(param))[choice.index]
         for param, choice in zip(schema.parameters, fb.choices)
     ]
     aggregate = extension.aggregate_tri_tuples(tuples)
     terms = extension.uniform_triangular_partition(len(schema.recommendation))
-    index, distance = extension.linguistic_approximation(
-        aggregate, terms, options.distance_weights
-    )
+    index, _ = extension.linguistic_approximation(aggregate, terms)
     return Recommendation(
         method=Method.EXTENSION_PRINCIPLE,
         numeric=terms[index],
         linguistic=schema.recommendation[index],
-        details={"aggregate": aggregate, "distance": distance},
+        score=float(terms[index].m),
+        aggregate=aggregate,
     )
 
 
-def _evaluate_symbolic(fb: FeedbackRecord, schema, options) -> Recommendation:
+def _evaluate_symbolic(fb: FeedbackRecord, schema) -> Recommendation:
     g = _uniform_g(schema)
     indices = symbolic.sort_terms_descending(fb.indices)
-    weights = options.symbolic_weights or symbolic.WeightVector.equal(len(indices))
+    weights = symbolic.WeightVector.equal(len(indices))
     index = symbolic.sm_aggregate(indices, weights, g)
     return Recommendation(
         method=Method.SYMBOLIC,
         numeric=index,
         linguistic=schema.recommendation[index],
-        details={"sorted_indices": tuple(indices)},
+        score=float(index),
     )
 
 
-def _evaluate_two_tuple(fb: FeedbackRecord, schema, options) -> Recommendation:
+def _evaluate_two_tuple(fb: FeedbackRecord, schema) -> Recommendation:
     g = _uniform_g(schema)
     beta = two_tuple.aggregate_beta(fb.indices)
     pair = two_tuple.to_two_tuple(beta, g)
@@ -123,7 +144,8 @@ def _evaluate_two_tuple(fb: FeedbackRecord, schema, options) -> Recommendation:
         method=Method.TWO_TUPLE,
         numeric=beta,
         linguistic=schema.recommendation[pair.term_index],
-        details={"two_tuple": pair},
+        score=float(beta),
+        two_tuple=pair,
     )
 
 
@@ -133,12 +155,9 @@ def _evaluate_perceptual(fb: FeedbackRecord, schema, cb: Codebook, options) -> R
         for param, choice in zip(schema.parameters, fb.choices)
     ]
     if options.lwa_mode == "paper":
-        aggregate = lwa_paper(fous, options.lwa_weights)
+        aggregate = lwa_paper(fous)
     else:
-        aggregate = lwa_exact(
-            fous, options.lwa_weights, alpha_levels=options.alpha_levels,
-            grid=options.grid,
-        )
+        aggregate = lwa_exact(fous, grid=options.grid)
     interval = centroid(aggregate, options.grid)
     similarities = tuple(
         jaccard_similarity(aggregate, word_fou, options.grid)
@@ -149,12 +168,9 @@ def _evaluate_perceptual(fb: FeedbackRecord, schema, cb: Codebook, options) -> R
         method=Method.PERCEPTUAL,
         numeric=round(interval.mean, 2),
         linguistic=schema.recommendation[index],
-        details={
-            "centroid": interval,
-            "centroid_mean": interval.mean,
-            "similarities": similarities,
-            "lwa_mode": options.lwa_mode,
-        },
+        score=interval.mean,
+        centroid=interval,
+        similarities=similarities,
     )
 
 
@@ -169,11 +185,11 @@ def evaluate_student(
     method = Method(method)
     schema = schema or (cb.schema if cb is not None else build_default_schema())
     if method is Method.EXTENSION_PRINCIPLE:
-        return _evaluate_extension(fb, schema, options)
+        return _evaluate_extension(fb, schema)
     if method is Method.SYMBOLIC:
-        return _evaluate_symbolic(fb, schema, options)
+        return _evaluate_symbolic(fb, schema)
     if method is Method.TWO_TUPLE:
-        return _evaluate_two_tuple(fb, schema, options)
+        return _evaluate_two_tuple(fb, schema)
     if cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
     return _evaluate_perceptual(fb, schema, cb, options)
@@ -237,20 +253,6 @@ def evaluate_batch(
     return EvaluationReport(methods=methods, rows=tuple(rows), metadata=metadata)
 
 
-def ranking_score(cell: MethodCell, method: Method) -> float:
-    """Total-order score of a recommendation for ranking purposes."""
-    rec = cell.recommendation
-    if rec is None:
-        raise ValueError("cannot score a failed cell")
-    if method is Method.PERCEPTUAL:
-        return float(rec.details["centroid_mean"])
-    if method is Method.TWO_TUPLE:
-        return float(rec.numeric)
-    if method is Method.SYMBOLIC:
-        return float(rec.numeric)
-    return float(rec.numeric.m)  # middle of the matched tri-tuple
-
-
 def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, float]]:
     """Students in descending score order; ties by ascending student id.
 
@@ -260,7 +262,7 @@ def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, f
     if method not in report.methods:
         raise ValueError(f"report does not contain method {method.value!r}")
     scored = [
-        (row.student_id, ranking_score(row.cells[method], method))
+        (row.student_id, row.cells[method].recommendation.score)
         for row in report.rows
         if row.error is None and row.cells[method].error is None
     ]
@@ -273,7 +275,7 @@ def numeric_key(rec: Recommendation) -> str:
         tri = rec.numeric
         return "{%s}" % ",".join(format(v, "g") for v in tri.as_tuple())
     if rec.method is Method.PERCEPTUAL:
-        return format(float(rec.details["centroid_mean"]), ".2f")
+        return format(rec.score, ".2f")
     return format(rec.numeric, "g")
 
 
@@ -338,12 +340,3 @@ def uniqueness_report(report: EvaluationReport) -> UniquenessSummary:
         groups[method] = tuple(found)
     return UniquenessSummary(groups=groups)
 
-
-def with_grid(options: EvalOptions, sample_count: int) -> EvalOptions:
-    """Convenience: the same options on a grid with a new sample count."""
-    grid = DiscretizationGrid(
-        domain_min=options.grid.domain_min,
-        domain_max=options.grid.domain_max,
-        sample_count=sample_count,
-    )
-    return replace(options, grid=grid)

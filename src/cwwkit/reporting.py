@@ -27,7 +27,7 @@ def _cell_numeric(cell, method: Method, verbose: bool) -> str:
         return "!"
     rec = cell.recommendation
     if verbose and method is Method.PERCEPTUAL:
-        return repr(float(rec.details["centroid_mean"]))
+        return repr(rec.score)
     return numeric_key(rec)
 
 
@@ -105,17 +105,15 @@ def _row_payload(row, methods, verbose: bool) -> dict:
             "word": rec.linguistic.code,
             "label": rec.linguistic.label,
         }
-        if method is Method.PERCEPTUAL:
-            interval = rec.details["centroid"]
-            entry["centroid"] = [interval.c_l, interval.c_r]
+        if rec.centroid is not None:
+            entry["centroid"] = [rec.centroid.c_l, rec.centroid.c_r]
             if verbose:
-                entry["centroid_mean"] = float(rec.details["centroid_mean"])
-                entry["similarities"] = [float(s) for s in rec.details["similarities"]]
-        if method is Method.TWO_TUPLE:
-            pair = rec.details["two_tuple"]
-            entry["two_tuple"] = [pair.term_index, pair.alpha]
-        if method is Method.EXTENSION_PRINCIPLE:
-            entry["aggregate"] = list(rec.details["aggregate"].as_tuple())
+                entry["centroid_mean"] = rec.score
+                entry["similarities"] = [float(s) for s in rec.similarities]
+        if rec.two_tuple is not None:
+            entry["two_tuple"] = [rec.two_tuple.term_index, rec.two_tuple.alpha]
+        if rec.aggregate is not None:
+            entry["aggregate"] = list(rec.aggregate.as_tuple())
         method_payload[method.value] = entry
     payload["methods"] = method_payload
     return payload

@@ -14,9 +14,6 @@ from typing import Sequence
 
 from .rounding import round_half_away
 
-# Required ordering of the aggregation input (largest index first).
-SORT_DESCENDING = True
-
 _WEIGHT_SUM_TOL = 1e-9
 
 

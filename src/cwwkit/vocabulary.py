@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SchemaError, WordResolutionError
@@ -105,10 +106,18 @@ class ParameterSchema:
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
 
-    def parameter(self, name: str) -> TermSet:
-        for p in self.parameters:
-            if p.name.lower() == name.lower():
-                return p
+    @cached_property
+    def term_sets(self) -> tuple[TermSet, ...]:
+        """The parameters followed by the recommendation set."""
+        return self.parameters + (self.recommendation,)
+
+    def term_set(self, name: str) -> TermSet:
+        """The parameter or recommendation term set called `name`,
+        case-insensitively."""
+        needle = name.lower()
+        for ts in self.term_sets:
+            if ts.name.lower() == needle:
+                return ts
         raise SchemaError(f"unknown parameter {name!r}")
 
 
@@ -134,23 +143,6 @@ class FeedbackRecord:
     @property
     def codes(self) -> tuple[str, ...]:
         return tuple(c.code for c in self.choices)
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    """Per-method evaluation outcome: a numeric payload plus a word.
-
-    The numeric payload is method specific: the matched triangular tuple
-    for the extension principle, an integer index for the symbolic method,
-    the aggregated mean for the 2-tuple method and the centroid mean
-    rounded to two decimals for perceptual computing. Full-precision
-    intermediates are kept in `details`.
-    """
-
-    method: Method
-    numeric: object
-    linguistic: LinguisticTerm
-    details: Mapping[str, object] = field(default_factory=dict)
 
 
 def build_default_schema() -> ParameterSchema:
@@ -238,7 +230,7 @@ def read_feedback_file(path, schema: ParameterSchema | None = None) -> list[RawF
             "feedback files support exactly "
             f"{len(FEEDBACK_COLUMNS)} parameters, schema has {len(schema.parameters)}"
         )
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

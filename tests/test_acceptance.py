@@ -42,10 +42,9 @@ from cwwkit import (Method, TriTuple, WeightVector, aggregate_beta,
                     uniform_triangular_partition, upper_membership,
                     uniqueness_report, verify_stored_centroids)
 from cwwkit.it2 import DEFAULT_GRID
-from cwwkit.pipeline import (EvaluationReport, MethodCell, ReportRow,
-                             numeric_key)
+from cwwkit.pipeline import (EvaluationReport, MethodCell, Recommendation,
+                             ReportRow, numeric_key)
 from cwwkit.rounding import round_half_away
-from cwwkit.vocabulary import Recommendation
 from reference_data import DIVERGENCES, PUBLISHED, PUBLISHED_AGGREGATES
 from strategies import random_fou
 
@@ -186,7 +185,7 @@ def test_criterion_1_linguistic_reproduction(sample_rows, codebook, schema):
             _check_extension_cause(schema, sid)
         else:
             engine_word, published_word = DIVERGENCES[(sid, kind)]
-            similarities = perceptual[sid].details["similarities"]
+            similarities = perceptual[sid].similarities
             margin = (similarities[schema.recommendation.find(engine_word).index]
                       - similarities[schema.recommendation.find(published_word).index])
             assert margin >= 0.03, f"student {sid}: Jaccard margin {margin:.4f}"
@@ -211,7 +210,7 @@ def test_criterion_2_numeric_reproduction(full_report, codebook, schema):
             mismatches.add((sid, "symbolic"))
         if tt[sid].numeric != row[5]:
             mismatches.add((sid, "two_tuple"))
-        if abs(float(pc[sid].details["centroid_mean"]) - row[7]) > 0.05:
+        if abs(pc[sid].score - row[7]) > 0.05:
             mismatches.add((sid, "perceptual:score"))
     # spot values named by the criterion
     assert tt[4].numeric == 2.5 and tt[8].numeric == 2.75 and tt[9].numeric == 1.5
@@ -228,15 +227,14 @@ def test_criterion_2_numeric_reproduction(full_report, codebook, schema):
             assert row[1] == terms[schema.recommendation.find(published).index].as_tuple()
             _check_extension_cause(schema, sid)
             continue
-        details = pc[sid].details
-        assert details["centroid_mean"] == pytest.approx(engine, abs=2e-6), sid
+        assert pc[sid].score == pytest.approx(engine, abs=2e-6), sid
         assert row[7] == published
         # the engine's score is the centroid of the aggregate ...
         fous = [codebook.lookup(param.name, word)
                 for param, word in zip(schema.parameters, row[0])]
         scan = centroid_brute_force(lwa_exact(fous))
-        assert abs(details["centroid"].c_l - scan.c_l) <= 1e-9, sid
-        assert abs(details["centroid"].c_r - scan.c_r) <= 1e-9, sid
+        assert abs(pc[sid].centroid.c_l - scan.c_l) <= 1e-9, sid
+        assert abs(pc[sid].centroid.c_r - scan.c_r) <= 1e-9, sid
         # ... while the published one is the mean of the stored centroids
         assert _stored_centroid_mean(schema, row[0]) == Decimal(f"{published:.2f}"), sid
     # that rule, not the centroid, fits the published column: row 23 is
@@ -407,14 +405,14 @@ def _published_report(schema) -> EvaluationReport:
         words, ep_tuple, ep_word, sm_idx, sm_word, beta, tt_word, pc, pc_word = row
         cells = {
             Method.EXTENSION_PRINCIPLE: MethodCell(Recommendation(
-                Method.EXTENSION_PRINCIPLE, TriTuple(*ep_tuple), find(ep_word))),
+                Method.EXTENSION_PRINCIPLE, TriTuple(*ep_tuple), find(ep_word),
+                ep_tuple[1])),
             Method.SYMBOLIC: MethodCell(Recommendation(
-                Method.SYMBOLIC, sm_idx, find(sm_word))),
+                Method.SYMBOLIC, sm_idx, find(sm_word), sm_idx)),
             Method.TWO_TUPLE: MethodCell(Recommendation(
-                Method.TWO_TUPLE, beta, find(tt_word))),
+                Method.TWO_TUPLE, beta, find(tt_word), beta)),
             Method.PERCEPTUAL: MethodCell(Recommendation(
-                Method.PERCEPTUAL, pc, find(pc_word),
-                details={"centroid_mean": pc})),
+                Method.PERCEPTUAL, pc, find(pc_word), pc)),
         }
         rows.append(ReportRow(student_id=str(sid), codes=words, cells=cells))
     return EvaluationReport(methods=tuple(Method), rows=tuple(rows))
@@ -440,8 +438,7 @@ def test_uniqueness_tallies_of_reference_cells(schema, full_report):
     # full-precision perceptual scores are retained for inspection and
     # separate the students the 2-decimal table cannot
     means = {
-        row.student_id: float(
-            row.cells[Method.PERCEPTUAL].recommendation.details["centroid_mean"])
+        row.student_id: row.cells[Method.PERCEPTUAL].recommendation.score
         for row in full_report.rows
     }
     assert means["9"] != means["15"]

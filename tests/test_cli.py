@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import cwwkit.codebook
 from cwwkit.cli import main
 from cwwkit.codebook import default_feedback_path, dumps_codebook
 
@@ -45,6 +47,32 @@ class TestCodebookValidate:
         code, _, err = run(capsys, "codebook", "validate", "--codebook", "/no/such.csv")
         assert code == 1
         assert "not found" in err
+
+    def test_scan_cross_check(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "codebook", "validate")
+        assert code == 0
+        assert float(out.split("worst delta: ")[1].split()[0]) <= 1e-9
+        scan = cwwkit.codebook.centroid_brute_force
+
+        def shifted_scan(fou, grid):
+            interval = scan(fou, grid)
+            return dataclasses.replace(interval, c_r=interval.c_r + 1e-8)
+
+        monkeypatch.setattr(cwwkit.codebook, "centroid_brute_force", shifted_scan)
+        code, out, _ = run(capsys, "codebook", "validate")
+        assert code == 2
+        assert "worst delta: 1.000e-08" in out
+        assert "FAILED" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--grid", "2"), ("--grid", "1000000000"), ("--grid", "many"),
+        ("--tolerance", "nan"), ("--tolerance", "-0.1"), ("--tolerance", "inf"),
+    ])
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "codebook", "validate", *argv)
+        assert code == 1
+        assert out == ""
+        assert argv[0] in err
 
 
 class TestEvaluate:
@@ -94,6 +122,29 @@ class TestEvaluate:
         code, out, _ = run(capsys, "evaluate", "--feedback", str(path))
         assert code == 2
         assert "failed" in out
+        # rank leaves the row out of the ranking but flags the batch alike
+        code, out, _ = run(capsys, "rank", "--feedback", str(path),
+                           "--method", "symbolic")
+        assert code == 2
+        assert len(out.splitlines()) == 25
+        assert "student 1 " not in out
+
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, sample_feedback,
+                                        codebook):
+        plain_cb = tmp_path / "cb.csv"
+        plain_cb.write_text(dumps_codebook(codebook), encoding="utf-8")
+        bom_cb = tmp_path / "cb_bom.csv"
+        bom_cb.write_text(dumps_codebook(codebook), encoding="utf-8-sig")
+        bom_feedback = tmp_path / "feedback_bom.csv"
+        bom_feedback.write_text(default_feedback_path().read_text("utf-8"),
+                                encoding="utf-8-sig")
+        assert bom_feedback.read_bytes().startswith(b"\xef\xbb\xbf")
+        _, plain, _ = run(capsys, "evaluate", "--feedback", sample_feedback,
+                          "--codebook", str(plain_cb))
+        code, bom, _ = run(capsys, "evaluate", "--feedback", str(bom_feedback),
+                           "--codebook", str(bom_cb))
+        assert code == 0
+        assert bom == plain
 
     def test_out_file(self, capsys, tmp_path, sample_feedback):
         out_path = tmp_path / "report.json"

@@ -141,12 +141,6 @@ def test_missing_stored_centroid_is_allowed(codebook, schema):
     assert "no stored centroid" in report.format_text()
 
 
-def test_nonstandard_domain_is_flagged(codebook, schema):
-    cb = Codebook(schema, codebook.entries, domain=(0.0, 100.0))
-    assert cb.flags
-    assert "nonstandard" in cb.flags[0]
-
-
 def test_verification_passes_at_shipped_tolerance(codebook):
     report = verify_stored_centroids(codebook, tolerance=0.05)
     assert report.passed

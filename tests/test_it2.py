@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cwwkit import (CentroidInterval, DegenerateInputError, DiscretizationGrid,
-                    TrapezoidIT2, centroid, centroid_brute_force, centroid_mean,
+                    TrapezoidIT2, centroid, centroid_brute_force,
                     jaccard_similarity, lower_membership, lwa_exact, lwa_paper,
                     upper_membership)
-from cwwkit.it2 import DEFAULT_GRID, SampledFOU, membership_samples
+from cwwkit.it2 import (DEFAULT_GRID, MAX_SAMPLE_COUNT, SampledFOU,
+                        membership_samples)
 from strategies import _assemble_fou, random_fou, trapezoid_it2
 
 SMALL = TrapezoidIT2(0.59, 2.00, 3.00, 4.41, 1.79, 2.50, 2.50, 3.21, 0.59)
@@ -70,6 +71,10 @@ class TestValidation:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             DiscretizationGrid(sample_count=2)
+        # raises in the constructor; the samples are never allocated
+        with pytest.raises(ValueError, match="at most"):
+            DiscretizationGrid(sample_count=10**9)
+        assert DiscretizationGrid(sample_count=MAX_SAMPLE_COUNT).sample_count == MAX_SAMPLE_COUNT
         grid = DiscretizationGrid()
         assert grid.samples[0] == 0.0
         assert grid.samples[-1] == 10.0
@@ -102,9 +107,9 @@ class TestCentroid:
         assert 1 <= ci.switch_right <= DEFAULT_GRID.sample_count
 
     def test_mean(self):
-        assert centroid_mean(CentroidInterval(1.88, 3.12, 1, 1)) == pytest.approx(2.50)
-        assert centroid_mean(CentroidInterval(4.44, 5.47, 1, 1)) == pytest.approx(4.955)
-        assert centroid_mean(CentroidInterval(3.3, 3.3, 1, 1)) == 3.3
+        assert CentroidInterval(1.88, 3.12, 1, 1).mean == pytest.approx(2.50)
+        assert CentroidInterval(4.44, 5.47, 1, 1).mean == pytest.approx(4.955)
+        assert CentroidInterval(3.3, 3.3, 1, 1).mean == 3.3
 
     def test_degenerate_fou_raises(self):
         coarse = DiscretizationGrid(sample_count=3)  # samples at 0, 5, 10
@@ -213,11 +218,15 @@ class TestLwaExact:
         with pytest.raises(ValueError):
             lwa_exact(SS1_WORDS, alpha_levels=1)
 
-    def test_resampling(self):
+    def test_sampled_fou_on_another_grid_raises(self):
         sampled = lwa_exact([SMALL])
-        coarse = sampled.resampled(DiscretizationGrid(sample_count=101))
-        assert len(coarse.xs) == 101
-        assert coarse.upper.max() == pytest.approx(1.0, abs=1e-9)
+        coarse = DiscretizationGrid(sample_count=101)
+        with pytest.raises(ValueError):
+            membership_samples(sampled, coarse)
+        with pytest.raises(ValueError):
+            centroid(sampled, coarse)
+        with pytest.raises(ValueError):
+            jaccard_similarity(sampled, SMALL, coarse)
 
 
 class TestJaccard:

@@ -1,9 +1,9 @@
 import pytest
 
-from cwwkit import (ConfigurationError, EvalOptions, Method, evaluate_batch,
-                    evaluate_student, rank_students, resolve_feedback,
-                    uniqueness_report)
-from cwwkit.pipeline import numeric_key, with_grid
+from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions, Method,
+                    evaluate_batch, evaluate_student, rank_students,
+                    resolve_feedback, uniqueness_report)
+from cwwkit.pipeline import numeric_key
 from cwwkit.vocabulary import (LIKING, PREPARATION, SUBJECT_KNOWLEDGE,
                                TIME_TAKEN, LinguisticTerm, ParameterSchema,
                                RawFeedback, TermSet)
@@ -28,10 +28,10 @@ class TestFullBatch:
     def test_extension_numeric_is_matched_term(self, full_report):
         rec = _rec(full_report, 1, Method.EXTENSION_PRINCIPLE)
         assert rec.numeric.as_tuple() == (0.25, 0.5, 0.75)
-        assert rec.details["aggregate"].as_tuple() == (0.25, 0.5, 0.75)
+        assert rec.aggregate.as_tuple() == (0.25, 0.5, 0.75)
         rec22 = _rec(full_report, 22, Method.EXTENSION_PRINCIPLE)
         assert rec22.numeric.as_tuple() == (0.0, 0.25, 0.5)
-        assert rec22.details["aggregate"].as_tuple() == (0.1875, 0.25, 0.4375)
+        assert rec22.aggregate.as_tuple() == (0.1875, 0.25, 0.4375)
 
     def test_symbolic_column(self, full_report):
         for sid, row in PUBLISHED.items():
@@ -44,14 +44,14 @@ class TestFullBatch:
             rec = _rec(full_report, sid, Method.TWO_TUPLE)
             assert rec.numeric == row[5], f"student {sid}"
             assert rec.linguistic.code == row[6], f"student {sid}"
-            pair = rec.details["two_tuple"]
+            pair = rec.two_tuple
             assert pair.term_index + pair.alpha == rec.numeric
 
     def test_perceptual_column(self, full_report):
         for sid, (mean, word) in ENGINE_PERCEPTUAL.items():
             rec = _rec(full_report, sid, Method.PERCEPTUAL)
-            assert rec.details["centroid_mean"] == pytest.approx(mean, abs=2e-6), f"student {sid}"
-            assert rec.numeric == round(rec.details["centroid_mean"], 2)
+            assert rec.score == pytest.approx(mean, abs=2e-6), f"student {sid}"
+            assert rec.numeric == round(rec.score, 2)
             assert rec.linguistic.code == word, f"student {sid}"
 
     def test_recommendations_use_recommendation_set(self, full_report, schema):
@@ -133,7 +133,7 @@ class TestSingleStudent:
         rec = evaluate_student(record, Method.PERCEPTUAL, codebook)
         assert rec.numeric == pytest.approx(4.95, abs=0.05)
         assert rec.linguistic.code == "SSA"
-        interval = rec.details["centroid"]
+        interval = rec.centroid
         assert interval.c_l == pytest.approx(4.44, abs=0.05)
         assert interval.c_r == pytest.approx(5.47, abs=0.05)
 
@@ -155,12 +155,11 @@ class TestSingleStudent:
         for sid, mean in ENGINE_PERCEPTUAL_PARAM_MODE.items():
             record = resolve_feedback(schema, sample_rows[sid - 1].words, str(sid))
             rec = evaluate_student(record, Method.PERCEPTUAL, codebook, options=options)
-            assert rec.details["centroid_mean"] == pytest.approx(mean, abs=2e-6)
-            assert rec.details["lwa_mode"] == "paper"
+            assert rec.score == pytest.approx(mean, abs=2e-6)
 
     def test_coarse_grid_still_evaluates(self, codebook, sample_rows):
         report = evaluate_batch(sample_rows, cb=codebook,
-                                options=with_grid(EvalOptions(), 11))
+                                options=EvalOptions(grid=DiscretizationGrid(sample_count=11)))
         assert all(r.error is None for r in report.rows)
         for row in report.rows:
             assert row.cells[Method.PERCEPTUAL].error is None
