@@ -2,8 +2,10 @@
 sample, pinned at a known-good state of the engine.
 
 The digests cover every `evaluate` combination of `--format`,
-`--lwa-mode` and `--verbose-precision`, `rank` for each method and
-`compare --format json`. A change that alters any printed byte fails
+`--lwa-mode` and `--verbose-precision`, `evaluate` on the coarse
+`--grid 51` for every `--format` and `--lwa-mode`, `rank` for each
+method, `compare --format json` and `compare --format csv --lwa-mode
+paper`. A change that alters any printed byte fails
 here; if the change is meant to alter output, recompute the digest and
 say why in CHANGES.md.
 """
@@ -39,6 +41,18 @@ STDOUT_SHA256 = {
         "79028b4afc462bdb84f9efb01c7161271036c82604ef3c954b1141158c1c5104",
     ('evaluate', '--format', 'json', '--lwa-mode', 'paper', '--verbose-precision'):
         "72cc5e843c941f415f8f7fcbba7d3acddd67804eca12b99767ea9cf6339e5f41",
+    ('evaluate', '--format', 'table', '--lwa-mode', 'exact', '--grid', '51'):
+        "2c692c00818f835f3e82627be77952a0f5b28f00ad709f59a54a6ef829c7c1f8",
+    ('evaluate', '--format', 'table', '--lwa-mode', 'paper', '--grid', '51'):
+        "79a88adb4638ae76bb6fff9b79b1fb1119421aae95baa294bac0e2ea9391c929",
+    ('evaluate', '--format', 'csv', '--lwa-mode', 'exact', '--grid', '51'):
+        "e715629a8cd4b6aab3b5165cdd5bcb625de782ea7b6cfd697781a1d440f8cf15",
+    ('evaluate', '--format', 'csv', '--lwa-mode', 'paper', '--grid', '51'):
+        "1daede2d81aa855f9255c0763193416ce85a994dc47bcb5fce0be1070923b235",
+    ('evaluate', '--format', 'json', '--lwa-mode', 'exact', '--grid', '51'):
+        "c40ebd7e8fe30bc2edcaaf508bb5e8f77c11609a21b4773a0b1d83f07a216ce2",
+    ('evaluate', '--format', 'json', '--lwa-mode', 'paper', '--grid', '51'):
+        "9875cce1130554103ee6550413730b0773353618cea04e12201126d2a976b8d7",
     ('rank', '--method', 'extension_principle'):
         "39d48f788237c8786942a0a5b3769352110b701b35efab911ea6e14606ea2bb6",
     ('rank', '--method', 'symbolic'):
@@ -49,6 +63,8 @@ STDOUT_SHA256 = {
         "c6c0897db5d9f5a7aa056c2c4bf28bd65bf9791b41d817019516461de17033fc",
     ('compare', '--format', 'json'):
         "ff13185554296ce9e17e9d80af85ad50e2eca6bb81a79e18f4434a19fa301a2d",
+    ('compare', '--format', 'csv', '--lwa-mode', 'paper'):
+        "25f45abe0bdaee72ab15c59cea53306595c53da18d13cf1dc895da80e185424e",
 }
 
 
