@@ -402,3 +402,30 @@ def jaccard_similarity(fou_a, fou_b, grid: DiscretizationGrid = DEFAULT_GRID) ->
     if denominator <= 0.0:
         raise DegenerateInputError("both FOUs are identically zero on the grid")
     return numerator / denominator
+
+
+def membership_stack(fous, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (k, G) upper and lower samples of k FOUs, one row each."""
+    samples = [membership_samples(fou, grid) for fou in fous]
+    upper = np.array([u for u, _ in samples])
+    lower = np.array([lo for _, lo in samples])
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+def jaccard_similarities(fou, upper: np.ndarray, lower: np.ndarray,
+                         grid: DiscretizationGrid = DEFAULT_GRID) -> np.ndarray:
+    """Jaccard similarity of `fou` to each of k FOUs sampled on the grid.
+
+    `upper` and `lower` are (k, G) membership samples, one row per FOU,
+    as `membership_stack` returns them.
+    Each row is reduced along its contiguous axis, in the order the 1-D
+    sums of `jaccard_similarity` take, so entry j equals
+    `jaccard_similarity(fou, fou_j, grid)` exactly.
+    """
+    ua, la = membership_samples(fou, grid)
+    numerator = np.minimum(ua, upper).sum(axis=1) + np.minimum(la, lower).sum(axis=1)
+    denominator = np.maximum(ua, upper).sum(axis=1) + np.maximum(la, lower).sum(axis=1)
+    if (denominator <= 0.0).any():
+        raise DegenerateInputError("both FOUs are identically zero on the grid")
+    return numerator / denominator

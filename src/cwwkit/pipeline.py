@@ -1,12 +1,15 @@
 """Per-student evaluation across the four methods, ranking and uniqueness.
 
 Students are independent work units; all shared inputs (schema, codebook,
-grid) are immutable, and report rows preserve input order.
+grid) are immutable, and report rows preserve input order. A batch
+prepares its word-level data once and evaluates each distinct feedback
+vector once per method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -15,8 +18,12 @@ from . import extension, symbolic, two_tuple
 from .codebook import Codebook
 from .errors import ConfigurationError, CwwError
 from .extension import TriTuple
-from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid, centroid,
-                  jaccard_similarity, lwa_exact, lwa_paper)
+from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
+                  TrapezoidIT2, centroid, jaccard_similarities, lwa_exact,
+                  lwa_paper, membership_stack)
+# Not called here, but kept importable from this module: the benchmark's
+# tracer (benchmarks/tracing.py) wraps it under this name.
+from .it2 import jaccard_similarity  # noqa: F401
 from .two_tuple import TwoTuple
 from .vocabulary import (FeedbackRecord, LinguisticTerm, Method,
                          ParameterSchema, RawFeedback, build_default_schema,
@@ -96,23 +103,65 @@ class EvaluationReport:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
 
-def _uniform_g(schema: ParameterSchema) -> int:
-    gs = {ts.g for ts in schema.parameters} | {schema.recommendation.g}
-    if len(gs) != 1:
-        raise ConfigurationError(
-            "index-based methods need all term sets to share one cardinality; "
-            f"got g values {sorted(gs)}"
+@dataclass(frozen=True, eq=False)
+class PreparedCodebook:
+    """The word-level data of one (schema, codebook, options) triple.
+
+    Every student of a batch shares it, so it is built once per
+    `evaluate_batch` call. Each part is computed on first use, by the
+    first method that needs it, and never changes after.
+    """
+
+    schema: ParameterSchema
+    cb: Codebook | None
+    options: EvalOptions
+
+    @classmethod
+    def build(cls, cb: Codebook | None, schema: ParameterSchema | None,
+              options: EvalOptions) -> "PreparedCodebook":
+        schema = schema or (cb.schema if cb is not None else build_default_schema())
+        return cls(schema, cb, options)
+
+    @cached_property
+    def g(self) -> int:
+        """The largest term index, which index-based methods need every
+        term set to share."""
+        gs = {ts.g for ts in self.schema.term_sets}
+        if len(gs) != 1:
+            raise ConfigurationError(
+                "index-based methods need all term sets to share one cardinality; "
+                f"got g values {sorted(gs)}"
+            )
+        return gs.pop()
+
+    @cached_property
+    def partitions(self) -> Mapping[int, tuple[TriTuple, ...]]:
+        """Uniform triangular partition per term-set cardinality."""
+        sizes = {len(ts) for ts in self.schema.term_sets}
+        return {n: extension.uniform_triangular_partition(n) for n in sizes}
+
+    @cached_property
+    def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
+        """Per parameter, the word models in term-index order."""
+        return tuple(
+            tuple(self.cb.lookup(param.name, term.code) for term in param)
+            for param in self.schema.parameters
         )
-    return gs.pop()
+
+    @cached_property
+    def recommendation_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k, G) upper and lower samples of the recommendation words."""
+        return membership_stack(self.cb.recommendation_fous(), self.options.grid)
 
 
-def _evaluate_extension(fb: FeedbackRecord, schema) -> Recommendation:
+def _evaluate_extension(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
+    schema, partitions = prepared.schema, prepared.partitions
     tuples = [
-        extension.uniform_triangular_partition(len(param))[choice.index]
+        partitions[len(param)][choice.index]
         for param, choice in zip(schema.parameters, fb.choices)
     ]
     aggregate = extension.aggregate_tri_tuples(tuples)
-    terms = extension.uniform_triangular_partition(len(schema.recommendation))
+    terms = partitions[len(schema.recommendation)]
     index, _ = extension.linguistic_approximation(aggregate, terms)
     return Recommendation(
         method=Method.EXTENSION_PRINCIPLE,
@@ -123,55 +172,65 @@ def _evaluate_extension(fb: FeedbackRecord, schema) -> Recommendation:
     )
 
 
-def _evaluate_symbolic(fb: FeedbackRecord, schema) -> Recommendation:
-    g = _uniform_g(schema)
+def _evaluate_symbolic(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
+    g = prepared.g
     indices = symbolic.sort_terms_descending(fb.indices)
     weights = symbolic.WeightVector.equal(len(indices))
     index = symbolic.sm_aggregate(indices, weights, g)
     return Recommendation(
         method=Method.SYMBOLIC,
         numeric=index,
-        linguistic=schema.recommendation[index],
+        linguistic=prepared.schema.recommendation[index],
         score=float(index),
     )
 
 
-def _evaluate_two_tuple(fb: FeedbackRecord, schema) -> Recommendation:
-    g = _uniform_g(schema)
+def _evaluate_two_tuple(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
+    g = prepared.g
     beta = two_tuple.aggregate_beta(fb.indices)
     pair = two_tuple.to_two_tuple(beta, g)
     return Recommendation(
         method=Method.TWO_TUPLE,
         numeric=beta,
-        linguistic=schema.recommendation[pair.term_index],
+        linguistic=prepared.schema.recommendation[pair.term_index],
         score=float(beta),
         two_tuple=pair,
     )
 
 
-def _evaluate_perceptual(fb: FeedbackRecord, schema, cb: Codebook, options) -> Recommendation:
+def _evaluate_perceptual(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
+    if prepared.cb is None:
+        raise ConfigurationError("the perceptual method needs a loaded codebook")
     fous = [
-        cb.lookup(param.name, choice.code)
-        for param, choice in zip(schema.parameters, fb.choices)
+        words[choice.index]
+        for words, choice in zip(prepared.parameter_fous, fb.choices)
     ]
-    if options.lwa_mode == "paper":
+    grid = prepared.options.grid
+    if prepared.options.lwa_mode == "paper":
         aggregate = lwa_paper(fous)
     else:
-        aggregate = lwa_exact(fous, grid=options.grid)
-    interval = centroid(aggregate, options.grid)
+        aggregate = lwa_exact(fous, grid=grid)
+    interval = centroid(aggregate, grid)
     similarities = tuple(
-        jaccard_similarity(aggregate, word_fou, options.grid)
-        for word_fou in cb.recommendation_fous()
+        jaccard_similarities(aggregate, *prepared.recommendation_samples, grid).tolist()
     )
     index = int(np.argmax(similarities))  # argmax keeps the lowest index on ties
     return Recommendation(
         method=Method.PERCEPTUAL,
         numeric=round(interval.mean, 2),
-        linguistic=schema.recommendation[index],
+        linguistic=prepared.schema.recommendation[index],
         score=interval.mean,
         centroid=interval,
         similarities=similarities,
     )
+
+
+_EVALUATORS = {
+    Method.EXTENSION_PRINCIPLE: _evaluate_extension,
+    Method.SYMBOLIC: _evaluate_symbolic,
+    Method.TWO_TUPLE: _evaluate_two_tuple,
+    Method.PERCEPTUAL: _evaluate_perceptual,
+}
 
 
 def evaluate_student(
@@ -180,19 +239,19 @@ def evaluate_student(
     cb: Codebook | None = None,
     schema: ParameterSchema | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
+    *,
+    prepared: PreparedCodebook | None = None,
 ) -> Recommendation:
-    """Evaluate one resolved feedback record with one method."""
+    """Evaluate one resolved feedback record with one method.
+
+    `prepared` is the word-level data of (cb, schema, options) and takes
+    their place when given; `evaluate_batch` passes the one it built for
+    the whole batch. Without it, it is built for this call.
+    """
     method = Method(method)
-    schema = schema or (cb.schema if cb is not None else build_default_schema())
-    if method is Method.EXTENSION_PRINCIPLE:
-        return _evaluate_extension(fb, schema)
-    if method is Method.SYMBOLIC:
-        return _evaluate_symbolic(fb, schema)
-    if method is Method.TWO_TUPLE:
-        return _evaluate_two_tuple(fb, schema)
-    if cb is None:
-        raise ConfigurationError("the perceptual method needs a loaded codebook")
-    return _evaluate_perceptual(fb, schema, cb, options)
+    if prepared is None:
+        prepared = PreparedCodebook.build(cb, schema, options)
+    return _EVALUATORS[method](fb, prepared)
 
 
 def evaluate_batch(
@@ -205,20 +264,28 @@ def evaluate_batch(
     """Evaluate a batch; per-row failures are recorded, not raised.
 
     Rows may be raw (unresolved) feedback; a word that fails to resolve
-    flags that row only. Configuration problems such as requesting the
-    perceptual method without a codebook abort the whole batch.
+    flags that row only, and so does a student id already used by an
+    earlier row (rows count from 1 in input order). Configuration
+    problems such as requesting the perceptual method without a codebook
+    abort the whole batch.
+
+    Each distinct feedback vector is evaluated once per method; rows that
+    repeat it share the resulting cell, a failed one included.
     """
     if not feedback:
         raise ValueError("cannot evaluate an empty batch")
     methods = tuple(Method(m) for m in methods)
     if not methods:
         raise ConfigurationError("no methods selected")
-    schema = schema or (cb.schema if cb is not None else build_default_schema())
     if Method.PERCEPTUAL in methods and cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
+    prepared = PreparedCodebook.build(cb, schema, options)
+    schema = prepared.schema
 
+    memo: dict[tuple[Method, tuple[LinguisticTerm, ...]], MethodCell] = {}
+    first_rows: dict[str, int] = {}
     rows = []
-    for item in feedback:
+    for position, item in enumerate(feedback, start=1):
         if isinstance(item, FeedbackRecord):
             record, row_error = item, None
         else:
@@ -227,18 +294,27 @@ def evaluate_batch(
                 row_error = None
             except CwwError as exc:
                 record, row_error = None, str(exc)
-        if record is None:
-            rows.append(ReportRow(student_id=item.student_id, codes=None,
+        first = first_rows.setdefault(item.student_id, position)
+        if first != position:
+            row_error = (f"duplicate student id {item.student_id!r}, "
+                         f"first used by row {first}")
+        if row_error is not None:
+            rows.append(ReportRow(student_id=item.student_id,
+                                  codes=record.codes if record is not None else None,
                                   cells={}, error=row_error))
             continue
         cells = {}
         for method in methods:
-            try:
-                cells[method] = MethodCell(
-                    recommendation=evaluate_student(record, method, cb, schema, options)
-                )
-            except CwwError as exc:
-                cells[method] = MethodCell(error=str(exc))
+            key = (method, record.choices)
+            cell = memo.get(key)
+            if cell is None:
+                try:
+                    cell = MethodCell(recommendation=evaluate_student(
+                        record, method, prepared=prepared))
+                except CwwError as exc:
+                    cell = MethodCell(error=str(exc))
+                memo[key] = cell
+            cells[method] = cell
         rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
                               cells=cells))
 
@@ -256,7 +332,8 @@ def evaluate_batch(
 def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, float]]:
     """Students in descending score order; ties by ascending student id.
 
-    Rows whose cell failed are left out of the ranking.
+    Ids compare as strings, so on equal scores student "10" lists before
+    student "3". Rows whose cell failed are left out of the ranking.
     """
     method = Method(method)
     if method not in report.methods:

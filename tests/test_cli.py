@@ -129,6 +129,19 @@ class TestEvaluate:
         assert len(out.splitlines()) == 25
         assert "student 1 " not in out
 
+    def test_duplicate_student_id_sets_data_exit(self, capsys, tmp_path):
+        path = tmp_path / "feedback.csv"
+        path.write_text("student_id,time_taken,subject_knowledge,liking,preparation\n"
+                        "1,S,SLA,AM,PM\n1,M,SM,AH,PH\n")
+        for command in ("evaluate", "compare"):
+            code, out, _ = run(capsys, command, "--feedback", str(path))
+            assert code == 2
+            assert "# 1: duplicate student id '1', first used by row 1" in out
+        code, out, _ = run(capsys, "rank", "--feedback", str(path),
+                           "--method", "symbolic")
+        assert code == 2
+        assert out.count("student 1 ") == 1
+
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path, sample_feedback,
                                         codebook):
         plain_cb = tmp_path / "cb.csv"

@@ -97,6 +97,18 @@ class TestErrorHandling:
         assert "Tiny" in flagged[0].error
         assert sum(r.error is None for r in report.rows) == 25
 
+    def test_duplicate_student_id_flags_later_rows(self, sample_rows, codebook):
+        first = RawFeedback("1", {**sample_rows[0].words, TIME_TAKEN: "Tiny"})
+        batch = [first, sample_rows[1], sample_rows[0],
+                 RawFeedback("1", sample_rows[2].words)]
+        report = evaluate_batch(batch, cb=codebook)
+        assert "Tiny" in report.rows[0].error
+        assert report.rows[1].error is None
+        for row in report.rows[2:]:
+            assert row.error == "duplicate student id '1', first used by row 1"
+            assert row.cells == {}
+        assert report.rows[2].codes == ("S", "SLA", "AM", "PM")
+
     def test_perceptual_without_codebook(self, sample_rows):
         with pytest.raises(ConfigurationError):
             evaluate_batch(sample_rows, (Method.PERCEPTUAL,), cb=None)
