@@ -5,16 +5,27 @@ The digests cover every `evaluate` combination of `--format`,
 `--lwa-mode` and `--verbose-precision`, `evaluate` on the coarse
 `--grid 51` for every `--format` and `--lwa-mode`, `rank` for each
 method, `compare --format json` and `compare --format csv --lwa-mode
-paper`. A change that alters any printed byte fails
+paper`. Two more runs read `data/district_sample.csv`, a small file
+shaped like a district's: repeated vectors, mixed-case labels with
+surrounding spaces, an unknown word and a repeated student id. Below the
+CLI, one digest covers the `repr` of every `Recommendation` field for all
+625 feedback vectors. A change that alters any printed byte fails
 here; if the change is meant to alter output, recompute the digest and
 say why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
+import itertools
+from pathlib import Path
 
 import pytest
 
+from cwwkit import DiscretizationGrid, EvalOptions, FeedbackRecord, evaluate_batch
 from cwwkit.cli import main
+from cwwkit.pipeline import LWA_MODES
+
+DISTRICT_SAMPLE = Path(__file__).parent / "data" / "district_sample.csv"
 
 STDOUT_SHA256 = {
     ('evaluate', '--format', 'table', '--lwa-mode', 'exact'):
@@ -68,8 +79,50 @@ STDOUT_SHA256 = {
 }
 
 
+# Runs on DISTRICT_SAMPLE; exit status 2, because two rows are flagged.
+DISTRICT_STDOUT_SHA256 = {
+    ('compare', '--format', 'csv', '--lwa-mode', 'paper'):
+        "22ba46e30a0387c9c003653e436211fbcb99599f42566d3fb3526b9254dafd1a",
+    ('evaluate', '--format', 'json', '--verbose-precision', '--lwa-mode', 'paper'):
+        "33c0b19c291f8976f9db4bc6dfe0cbda086e37bc89347d6ee7d15be143db4c90",
+}
+
+RECOMMENDATION_FIELDS_SHA256 = (
+    "8b8ea88bce4af6d8b8021bc6f0c58d5623267c7ab6b9e295b8144b9b79fdde25")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
 def test_stdout_digest(capsys, argv):
     assert main(list(argv)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+    assert _digest(capsys.readouterr().out) == STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(DISTRICT_STDOUT_SHA256), ids=" ".join)
+def test_district_sample_stdout_digest(capsys, argv):
+    assert main([*argv, "--feedback", str(DISTRICT_SAMPLE)]) == 2
+    assert _digest(capsys.readouterr().out) == DISTRICT_STDOUT_SHA256[argv]
+
+
+def test_recommendation_fields_digest(codebook):
+    """Every field of every cell, by `repr`, for all 625 vectors x both
+    LWA modes x grid {51, 1001}: catches a change in the last bit or in
+    the type of any number, printed or not."""
+    vectors = itertools.product(*(param.terms for param in codebook.schema.parameters))
+    records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
+    lines = []
+    for lwa_mode in LWA_MODES:
+        for sample_count in (51, 1001):
+            options = EvalOptions(grid=DiscretizationGrid(sample_count=sample_count),
+                                  lwa_mode=lwa_mode)
+            report = evaluate_batch(records, cb=codebook, options=options)
+            for row in report.rows:
+                for method in report.methods:
+                    rec = row.cells[method].recommendation
+                    lines.extend(repr(getattr(rec, f.name))
+                                 for f in dataclasses.fields(rec))
+    assert len(lines) == 2 * 2 * 625 * 4 * 8
+    assert _digest("\n".join(lines)) == RECOMMENDATION_FIELDS_SHA256
