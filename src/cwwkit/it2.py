@@ -26,22 +26,32 @@ def _trapezoid(x, a: float, b: float, c: float, d: float, height: float):
     """Trapezoid membership with plateau value `height` on [b, c].
 
     Zero-width edges (a == b or c == d) evaluate as steps; membership at
-    the knot takes the plateau value.
+    the knot takes the plateau value. The lower of the two ramps, clipped
+    to [0, 1], is the edge's own ramp on an edge, 1 on the plateau and 0
+    outside the support.
     """
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    if b > a:
-        rising = (arr >= a) & (arr < b)
-        out[rising] = (arr[rising] - a) / (b - a)
-    plateau = (arr >= b) & (arr <= c)
-    out[plateau] = 1.0
-    if d > c:
-        falling = (arr > c) & (arr <= d)
-        out[falling] = (d - arr[falling]) / (d - c)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    # a subnormal edge width overflows a ramp to +-inf, which the clip handles
+    with np.errstate(over="ignore"):
+        rising = (arr - a) / (b - a) if b > a else np.where(arr < a, 0.0, 1.0)
+        falling = (d - arr) / (d - c) if d > c else np.where(arr > d, 0.0, 1.0)
+    out = np.minimum(rising, falling, out=rising)
+    np.minimum(out, 1.0, out=out)
+    np.maximum(out, 0.0, out=out)  # also turns an underflowed -0.0 into 0.0
     out *= height
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _trapezoid_at(x: float, a: float, b: float, c: float, d: float,
+                  height: float) -> float:
+    """`_trapezoid` at one point, with the same arithmetic."""
+    if b <= x <= c:
+        return 1.0 * height
+    if a <= x < b:
+        return (x - a) / (b - a) * height
+    if c < x <= d:
+        return (d - x) / (d - c) * height
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -74,12 +84,14 @@ class TrapezoidIT2:
         if self.lmf_e < self.umf_a - _CONTAINMENT_TOL or self.lmf_i > self.umf_d + _CONTAINMENT_TOL:
             raise ValueError("lower support must lie inside the upper support")
         # piecewise-linear difference attains its minimum at a knot
-        knots = np.array(values[:8])
-        gap = upper_membership(self, knots) - lower_membership(self, knots)
-        if gap.min() < -_CONTAINMENT_TOL:
+        knots = [float(v) for v in values[:8]]
+        gaps = [_trapezoid_at(x, *self.umf, 1.0) - _trapezoid_at(x, *self.lmf, self.lmf_height)
+                for x in knots]
+        worst = min(gaps)
+        if worst < -_CONTAINMENT_TOL:
             raise ValueError(
                 "lower membership exceeds upper membership "
-                f"(worst gap {gap.min():.3e} at x={knots[int(gap.argmin())]})"
+                f"(worst gap {worst:.3e} at x={knots[gaps.index(worst)]})"
             )
 
     @property
@@ -159,13 +171,22 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
         xs = grid.samples
         return upper_membership(fou, xs), lower_membership(fou, xs)
     if isinstance(fou, SampledFOU):
-        if len(fou.xs) == grid.sample_count and np.array_equal(fou.xs, grid.samples):
+        if fou.xs is grid.samples or (len(fou.xs) == grid.sample_count
+                                      and np.array_equal(fou.xs, grid.samples)):
             return fou.upper, fou.lower
         raise ValueError(
             f"sampled FOU has {len(fou.xs)} samples that are not the "
             f"{grid.sample_count}-point grid on [{grid.domain_min}, {grid.domain_max}]"
         )
     raise TypeError(f"unsupported FOU type {type(fou).__name__}")
+
+
+def sample_fou(fou: TrapezoidIT2, grid: DiscretizationGrid) -> SampledFOU:
+    """`fou` sampled once on `grid`, for a caller that type-reduces and
+    decodes it; its support must lie on the grid, as `centroid` requires."""
+    _check_support(fou, grid)
+    upper, lower = membership_samples(fou, grid)
+    return SampledFOU(xs=grid.samples, upper=upper, lower=lower, height=fou.lmf_height)
 
 
 @dataclass(frozen=True)
@@ -196,13 +217,15 @@ def _check_support(fou, grid: DiscretizationGrid) -> None:
             )
 
 
-def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, left: bool) -> tuple[float, int]:
+def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, gap: np.ndarray,
+              left: bool) -> tuple[float, int]:
     """Iterative switch-point search for one end of the centroid interval.
 
     The switch k counts the samples in the leading block; for the left
     end the leading block is weighted with upper memberships, for the
-    right end with lower memberships. The converged value is recomputed
-    from scratch so incremental updates cannot accumulate drift.
+    right end with lower memberships. `gap` is `upper - lower`. The
+    converged value is recomputed from scratch so incremental updates
+    cannot accumulate drift.
     """
     n = len(xs)
     head, tail = (upper, lower) if left else (lower, upper)
@@ -228,7 +251,7 @@ def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, left: bool) 
         if k_new == k:
             break
         lo, hi = (k, k_new) if k_new > k else (k_new, k)
-        diff = upper[lo:hi] - lower[lo:hi]
+        diff = gap[lo:hi]
         moved_mass = float(diff.sum())
         moved_first = float(xs[lo:hi] @ diff)
         sign = 1.0 if k_new > k else -1.0
@@ -265,8 +288,9 @@ def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     xs = grid.samples
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
-    c_l, k_l = _ekm_side(xs, upper, lower, left=True)
-    c_r, k_r = _ekm_side(xs, upper, lower, left=False)
+    gap = upper - lower
+    c_l, k_l = _ekm_side(xs, upper, lower, gap, left=True)
+    c_r, k_r = _ekm_side(xs, upper, lower, gap, left=False)
     return CentroidInterval(c_l=c_l, c_r=c_r, switch_left=k_l, switch_right=k_r)
 
 
@@ -329,13 +353,11 @@ def lwa_paper(
     """
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
-    w = _prepare_weights(len(inputs), weights)
-    params = np.array(
-        [[f.umf_a, f.umf_b, f.umf_c, f.umf_d,
-          f.lmf_e, f.lmf_f, f.lmf_g, f.lmf_i, f.lmf_height] for f in inputs]
-    )
+    w = _prepare_weights(len(inputs), weights).tolist()
+    columns = zip(*((f.umf_a, f.umf_b, f.umf_c, f.umf_d,
+                     f.lmf_e, f.lmf_f, f.lmf_g, f.lmf_i, f.lmf_height) for f in inputs))
     # fsum keeps the aggregate exactly permutation invariant
-    avg = [math.fsum(w[k] * params[k, j] for k in range(len(inputs))) for j in range(9)]
+    avg = [math.fsum(wk * v for wk, v in zip(w, column)) for column in columns]
     return TrapezoidIT2(*avg)
 
 
@@ -387,9 +409,10 @@ def _cuts_to_membership(xs, alphas, lefts, rights) -> np.ndarray:
     from_right = np.interp(xs, rights[::-1], alphas[::-1])
     mu = np.minimum(from_left, from_right)
     # pin the top plateau and the support explicitly; zero-width edges
-    # otherwise depend on how interp resolves duplicate knots
-    mu[(xs >= lefts[-1]) & (xs <= rights[-1])] = alphas[-1]
-    mu[(xs < lefts[0]) | (xs > rights[0])] = 0.0
+    # otherwise depend on how interp resolves duplicate knots (xs is sorted)
+    mu[xs.searchsorted(lefts[-1]):xs.searchsorted(rights[-1], side="right")] = alphas[-1]
+    mu[:xs.searchsorted(lefts[0])] = 0.0
+    mu[xs.searchsorted(rights[0], side="right"):] = 0.0
     return mu
 
 
@@ -413,17 +436,17 @@ def membership_stack(fous, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nda
     return upper, lower
 
 
-def jaccard_similarities(fou, upper: np.ndarray, lower: np.ndarray,
-                         grid: DiscretizationGrid = DEFAULT_GRID) -> np.ndarray:
-    """Jaccard similarity of `fou` to each of k FOUs sampled on the grid.
+def jaccard_similarities(ua: np.ndarray, la: np.ndarray,
+                         upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Jaccard similarity of one FOU to each of k FOUs, all sampled on one grid.
 
-    `upper` and `lower` are (k, G) membership samples, one row per FOU,
-    as `membership_stack` returns them.
+    `ua` and `la` are the (G,) upper and lower samples of the one FOU;
+    `upper` and `lower` are (k, G) samples, one row per FOU, as
+    `membership_stack` returns them.
     Each row is reduced along its contiguous axis, in the order the 1-D
     sums of `jaccard_similarity` take, so entry j equals
     `jaccard_similarity(fou, fou_j, grid)` exactly.
     """
-    ua, la = membership_samples(fou, grid)
     numerator = np.minimum(ua, upper).sum(axis=1) + np.minimum(la, lower).sum(axis=1)
     denominator = np.maximum(ua, upper).sum(axis=1) + np.maximum(la, lower).sum(axis=1)
     if (denominator <= 0.0).any():

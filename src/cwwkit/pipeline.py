@@ -20,7 +20,7 @@ from .errors import ConfigurationError, CwwError
 from .extension import TriTuple
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
                   TrapezoidIT2, centroid, jaccard_similarities, lwa_exact,
-                  lwa_paper, membership_stack)
+                  lwa_paper, membership_stack, sample_fou)
 # Not called here, but kept importable from this module: the benchmark's
 # tracer (benchmarks/tracing.py) wraps it under this name.
 from .it2 import jaccard_similarity  # noqa: F401
@@ -78,6 +78,12 @@ class Recommendation:
     two_tuple: TwoTuple | None = None  # 2-tuple
     centroid: CentroidInterval | None = None  # perceptual
     similarities: tuple[float, ...] | None = None  # perceptual, per recommendation word
+
+    @cached_property
+    def numeric_text(self) -> str:
+        """`numeric_key(self)`, formatted once: rows that repeat a feedback
+        vector share the recommendation, and every report prints it."""
+        return numeric_key(self)
 
 
 @dataclass(frozen=True)
@@ -207,13 +213,13 @@ def _evaluate_perceptual(fb: FeedbackRecord, prepared: PreparedCodebook) -> Reco
     ]
     grid = prepared.options.grid
     if prepared.options.lwa_mode == "paper":
-        aggregate = lwa_paper(fous)
+        # sampled once: the centroid and the decode read the same arrays
+        aggregate = sample_fou(lwa_paper(fous), grid)
     else:
         aggregate = lwa_exact(fous, grid=grid)
     interval = centroid(aggregate, grid)
-    similarities = tuple(
-        jaccard_similarities(aggregate, *prepared.recommendation_samples, grid).tolist()
-    )
+    similarities = tuple(jaccard_similarities(
+        aggregate.upper, aggregate.lower, *prepared.recommendation_samples).tolist())
     index = int(np.argmax(similarities))  # argmax keeps the lowest index on ties
     return Recommendation(
         method=Method.PERCEPTUAL,
@@ -270,7 +276,7 @@ def evaluate_batch(
     abort the whole batch.
 
     Each distinct feedback vector is evaluated once per method; rows that
-    repeat it share the resulting cell, a failed one included.
+    repeat it share the resulting cells, failed ones included.
     """
     if not feedback:
         raise ValueError("cannot evaluate an empty batch")
@@ -282,7 +288,7 @@ def evaluate_batch(
     prepared = PreparedCodebook.build(cb, schema, options)
     schema = prepared.schema
 
-    memo: dict[tuple[Method, tuple[LinguisticTerm, ...]], MethodCell] = {}
+    memo: dict[tuple[LinguisticTerm, ...], dict[Method, MethodCell]] = {}
     first_rows: dict[str, int] = {}
     rows = []
     for position, item in enumerate(feedback, start=1):
@@ -303,18 +309,15 @@ def evaluate_batch(
                                   codes=record.codes if record is not None else None,
                                   cells={}, error=row_error))
             continue
-        cells = {}
-        for method in methods:
-            key = (method, record.choices)
-            cell = memo.get(key)
-            if cell is None:
+        cells = memo.get(record.choices)
+        if cells is None:
+            cells = memo[record.choices] = {}
+            for method in methods:
                 try:
-                    cell = MethodCell(recommendation=evaluate_student(
+                    cells[method] = MethodCell(recommendation=evaluate_student(
                         record, method, prepared=prepared))
                 except CwwError as exc:
-                    cell = MethodCell(error=str(exc))
-                memo[key] = cell
-            cells[method] = cell
+                    cells[method] = MethodCell(error=str(exc))
         rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
                               cells=cells))
 
@@ -397,7 +400,7 @@ def uniqueness_report(report: EvaluationReport) -> UniquenessSummary:
             if cell.error is not None or cell.recommendation is None:
                 continue
             rec = cell.recommendation
-            key = (numeric_key(rec), rec.linguistic.code)
+            key = (rec.numeric_text, rec.linguistic.code)
             buckets.setdefault(key, []).append(row)
         found = []
         for (numeric, word), members in buckets.items():

@@ -10,8 +10,7 @@ import csv
 import io
 import json
 
-from .pipeline import (EvaluationReport, Method, UniquenessSummary,
-                       numeric_key)
+from .pipeline import EvaluationReport, Method, UniquenessSummary
 from .vocabulary import FEEDBACK_COLUMNS
 
 _METHOD_TITLES = {
@@ -28,7 +27,7 @@ def _cell_numeric(cell, method: Method, verbose: bool) -> str:
     rec = cell.recommendation
     if verbose and method is Method.PERCEPTUAL:
         return repr(rec.score)
-    return numeric_key(rec)
+    return rec.numeric_text
 
 
 def _cell_word(cell) -> str:
@@ -101,7 +100,7 @@ def _row_payload(row, methods, verbose: bool) -> dict:
             continue
         rec = cell.recommendation
         entry: dict[str, object] = {
-            "numeric": numeric_key(rec),
+            "numeric": rec.numeric_text,
             "word": rec.linguistic.code,
             "label": rec.linguistic.label,
         }

@@ -85,13 +85,22 @@ class TermSet:
     def __getitem__(self, index: int) -> LinguisticTerm:
         return self.terms[index]
 
+    @cached_property
+    def _by_word(self) -> dict[str, LinguisticTerm]:
+        """Folded label and code -> term. A label may equal another term's
+        code; the term with the lower index wins."""
+        words: dict[str, LinguisticTerm] = {}
+        for term in self.terms:
+            words.setdefault(term.label.lower(), term)
+            words.setdefault(term.code.lower(), term)
+        return words
+
     def find(self, word: str) -> LinguisticTerm:
         """Resolve a word against label or code, case-insensitively."""
-        needle = word.strip().lower()
-        for term in self.terms:
-            if needle == term.label.lower() or needle == term.code.lower():
-                return term
-        raise WordResolutionError(self.name, word)
+        term = self._by_word.get(word.strip().lower())
+        if term is None:
+            raise WordResolutionError(self.name, word)
+        return term
 
 
 @dataclass(frozen=True)
@@ -111,14 +120,21 @@ class ParameterSchema:
         """The parameters followed by the recommendation set."""
         return self.parameters + (self.recommendation,)
 
+    @cached_property
+    def parameters_by_name(self) -> Mapping[str, TermSet]:
+        """Lower-cased parameter name -> term set, in parameter order."""
+        return {p.name.lower(): p for p in self.parameters}
+
     def term_set(self, name: str) -> TermSet:
         """The parameter or recommendation term set called `name`,
         case-insensitively."""
         needle = name.lower()
-        for ts in self.term_sets:
-            if ts.name.lower() == needle:
-                return ts
-        raise SchemaError(f"unknown parameter {name!r}")
+        ts = self.parameters_by_name.get(needle)
+        if ts is None and self.recommendation.name.lower() == needle:
+            ts = self.recommendation
+        if ts is None:
+            raise SchemaError(f"unknown parameter {name!r}")
+        return ts
 
 
 @dataclass(frozen=True)
@@ -205,16 +221,16 @@ def resolve_feedback(
     Raises SchemaError for missing or unknown parameter names and
     WordResolutionError for words not present in the term set.
     """
-    known = {p.name.lower(): p for p in schema.parameters}
+    known = schema.parameters_by_name
     extra = [k for k in raw if k.lower() not in known]
     if extra:
         raise SchemaError(f"unknown parameters in feedback: {sorted(extra)}")
     lowered = {k.lower(): v for k, v in raw.items()}
     choices = []
-    for param in schema.parameters:
-        if param.name.lower() not in lowered:
+    for name, param in known.items():
+        if name not in lowered:
             raise SchemaError(f"feedback is missing parameter {param.name!r}")
-        choices.append(param.find(lowered[param.name.lower()]))
+        choices.append(param.find(lowered[name]))
     return FeedbackRecord(student_id=student_id, choices=tuple(choices))
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +10,7 @@ from cwwkit import (CentroidInterval, DegenerateInputError, DiscretizationGrid,
                     jaccard_similarity, lower_membership, lwa_exact, lwa_paper,
                     upper_membership)
 from cwwkit.it2 import (DEFAULT_GRID, MAX_SAMPLE_COUNT, SampledFOU,
-                        membership_samples)
+                        _trapezoid, membership_samples)
 from strategies import _assemble_fou, random_fou, trapezoid_it2
 
 SMALL = TrapezoidIT2(0.59, 2.00, 3.00, 4.41, 1.79, 2.50, 2.50, 3.21, 0.59)
@@ -48,6 +51,115 @@ class TestMembership:
     def test_vectorized_evaluation(self):
         xs = np.array([0.0, 2.5, 5.0])
         np.testing.assert_allclose(upper_membership(SMALL, xs), [0.0, 1.0, 0.0])
+
+
+def _masked_trapezoid(x, a, b, c, d, height):
+    """The boolean-mask trapezoid that `_trapezoid` replaced, kept as its
+    bit-exact oracle."""
+    arr = np.asarray(x, dtype=float)
+    out = np.zeros_like(arr)
+    if b > a:
+        rising = (arr >= a) & (arr < b)
+        out[rising] = (arr[rising] - a) / (b - a)
+    plateau = (arr >= b) & (arr <= c)
+    out[plateau] = 1.0
+    if d > c:
+        falling = (arr > c) & (arr <= d)
+        out[falling] = (d - arr[falling]) / (d - c)
+    out *= height
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _array_knot_check(values):
+    """The error the knot check on numpy arrays raised for these FOU
+    parameters, or None; the oracle of TrapezoidIT2's scalar check."""
+    knots = np.array(values[:8])
+    gap = (_masked_trapezoid(knots, *values[:4], 1.0)
+           - _masked_trapezoid(knots, *values[4:]))
+    if gap.min() < -1e-9:
+        return ("lower membership exceeds upper membership "
+                f"(worst gap {gap.min():.3e} at x={knots[int(gap.argmin())]})")
+    return None
+
+
+@st.composite
+def fou_parameters(draw):
+    """Parameters that pass every FOU check before the knot check, with
+    the lower bound often poking through the upper one."""
+    unit = st.floats(0.0, 1.0)
+    a, b, c, d = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4)))
+    fracs = sorted(draw(st.lists(unit, min_size=4, max_size=4)))
+    lower = [min(a + t * (d - a), d) for t in fracs]
+    return (a, b, c, d, *lower, draw(st.floats(0.01, 1.0)))
+
+
+class TestTrapezoidKernel:
+    """`_trapezoid` and the scalar knot check against the masked versions
+    they replaced: the same bits, the same accepted FOUs, the same errors,
+    and no warning (each warning raises)."""
+
+    @staticmethod
+    def assert_same_bits(x, *params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _trapezoid(x, *params)
+            expected = _masked_trapezoid(x, *params)
+        assert np.array_equal(got, expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        return got
+
+    @pytest.mark.parametrize("sample_count", [51, 1001])
+    def test_codebook_words(self, codebook, sample_count):
+        xs = DiscretizationGrid(sample_count=sample_count).samples
+        for entry in codebook.entries:
+            fou = entry.fou
+            self.assert_same_bits(xs, *fou.umf, 1.0)
+            self.assert_same_bits(xs, *fou.lmf, fou.lmf_height)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trapezoid_it2(), st.sampled_from([51, 1001]))
+    def test_random_trapezoids(self, fou, sample_count):
+        xs = DiscretizationGrid(sample_count=sample_count).samples
+        self.assert_same_bits(xs, *fou.umf, 1.0)
+        self.assert_same_bits(xs, *fou.lmf, fou.lmf_height)
+        self.assert_same_bits(np.array(fou.umf + fou.lmf), *fou.lmf, fou.lmf_height)
+
+    @pytest.mark.parametrize("params", [
+        (0.0, 0.0, 0.18, 2.63, 1.0),  # left shoulder
+        (7.37, 9.82, 10.0, 10.0, 1.0),  # right shoulder
+        (2.0, 2.0, 3.0, 3.0, 0.5),  # crisp interval
+        (4.0, 5.0, 5.0, 6.0, 0.7),  # triangle
+        (5.0, 5.0, 5.0, 5.0, 1.0),  # one point
+        (0.0, 5e-324, 4.0, 6.0, 1.0),  # subnormal rising width
+        (0.0, 0.0, 5e-324, 1e-323, 0.9),  # subnormal falling width
+        (-5e-324, 0.0, 0.0, 5e-324, 1.0),  # both, around zero
+        (0.0, 2.0, 3.0, 4.0, 1.0),  # rising ramp underflows to -0.0 at -5e-324
+        (-4.0, -3.0, -2.0, 0.0, 1.0),  # falling ramp underflows to -0.0 at 5e-324
+    ])
+    def test_zero_and_subnormal_edge_widths(self, params):
+        xs = np.concatenate([DEFAULT_GRID.samples,
+                             [-1.0, -5e-324, 0.0, 5e-324, 1e-323, 1.5e-323]])
+        self.assert_same_bits(xs, *params)
+        for x in xs[-6:]:
+            got = self.assert_same_bits(float(x), *params)
+            assert math.copysign(1.0, got) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(fou_parameters())
+    @example((0, 4, 6, 10, 1, 1.5, 5, 6, 1.0))
+    @example((0.59, 2.00, 3.00, 4.41, 1.79, 2.50, 2.50, 3.21, 0.59))
+    def test_scalar_knot_check_matches_array_check(self, values):
+        expected = _array_knot_check(values)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                TrapezoidIT2(*values)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 class TestValidation:

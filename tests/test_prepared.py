@@ -14,7 +14,7 @@ import cwwkit.pipeline
 from cwwkit import (Codebook, CodebookEntry, CwwError, DiscretizationGrid,
                     EvalOptions, FeedbackRecord, Method, evaluate_batch,
                     evaluate_student, jaccard_similarity, lwa_exact, lwa_paper)
-from cwwkit.it2 import jaccard_similarities, membership_stack
+from cwwkit.it2 import jaccard_similarities, membership_samples, membership_stack
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell
 from cwwkit.vocabulary import LinguisticTerm, ParameterSchema, TermSet
 
@@ -56,7 +56,8 @@ def test_vectorized_jaccard_equals_pairwise(codebook, all_records, lwa_mode,
         fous = [codebook.lookup(param.name, choice.code)
                 for param, choice in zip(codebook.schema.parameters, record.choices)]
         aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
-        vectorized = jaccard_similarities(aggregate, upper, lower, grid).tolist()
+        vectorized = jaccard_similarities(
+            *membership_samples(aggregate, grid), upper, lower).tolist()
         pairwise = [jaccard_similarity(aggregate, word, grid) for word in words]
         assert vectorized == pairwise, record.codes
 

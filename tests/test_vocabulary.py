@@ -129,3 +129,31 @@ def test_feedback_file_rejects_short_row(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_feedback_file(bad)
     assert ":2:" in str(err.value)
+
+
+def _find_by_loop(ts, word):
+    """The linear search `TermSet.find` replaced: the first term, by index,
+    whose label or code matches."""
+    needle = word.strip().lower()
+    for term in ts.terms:
+        if needle == term.label.lower() or needle == term.code.lower():
+            return term
+    raise WordResolutionError(ts.name, word)
+
+
+def test_find_keeps_the_lower_index_when_a_label_is_another_code():
+    # "hi" is term 0's label and term 1's code, "mid" term 1's label and
+    # term 2's code, "x" term 0's code and term 2's label
+    ts = TermSet("x", (LinguisticTerm("Hi", "X", 0), LinguisticTerm("Mid", "HI", 1),
+                       LinguisticTerm("x", "mid", 2)))
+    assert [ts.find(w).index for w in ("hi", "mid", "x")] == [0, 1, 0]
+    words = [w for t in ts for w in (t.label, t.code)]
+    for word in words + [" hI\t", "  MID ", "X  ", "\tx"]:
+        assert ts.find(word) is _find_by_loop(ts, word)
+    for word in ("nope", " Hi there ", ""):
+        with pytest.raises(WordResolutionError) as err:
+            ts.find(word)
+        with pytest.raises(WordResolutionError) as expected:
+            _find_by_loop(ts, word)
+        assert str(err.value) == str(expected.value)
+        assert (err.value.parameter, err.value.word) == ("x", word)
