@@ -445,7 +445,7 @@ def jaccard_similarities(ua: np.ndarray, la: np.ndarray,
     `membership_stack` returns them.
     Each row is reduced along its contiguous axis, in the order the 1-D
     sums of `jaccard_similarity` take, so entry j equals
-    `jaccard_similarity(fou, fou_j, grid)` exactly.
+    `jaccard_similarity` of the one FOU and FOU j exactly.
     """
     numerator = np.minimum(ua, upper).sum(axis=1) + np.minimum(la, lower).sum(axis=1)
     denominator = np.maximum(ua, upper).sum(axis=1) + np.maximum(la, lower).sum(axis=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -288,7 +289,7 @@ def evaluate_batch(
     prepared = PreparedCodebook.build(cb, schema, options)
     schema = prepared.schema
 
-    memo: dict[tuple[LinguisticTerm, ...], dict[Method, MethodCell]] = {}
+    memo: dict[tuple[LinguisticTerm, ...], Mapping[Method, MethodCell]] = {}
     first_rows: dict[str, int] = {}
     rows = []
     for position, item in enumerate(feedback, start=1):
@@ -311,13 +312,15 @@ def evaluate_batch(
             continue
         cells = memo.get(record.choices)
         if cells is None:
-            cells = memo[record.choices] = {}
+            evaluated = {}
             for method in methods:
                 try:
-                    cells[method] = MethodCell(recommendation=evaluate_student(
+                    evaluated[method] = MethodCell(recommendation=evaluate_student(
                         record, method, prepared=prepared))
                 except CwwError as exc:
-                    cells[method] = MethodCell(error=str(exc))
+                    evaluated[method] = MethodCell(error=str(exc))
+            # read-only, since every row with this vector holds the same cells
+            cells = memo[record.choices] = MappingProxyType(evaluated)
         rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
                               cells=cells))
 

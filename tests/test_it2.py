@@ -88,9 +88,8 @@ def _array_knot_check(values):
 def fou_parameters(draw):
     """Parameters that pass every FOU check before the knot check, with
     the lower bound often poking through the upper one."""
-    unit = st.floats(0.0, 1.0)
     a, b, c, d = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4)))
-    fracs = sorted(draw(st.lists(unit, min_size=4, max_size=4)))
+    fracs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
     lower = [min(a + t * (d - a), d) for t in fracs]
     return (a, b, c, d, *lower, draw(st.floats(0.01, 1.0)))
 
