@@ -11,7 +11,7 @@ from .codebook import (Codebook, CodebookEntry, StoredCentroid,
                        load_codebook, verify_stored_centroids)
 from .errors import (ConfigurationError, CwwError, CodebookError,
                      DegenerateInputError, SchemaError, WordResolutionError)
-from .extension import (DistanceWeights, TriTuple, aggregate_tri_tuples,
+from .extension import (TriTuple, aggregate_tri_tuples,
                         linguistic_approximation, uniform_triangular_partition,
                         weighted_distance)
 from .it2 import (CentroidInterval, DiscretizationGrid, SampledFOU,
@@ -19,8 +19,8 @@ from .it2 import (CentroidInterval, DiscretizationGrid, SampledFOU,
                   jaccard_similarity, lower_membership, lwa_exact, lwa_paper,
                   upper_membership)
 from .pipeline import (EvalOptions, EvaluationReport, Method, Recommendation,
-                       UniquenessSummary, evaluate_batch, evaluate_student,
-                       rank_students, uniqueness_report)
+                       evaluate_batch, evaluate_student, rank_students,
+                       uniqueness_report)
 from .symbolic import WeightVector, sm2, sm_aggregate, sort_terms_descending
 from .two_tuple import TwoTuple, aggregate_beta, to_two_tuple
 from .vocabulary import (FeedbackRecord, LinguisticTerm, ParameterSchema,
@@ -36,13 +36,13 @@ __all__ = [
     "verify_stored_centroids",
     "ConfigurationError", "CwwError", "CodebookError", "DegenerateInputError",
     "SchemaError", "WordResolutionError",
-    "DistanceWeights", "TriTuple", "aggregate_tri_tuples",
+    "TriTuple", "aggregate_tri_tuples",
     "linguistic_approximation", "uniform_triangular_partition",
     "weighted_distance",
     "CentroidInterval", "DiscretizationGrid", "SampledFOU", "TrapezoidIT2",
     "centroid", "centroid_brute_force", "jaccard_similarity",
     "lower_membership", "lwa_exact", "lwa_paper", "upper_membership",
-    "EvalOptions", "EvaluationReport", "Method", "UniquenessSummary",
+    "EvalOptions", "EvaluationReport", "Method",
     "evaluate_batch", "evaluate_student", "rank_students", "uniqueness_report",
     "WeightVector", "sm2", "sm_aggregate", "sort_terms_descending",
     "TwoTuple", "aggregate_beta", "to_two_tuple",

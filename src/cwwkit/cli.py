@@ -114,8 +114,6 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
             raise ConfigurationError(
                 f"unknown method {name!r}; valid methods: {valid}, all"
             ) from None
-    if not methods:
-        raise ConfigurationError("no methods selected")
     return tuple(methods)
 
 
@@ -169,14 +167,10 @@ def _cmd_codebook_validate(args) -> int:
 
 def _render_report(report, args, uniqueness=None) -> str:
     verbose = args.verbose_precision
-    if args.format == "csv":
-        text = render_csv(report, verbose)
-        if uniqueness is not None:
-            text += "\n" + render_uniqueness(uniqueness)
-        return text
     if args.format == "json":
         return render_json(report, verbose, uniqueness)
-    text = render_table(report, verbose)
+    render = render_csv if args.format == "csv" else render_table
+    text = render(report, verbose)
     if uniqueness is not None:
         text += "\n" + render_uniqueness(uniqueness)
     return text

@@ -95,7 +95,7 @@ class Codebook:
             and self.entries == other.entries
         )
 
-    def entry(self, parameter: str, word: str) -> CodebookEntry:
+    def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
         try:
             ts = self.schema.term_set(parameter)
         except SchemaError as exc:
@@ -106,10 +106,7 @@ class Codebook:
             raise CodebookError(
                 f"no codebook entry for word {word!r} under {parameter!r}"
             ) from None
-        return self._by_key[(ts.name.lower(), term.code.lower())]
-
-    def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
-        return self.entry(parameter, word).fou
+        return self._by_key[(ts.name.lower(), term.code.lower())].fou
 
     def recommendation_fous(self) -> tuple[TrapezoidIT2, ...]:
         """Word models of the recommendation set, in index order."""

@@ -28,20 +28,9 @@ class TriTuple:
         return (self.l, self.m, self.r)
 
 
-@dataclass(frozen=True)
-class DistanceWeights:
-    """Component weights of the linguistic-approximation distance."""
-
-    p1: float = 0.2
-    p2: float = 0.6
-    p3: float = 0.2
-
-    def __post_init__(self):
-        if min(self.p1, self.p2, self.p3) < 0:
-            raise ValueError("distance weights must be nonnegative")
-
-
-DEFAULT_DISTANCE_WEIGHTS = DistanceWeights()
+# Component weights (left, middle, right) of the linguistic-approximation
+# distance, fixed by the method.
+DISTANCE_WEIGHTS = (0.2, 0.6, 0.2)
 
 
 def uniform_triangular_partition(cardinality: int) -> tuple[TriTuple, ...]:
@@ -73,30 +62,27 @@ def aggregate_tri_tuples(inputs: Sequence[TriTuple]) -> TriTuple:
     )
 
 
-def weighted_distance(
-    term: TriTuple, c: TriTuple, weights: DistanceWeights = DEFAULT_DISTANCE_WEIGHTS
-) -> float:
+def weighted_distance(term: TriTuple, c: TriTuple) -> float:
     """Weighted Euclidean distance between two tri-tuples."""
+    p1, p2, p3 = DISTANCE_WEIGHTS
     parts = [
-        weights.p1 * (term.l - c.l) ** 2,
-        weights.p2 * (term.m - c.m) ** 2,
-        weights.p3 * (term.r - c.r) ** 2,
+        p1 * (term.l - c.l) ** 2,
+        p2 * (term.m - c.m) ** 2,
+        p3 * (term.r - c.r) ** 2,
     ]
     # fsum so that mirrored configurations compare as exact ties
     return math.sqrt(math.fsum(parts))
 
 
 def linguistic_approximation(
-    c: TriTuple,
-    recommendation_terms: Sequence[TriTuple],
-    weights: DistanceWeights = DEFAULT_DISTANCE_WEIGHTS,
+    c: TriTuple, recommendation_terms: Sequence[TriTuple]
 ) -> tuple[int, float]:
     """Index of the closest term and its distance; ties go to the lowest index."""
     if not recommendation_terms:
         raise ValueError("no recommendation terms to approximate against")
-    best_index, best_distance = 0, weighted_distance(recommendation_terms[0], c, weights)
+    best_index, best_distance = 0, weighted_distance(recommendation_terms[0], c)
     for index, term in enumerate(recommendation_terms[1:], start=1):
-        d = weighted_distance(term, c, weights)
+        d = weighted_distance(term, c)
         if d < best_distance:
             best_index, best_distance = index, d
     return best_index, best_distance

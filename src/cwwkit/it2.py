@@ -111,6 +111,9 @@ def lower_membership(fou: TrapezoidIT2, x):
     return _trapezoid(x, *fou.lmf, fou.lmf_height)
 
 
+# The evaluation scale every word model of the codebook lives on.
+DOMAIN_MIN, DOMAIN_MAX = 0.0, 10.0
+
 # Largest accepted grid: 100x the default resolution. Every sampled
 # array (and the exhaustive centroid scan's prefix sums) grows with it.
 MAX_SAMPLE_COUNT = 100_001
@@ -120,8 +123,6 @@ MAX_SAMPLE_COUNT = 100_001
 class DiscretizationGrid:
     """Uniform sampling of the evaluation scale, 3 to MAX_SAMPLE_COUNT points."""
 
-    domain_min: float = 0.0
-    domain_max: float = 10.0
     sample_count: int = 1001
 
     def __post_init__(self):
@@ -131,16 +132,13 @@ class DiscretizationGrid:
             raise ValueError(
                 f"grid takes at most {MAX_SAMPLE_COUNT} samples, got {self.sample_count}"
             )
-        if not self.domain_min < self.domain_max:
-            raise ValueError("grid domain must be a nonempty interval")
 
     @cached_property
     def samples(self) -> np.ndarray:
-        return np.linspace(self.domain_min, self.domain_max, self.sample_count)
-
-    @property
-    def step(self) -> float:
-        return (self.domain_max - self.domain_min) / (self.sample_count - 1)
+        """Read-only: every `lwa_exact` result on this grid shares it."""
+        xs = np.linspace(DOMAIN_MIN, DOMAIN_MAX, self.sample_count)
+        xs.flags.writeable = False
+        return xs
 
 
 DEFAULT_GRID = DiscretizationGrid()
@@ -176,7 +174,7 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
             return fou.upper, fou.lower
         raise ValueError(
             f"sampled FOU has {len(fou.xs)} samples that are not the "
-            f"{grid.sample_count}-point grid on [{grid.domain_min}, {grid.domain_max}]"
+            f"{grid.sample_count}-point grid on [{DOMAIN_MIN}, {DOMAIN_MAX}]"
         )
     raise TypeError(f"unsupported FOU type {type(fou).__name__}")
 
@@ -184,7 +182,7 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
 def sample_fou(fou: TrapezoidIT2, grid: DiscretizationGrid) -> SampledFOU:
     """`fou` sampled once on `grid`, for a caller that type-reduces and
     decodes it; its support must lie on the grid, as `centroid` requires."""
-    _check_support(fou, grid)
+    _check_support(fou)
     upper, lower = membership_samples(fou, grid)
     return SampledFOU(xs=grid.samples, upper=upper, lower=lower, height=fou.lmf_height)
 
@@ -208,12 +206,12 @@ def _check_mass(upper: np.ndarray) -> None:
         raise DegenerateInputError("FOU carries no membership mass on the grid")
 
 
-def _check_support(fou, grid: DiscretizationGrid) -> None:
+def _check_support(fou) -> None:
     if isinstance(fou, TrapezoidIT2):
-        if fou.umf_a < grid.domain_min - _CONTAINMENT_TOL or fou.umf_d > grid.domain_max + _CONTAINMENT_TOL:
+        if fou.umf_a < DOMAIN_MIN - _CONTAINMENT_TOL or fou.umf_d > DOMAIN_MAX + _CONTAINMENT_TOL:
             raise ValueError(
                 f"FOU support [{fou.umf_a}, {fou.umf_d}] exceeds grid domain "
-                f"[{grid.domain_min}, {grid.domain_max}]"
+                f"[{DOMAIN_MIN}, {DOMAIN_MAX}]"
             )
 
 
@@ -284,7 +282,7 @@ def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, gap: np.ndar
 
 def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Centroid interval by the enhanced switch-point iteration."""
-    _check_support(fou, grid)
+    _check_support(fou)
     xs = grid.samples
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
@@ -296,7 +294,7 @@ def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
 
 def centroid_brute_force(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Exhaustive scan over every switch position; oracle for `centroid`."""
-    _check_support(fou, grid)
+    _check_support(fou)
     xs = grid.samples
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)

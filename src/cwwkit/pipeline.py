@@ -19,9 +19,10 @@ from . import extension, symbolic, two_tuple
 from .codebook import Codebook
 from .errors import ConfigurationError, CwwError
 from .extension import TriTuple
-from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
-                  TrapezoidIT2, centroid, jaccard_similarities, lwa_exact,
-                  lwa_paper, membership_stack, sample_fou)
+from .it2 import (DEFAULT_GRID, DOMAIN_MAX, DOMAIN_MIN, CentroidInterval,
+                  DiscretizationGrid, TrapezoidIT2, centroid,
+                  jaccard_similarities, lwa_exact, lwa_paper, membership_stack,
+                  sample_fou)
 # Not called here, but kept importable from this module: the benchmark's
 # tracer (benchmarks/tracing.py) wraps it under this name.
 from .it2 import jaccard_similarity  # noqa: F401
@@ -324,11 +325,10 @@ def evaluate_batch(
         rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
                               cells=cells))
 
-    grid = options.grid
     metadata = {
         "methods": [m.value for m in methods],
-        "grid": {"domain_min": grid.domain_min, "domain_max": grid.domain_max,
-                 "sample_count": grid.sample_count},
+        "grid": {"domain_min": DOMAIN_MIN, "domain_max": DOMAIN_MAX,
+                 "sample_count": options.grid.sample_count},
         "lwa_mode": options.lwa_mode,
         "students": len(rows),
     }
@@ -373,20 +373,8 @@ class DuplicateGroup:
     distinct_feedback: int
 
 
-@dataclass(frozen=True)
-class UniquenessSummary:
-    groups: Mapping[Method, tuple[DuplicateGroup, ...]]
-    note: str = (
-        "groups are computed from the evaluated cells at reported precision; "
-        "a group qualifies only if at least two members gave different feedback"
-    )
-
-    def duplicate_count(self, method: Method) -> int:
-        return len(self.groups.get(Method(method), ()))
-
-
-def uniqueness_report(report: EvaluationReport) -> UniquenessSummary:
-    """Group students with identical recommendations per method.
+def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateGroup, ...]]:
+    """Group students with identical recommendations, per method in report order.
 
     Students whose shared cell is explained by byte-identical feedback do
     not count as a uniqueness failure, so groups where every member gave
@@ -421,5 +409,5 @@ def uniqueness_report(report: EvaluationReport) -> UniquenessSummary:
             ))
         found.sort(key=lambda grp: (-len(grp.students), grp.numeric, grp.word))
         groups[method] = tuple(found)
-    return UniquenessSummary(groups=groups)
+    return groups
 

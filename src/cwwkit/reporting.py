@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from typing import Mapping
 
-from .pipeline import EvaluationReport, Method, UniquenessSummary
+from .pipeline import DuplicateGroup, EvaluationReport, Method
 from .vocabulary import FEEDBACK_COLUMNS
 
 _METHOD_TITLES = {
@@ -19,6 +20,11 @@ _METHOD_TITLES = {
     Method.TWO_TUPLE: "2-tuple",
     Method.PERCEPTUAL: "Perceptual",
 }
+
+_UNIQUENESS_NOTE = (
+    "groups are computed from the evaluated cells at reported precision; "
+    "a group qualifies only if at least two members gave different feedback"
+)
 
 
 def _cell_numeric(cell, method: Method, verbose: bool) -> str:
@@ -119,14 +125,14 @@ def _row_payload(row, methods, verbose: bool) -> dict:
 
 
 def render_json(report: EvaluationReport, verbose: bool = False,
-                uniqueness: UniquenessSummary | None = None) -> str:
+                uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]] | None = None) -> str:
     document: dict[str, object] = {
         "metadata": dict(report.metadata),
         "rows": [_row_payload(row, report.methods, verbose) for row in report.rows],
     }
     if uniqueness is not None:
         document["uniqueness"] = {
-            "note": uniqueness.note,
+            "note": _UNIQUENESS_NOTE,
             "groups": {
                 method.value: [
                     {
@@ -137,15 +143,15 @@ def render_json(report: EvaluationReport, verbose: bool = False,
                     }
                     for grp in groups
                 ]
-                for method, groups in uniqueness.groups.items()
+                for method, groups in uniqueness.items()
             },
         }
     return json.dumps(document, indent=2) + "\n"
 
 
-def render_uniqueness(summary: UniquenessSummary) -> str:
-    lines = ["uniqueness summary", f"note: {summary.note}"]
-    for method, groups in summary.groups.items():
+def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]]) -> str:
+    lines = ["uniqueness summary", f"note: {_UNIQUENESS_NOTE}"]
+    for method, groups in uniqueness.items():
         title = _METHOD_TITLES[method]
         if not groups:
             lines.append(f"{title}: all recommendations unique")

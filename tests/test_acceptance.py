@@ -421,14 +421,14 @@ def _published_report(schema) -> EvaluationReport:
 def test_uniqueness_tallies_of_reference_cells(schema, full_report):
     """Duplicate-group tallies computable from the reference table, plus
     full-precision score exposure for the computed batch."""
-    summary = uniqueness_report(_published_report(schema))
+    groups = uniqueness_report(_published_report(schema))
 
-    ep_groups = summary.groups[Method.EXTENSION_PRINCIPLE]
+    ep_groups = groups[Method.EXTENSION_PRINCIPLE]
     biggest = max(ep_groups, key=lambda grp: len(grp.students))
     assert len(biggest.students) == 20
     assert (biggest.numeric, biggest.word) == ("{0.25,0.5,0.75}", "SSA")
 
-    pc_groups = {(grp.numeric, grp.word): grp for grp in summary.groups[Method.PERCEPTUAL]}
+    pc_groups = {(grp.numeric, grp.word): grp for grp in groups[Method.PERCEPTUAL]}
     assert set(pc_groups[("3.92", "SSA")].students) == {"9", "15"}
     # 4 and 18 share (5.96, SSG) with distinct feedback; 2 and 11 share a
     # cell only because their feedback is identical, so no group for them

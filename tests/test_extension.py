@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cwwkit import (DistanceWeights, TriTuple, aggregate_tri_tuples,
-                    linguistic_approximation, uniform_triangular_partition,
-                    weighted_distance)
+from cwwkit import (TriTuple, aggregate_tri_tuples, linguistic_approximation,
+                    uniform_triangular_partition, weighted_distance)
+from cwwkit.extension import DISTANCE_WEIGHTS
 from strategies import tri_tuple
 
 SS1_TUPLES = [
@@ -75,9 +75,7 @@ def test_distance_high_aggregate():
 
 
 def test_default_weights():
-    assert DistanceWeights() == DistanceWeights(0.2, 0.6, 0.2)
-    with pytest.raises(ValueError):
-        DistanceWeights(-0.1, 0.6, 0.2)
+    assert DISTANCE_WEIGHTS == (0.2, 0.6, 0.2)
 
 
 def test_approximation_exact_match():

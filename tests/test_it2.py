@@ -11,6 +11,7 @@ from cwwkit import (CentroidInterval, DegenerateInputError, DiscretizationGrid,
                     upper_membership)
 from cwwkit.it2 import (DEFAULT_GRID, MAX_SAMPLE_COUNT, SampledFOU,
                         _trapezoid, membership_samples)
+from cwwkit.vocabulary import TIME_TAKEN
 from strategies import _assemble_fou, random_fou, trapezoid_it2
 
 SMALL = TrapezoidIT2(0.59, 2.00, 3.00, 4.41, 1.79, 2.50, 2.50, 3.21, 0.59)
@@ -190,7 +191,6 @@ class TestValidation:
         assert grid.samples[0] == 0.0
         assert grid.samples[-1] == 10.0
         assert len(grid.samples) == 1001
-        assert grid.step == pytest.approx(0.01)
 
 
 class TestCentroid:
@@ -229,9 +229,10 @@ class TestCentroid:
             centroid(narrow, coarse)
 
     def test_support_outside_grid_raises(self):
-        grid = DiscretizationGrid(domain_max=3.0)
-        with pytest.raises(ValueError):
-            centroid(SMALL, grid)
+        # SMALL moved right by 6: its upper support ends at 10.41
+        past_ten = TrapezoidIT2(6.59, 8.00, 9.00, 10.41, 7.79, 8.50, 8.50, 9.21, 0.59)
+        with pytest.raises(ValueError, match="exceeds grid domain"):
+            centroid(past_ten)
 
     def test_brute_force_matches_iterative_on_words(self):
         for fou in SS1_WORDS + [VERY_LITTLE]:
@@ -338,6 +339,16 @@ class TestLwaExact:
             centroid(sampled, coarse)
         with pytest.raises(ValueError):
             jaccard_similarity(sampled, SMALL, coarse)
+
+    def test_shared_grid_samples_are_read_only(self, codebook):
+        moderate = codebook.lookup(TIME_TAKEN, "M")
+        before = centroid(moderate)
+        sampled = lwa_exact(SS1_WORDS)
+        assert sampled.xs is DEFAULT_GRID.samples
+        # a write would move every later centroid on the default grid
+        with pytest.raises(ValueError):
+            sampled.xs[500] = 99.0
+        assert centroid(moderate) == before
 
 
 class TestJaccard:

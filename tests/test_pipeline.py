@@ -214,8 +214,7 @@ class TestRanking:
 
 class TestUniqueness:
     def test_extension_groups(self, full_report):
-        summary = uniqueness_report(full_report)
-        groups = summary.groups[Method.EXTENSION_PRINCIPLE]
+        groups = uniqueness_report(full_report)[Method.EXTENSION_PRINCIPLE]
         sizes = sorted(len(g.students) for g in groups)
         assert sizes == [3, 5, 17]
         biggest = max(groups, key=lambda g: len(g.students))
@@ -223,27 +222,23 @@ class TestUniqueness:
         assert biggest.word == "SSA"
 
     def test_symbolic_groups_include_all_sharers(self, full_report):
-        summary = uniqueness_report(full_report)
-        groups = {g.numeric: g for g in summary.groups[Method.SYMBOLIC]}
+        groups = {g.numeric: g for g in uniqueness_report(full_report)[Method.SYMBOLIC]}
         # index 2 is shared beyond the walkthrough students: 20 and 24 too
         assert set(groups["2"].students) >= {"1", "2", "20", "24"}
         assert len(groups["2"].students) == 12
 
     def test_perceptual_identical_feedback_not_counted(self, full_report):
-        summary = uniqueness_report(full_report)
         # the only 2-decimal coincidence (students 2/11) comes from
         # identical feedback, so no perceptual duplicate group remains
-        assert summary.groups[Method.PERCEPTUAL] == ()
+        assert uniqueness_report(full_report)[Method.PERCEPTUAL] == ()
 
     def test_single_student_batch_empty_summary(self, sample_rows, codebook):
         report = evaluate_batch(sample_rows[:1], cb=codebook)
-        summary = uniqueness_report(report)
-        assert all(not groups for groups in summary.groups.values())
+        assert all(not groups for groups in uniqueness_report(report).values())
 
     def test_flagged_rows_excluded(self, sample_rows, codebook):
         bad = RawFeedback("99", {**sample_rows[0].words, TIME_TAKEN: "Tiny"})
         report = evaluate_batch(list(sample_rows) + [bad], cb=codebook)
-        summary = uniqueness_report(report)
-        for groups in summary.groups.values():
+        for groups in uniqueness_report(report).values():
             for group in groups:
                 assert "99" not in group.students
