@@ -108,12 +108,15 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
     for name in text.split(","):
         name = name.strip()
         try:
-            methods.append(Method(name))
+            method = Method(name)
         except ValueError:
             valid = ", ".join(m.value for m in ALL_METHODS)
             raise ConfigurationError(
                 f"unknown method {name!r}; valid methods: {valid}, all"
             ) from None
+        if method in methods:
+            raise ConfigurationError(f"method {name!r} is given twice")
+        methods.append(method)
     return tuple(methods)
 
 
@@ -205,7 +208,7 @@ def main(argv=None) -> int:
         return _cmd_rank(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, OSError) as exc:  # a missing file, a directory
         print(f"cwwkit: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CwwError, ValueError) as exc:

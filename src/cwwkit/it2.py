@@ -359,11 +359,63 @@ def lwa_paper(
     return TrapezoidIT2(*avg)
 
 
+class AlphaCutTable:
+    """Alpha-cut endpoints of fixed word models, one column per word.
+
+    The upper cuts are (L, W) matrices over L levels and W distinct
+    words. The lower cuts depend on the aggregate's minimum height, so
+    they are built for each height on first use and kept: there are at
+    most W of them. Each column holds what `lwa_exact` computes for that
+    word, by the same formulas, so the columns it takes for its inputs
+    equal, bit for bit, the matrices it would build from them alone.
+    """
+
+    def __init__(self, words: Sequence[TrapezoidIT2], alpha_levels: int = 65):
+        if alpha_levels < 2:
+            raise ValueError(f"need at least 2 alpha levels, got {alpha_levels}")
+        self.alpha_levels = alpha_levels
+        self._columns: dict[TrapezoidIT2, int] = {}
+        for word in words:
+            self._columns.setdefault(word, len(self._columns))
+        params = np.array(
+            [[f.umf_a, f.umf_b, f.umf_c, f.umf_d,
+              f.lmf_e, f.lmf_f, f.lmf_g, f.lmf_i, f.lmf_height] for f in self._columns]
+        )
+        a, b, c, d = params[:, :4].T
+        self.alphas_upper = np.linspace(0.0, 1.0, alpha_levels)
+        self.upper_left = a[None, :] + self.alphas_upper[:, None] * (b - a)[None, :]
+        self.upper_right = d[None, :] - self.alphas_upper[:, None] * (d - c)[None, :]
+        self._lower_params = params[:, 4:].T
+        self._lower: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def columns(self, words: Sequence[TrapezoidIT2]) -> list[int]:
+        """The column of each word, in order."""
+        try:
+            return [self._columns[word] for word in words]
+        except KeyError as exc:
+            raise ValueError(f"word not in the alpha-cut table: {exc.args[0]}") from None
+
+    def lower_cuts(self, h_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Levels 0..h_min and the (L, W) left and right lower cuts, each
+        word's lower trapezoid cut at the same absolute level."""
+        cuts = self._lower.get(h_min)
+        if cuts is None:
+            e, f, g, i_, h = self._lower_params
+            alphas = np.linspace(0.0, h_min, self.alpha_levels)
+            frac = alphas[:, None] / h[None, :]
+            cuts = self._lower[h_min] = (alphas,
+                                         e[None, :] + frac * (f - e)[None, :],
+                                         i_[None, :] - frac * (i_ - g)[None, :])
+        return cuts
+
+
 def lwa_exact(
     inputs: Sequence[TrapezoidIT2],
     weights: Sequence[float] | None = None,
     alpha_levels: int = 65,
     grid: DiscretizationGrid = DEFAULT_GRID,
+    *,
+    table: AlphaCutTable | None = None,
 ) -> SampledFOU:
     """Alpha-cut weighted average, sampled on the grid.
 
@@ -371,32 +423,32 @@ def lwa_exact(
     0..min(h_k), each input's lower trapezoid cut at the same absolute
     level. The resulting lower bound has the minimum input height, which
     is where this differs from `lwa_paper`.
+
+    `table` holds the cuts of every input word, built once for a batch
+    that aggregates the same words again and again; without it, one is
+    built over `inputs`. The result is the same either way.
     """
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
-    if alpha_levels < 2:
-        raise ValueError(f"need at least 2 alpha levels, got {alpha_levels}")
+    if table is None:
+        table = AlphaCutTable(inputs, alpha_levels)
+    elif table.alpha_levels != alpha_levels:
+        raise ValueError(
+            f"alpha-cut table has {table.alpha_levels} levels, not {alpha_levels}")
     w = _prepare_weights(len(inputs), weights)
-    params = np.array(
-        [[f.umf_a, f.umf_b, f.umf_c, f.umf_d,
-          f.lmf_e, f.lmf_f, f.lmf_g, f.lmf_i, f.lmf_height] for f in inputs]
-    )
-    a, b, c, d = params[:, 0], params[:, 1], params[:, 2], params[:, 3]
-    e, f, g, i_ = params[:, 4], params[:, 5], params[:, 6], params[:, 7]
-    h = params[:, 8]
-    h_min = float(h.min())
+    cols = table.columns(inputs)
+    h_min = min(f.lmf_height for f in inputs)
 
-    alphas_u = np.linspace(0.0, 1.0, alpha_levels)
-    left_u = (a[None, :] + alphas_u[:, None] * (b - a)[None, :]) @ w
-    right_u = (d[None, :] - alphas_u[:, None] * (d - c)[None, :]) @ w
-
-    alphas_l = np.linspace(0.0, h_min, alpha_levels)
-    frac = alphas_l[:, None] / h[None, :]
-    left_l = (e[None, :] + frac * (f - e)[None, :]) @ w
-    right_l = (i_[None, :] - frac * (i_ - g)[None, :]) @ w
+    # take() returns a C-ordered selection; `[:, cols]` returns an F-ordered
+    # one, whose `@ w` may round differently in the last bit
+    left_u = table.upper_left.take(cols, axis=1) @ w
+    right_u = table.upper_right.take(cols, axis=1) @ w
+    alphas_l, lefts_l, rights_l = table.lower_cuts(h_min)
+    left_l = lefts_l.take(cols, axis=1) @ w
+    right_l = rights_l.take(cols, axis=1) @ w
 
     xs = grid.samples
-    upper = _cuts_to_membership(xs, alphas_u, left_u, right_u)
+    upper = _cuts_to_membership(xs, table.alphas_upper, left_u, right_u)
     lower = _cuts_to_membership(xs, alphas_l, left_l, right_l)
     return SampledFOU(xs=xs, upper=upper, lower=np.minimum(lower, upper), height=h_min)
 

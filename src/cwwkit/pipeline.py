@@ -2,8 +2,9 @@
 
 Students are independent work units; all shared inputs (schema, codebook,
 grid) are immutable, and report rows preserve input order. A batch
-prepares its word-level data once and evaluates each distinct feedback
-vector once per method.
+prepares its word-level data once, evaluates each distinct feedback
+vector once with the perceptual method and each multiset of term indices
+once with the others.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from . import extension, symbolic, two_tuple
 from .codebook import Codebook
 from .errors import ConfigurationError, CwwError
 from .extension import TriTuple
-from .it2 import (DEFAULT_GRID, DOMAIN_MAX, DOMAIN_MIN, CentroidInterval,
-                  DiscretizationGrid, TrapezoidIT2, centroid,
+from .it2 import (DEFAULT_GRID, DOMAIN_MAX, DOMAIN_MIN, AlphaCutTable,
+                  CentroidInterval, DiscretizationGrid, TrapezoidIT2, centroid,
                   jaccard_similarities, lwa_exact, lwa_paper, membership_stack,
                   sample_fou)
 # Not called here, but kept importable from this module: the benchmark's
@@ -157,6 +158,11 @@ class PreparedCodebook:
         )
 
     @cached_property
+    def alpha_cuts(self) -> AlphaCutTable:
+        """The alpha-cut endpoints of every parameter word, for `lwa_exact`."""
+        return AlphaCutTable([fou for words in self.parameter_fous for fou in words])
+
+    @cached_property
     def recommendation_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(k, G) upper and lower samples of the recommendation words."""
         return membership_stack(self.cb.recommendation_fous(), self.options.grid)
@@ -218,7 +224,7 @@ def _evaluate_perceptual(fb: FeedbackRecord, prepared: PreparedCodebook) -> Reco
         # sampled once: the centroid and the decode read the same arrays
         aggregate = sample_fou(lwa_paper(fous), grid)
     else:
-        aggregate = lwa_exact(fous, grid=grid)
+        aggregate = lwa_exact(fous, grid=grid, table=prepared.alpha_cuts)
     interval = centroid(aggregate, grid)
     similarities = tuple(jaccard_similarities(
         aggregate.upper, aggregate.lower, *prepared.recommendation_samples).tolist())
@@ -277,8 +283,10 @@ def evaluate_batch(
     problems such as requesting the perceptual method without a codebook
     abort the whole batch.
 
-    Each distinct feedback vector is evaluated once per method; rows that
-    repeat it share the resulting cells, failed ones included.
+    Each distinct feedback vector is evaluated once per method, and the
+    extension, symbolic and 2-tuple methods once per multiset of term
+    indices; rows that share a vector or multiset share the resulting
+    cells, failed ones included.
     """
     if not feedback:
         raise ValueError("cannot evaluate an empty batch")
@@ -291,6 +299,11 @@ def evaluate_batch(
     schema = prepared.schema
 
     memo: dict[tuple[LinguisticTerm, ...], Mapping[Method, MethodCell]] = {}
+    # The index methods average with equal weights, so their cells depend
+    # only on the multiset of (cardinality, index) pairs. A perceptual
+    # cell depends on the vector: each parameter has its own words.
+    cardinalities = tuple(len(param) for param in schema.parameters)
+    by_multiset: dict[tuple[Method, tuple], MethodCell] = {}
     first_rows: dict[str, int] = {}
     rows = []
     for position, item in enumerate(feedback, start=1):
@@ -314,12 +327,16 @@ def evaluate_batch(
         cells = memo.get(record.choices)
         if cells is None:
             evaluated = {}
+            multiset = tuple(sorted(zip(cardinalities, record.indices)))
             for method in methods:
-                try:
-                    evaluated[method] = MethodCell(recommendation=evaluate_student(
-                        record, method, prepared=prepared))
-                except CwwError as exc:
-                    evaluated[method] = MethodCell(error=str(exc))
+                if method is Method.PERCEPTUAL:
+                    cell = _cell(record, method, prepared)
+                else:
+                    cell = by_multiset.get((method, multiset))
+                    if cell is None:
+                        cell = by_multiset[method, multiset] = _cell(
+                            record, method, prepared)
+                evaluated[method] = cell
             # read-only, since every row with this vector holds the same cells
             cells = memo[record.choices] = MappingProxyType(evaluated)
         rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
@@ -333,6 +350,15 @@ def evaluate_batch(
         "students": len(rows),
     }
     return EvaluationReport(methods=methods, rows=tuple(rows), metadata=metadata)
+
+
+def _cell(record: FeedbackRecord, method: Method,
+          prepared: PreparedCodebook) -> MethodCell:
+    try:
+        return MethodCell(recommendation=evaluate_student(
+            record, method, prepared=prepared))
+    except CwwError as exc:
+        return MethodCell(error=str(exc))
 
 
 def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, float]]:

@@ -48,6 +48,15 @@ class LinguisticTerm:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError(f"term index must be >= 0, got {self.index}")
+        # hashed once: every batch row looks its terms up in the memo
+        object.__setattr__(self, "_hash", hash((self.label, self.code, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string's hash differs between processes
+        return LinguisticTerm, (self.label, self.code, self.index)
 
 
 @dataclass(frozen=True)

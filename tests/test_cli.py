@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +176,26 @@ class TestEvaluate:
                            "--verbose-precision")
         assert code == 0
         assert "4.963" in out
+
+    def test_repeated_method_is_usage_error(self, capsys, sample_feedback):
+        code, out, err = run(capsys, "evaluate", "--feedback", sample_feedback,
+                             "--methods", "symbolic, two_tuple,symbolic")
+        assert code == 1
+        assert out == ""
+        assert "'symbolic' is given twice" in err
+
+    @pytest.mark.parametrize("flag", ["--feedback", "--codebook", "--out"])
+    def test_directory_path_is_usage_error(self, tmp_path, flag):
+        # in a child process, so that an uncaught exception shows as the
+        # interpreter's traceback and exit status
+        result = subprocess.run(
+            [sys.executable, "-m", "cwwkit.cli", "evaluate", flag, str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("cwwkit: error: ")
+        assert "Traceback" not in result.stderr
 
     def test_missing_feedback_file(self, capsys):
         code, _, err = run(capsys, "evaluate", "--feedback", "/no/such.csv")

@@ -5,12 +5,18 @@ on a coarse grid and on the default one.
 """
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
-from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, centroid,
-                    centroid_brute_force, evaluate_batch, lwa_exact, lwa_paper)
-from cwwkit.pipeline import ALL_METHODS, LWA_MODES
+from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
+                    SampledFOU, centroid, centroid_brute_force, evaluate_batch,
+                    evaluate_student, lwa_exact, lwa_paper)
+from cwwkit.it2 import _trapezoid
+from cwwkit.pipeline import ALL_METHODS, LWA_MODES, PreparedCodebook
+
+INDEX_METHODS = (Method.EXTENSION_PRINCIPLE, Method.SYMBOLIC, Method.TWO_TUPLE)
 
 SAMPLE_COUNTS = (51, 1001)
 
@@ -19,6 +25,16 @@ SAMPLE_COUNTS = (51, 1001)
 def vectors(schema):
     """Every feedback vector, as a tuple of terms in parameter order."""
     return list(itertools.product(*(param.terms for param in schema.parameters)))
+
+
+def _words(codebook, choices):
+    return [codebook.lookup(param.name, term.code)
+            for param, term in zip(codebook.schema.parameters, choices)]
+
+
+def _permutations(items):
+    """Every order of `items` but the given one."""
+    return list(itertools.permutations(items))[1:]
 
 
 @pytest.mark.parametrize("sample_count", SAMPLE_COUNTS)
@@ -60,3 +76,98 @@ def test_raising_one_word_never_lowers_the_result(codebook, schema, vectors, lwa
                     counterexamples.append(
                         (method.value, [t.code for t in choices], param.name))
     assert counterexamples == []
+
+
+@pytest.mark.parametrize("method", INDEX_METHODS)
+def test_index_methods_are_permutation_invariant(codebook, vectors, method):
+    # Each term keeps its index, whichever parameter it is given for; the
+    # methods see only the indices, averaged with equal weights.
+    prepared = PreparedCodebook.build(codebook, None, EvalOptions())
+    mismatches = []
+    for choices in vectors:
+        expected = evaluate_student(FeedbackRecord("v", choices), method,
+                                    prepared=prepared)
+        for order in _permutations(choices):
+            got = evaluate_student(FeedbackRecord("v", order), method, prepared=prepared)
+            if got != expected:
+                mismatches.append([term.code for term in order])
+    assert mismatches == []
+
+
+def test_lwa_paper_is_exactly_permutation_invariant(codebook, vectors):
+    # its fsum over each parameter claims exact invariance
+    for choices in vectors:
+        fous = _words(codebook, choices)
+        expected = lwa_paper(fous)
+        for order in _permutations(fous):
+            assert lwa_paper(order) == expected, [term.code for term in choices]
+
+
+def test_lwa_exact_permutations_agree_within_rounding(codebook, vectors):
+    """`lwa_exact` is permutation invariant up to rounding, not bit for bit.
+
+    Its `@ w` sums the inputs' cut endpoints in input order. Over the 625
+    vectors x 24 orders on the default grid, 9 768 of the 15 000 permuted
+    aggregates are not bit-equal to the unpermuted one (worst sample
+    difference 3.2e-15), and 6 600 of their centroids differ (worst end
+    3.6e-15). No output depends on it: the pipeline aggregates every
+    vector in parameter order.
+    """
+    worst_samples = worst_centroid = 0.0
+    for choices in vectors:
+        fous = _words(codebook, choices)
+        expected = lwa_exact(fous)
+        expected_interval = centroid(expected)
+        for order in _permutations(fous):
+            got = lwa_exact(order)
+            interval = centroid(got)
+            worst_samples = max(worst_samples,
+                                float(np.abs(got.upper - expected.upper).max()),
+                                float(np.abs(got.lower - expected.lower).max()))
+            worst_centroid = max(worst_centroid,
+                                 abs(interval.c_l - expected_interval.c_l),
+                                 abs(interval.c_r - expected_interval.c_r))
+    assert worst_samples <= 1e-14
+    assert worst_centroid <= 1e-14
+
+
+def _closed_form_lwa(fous, grid):
+    """The exact LWA of trapezoids with crisp, equal weights, in closed form.
+
+    Every alpha-cut endpoint is linear in alpha, so the average is itself
+    a trapezoid: the means of a, b, c, d, e and i, the minimum height
+    h_min, f = E + h_min * mean((f - e) / h) and g = I - h_min *
+    mean((i - g) / h), with E and I the means of e and i. The lower curve
+    is clipped to the upper one, as `lwa_exact` clips it.
+    """
+    def mean(values):
+        return math.fsum(values) / len(fous)
+
+    h_min = min(f.lmf_height for f in fous)
+    e, i_ = mean(f.lmf_e for f in fous), mean(f.lmf_i for f in fous)
+    upper = _trapezoid(grid.samples, mean(f.umf_a for f in fous),
+                       mean(f.umf_b for f in fous), mean(f.umf_c for f in fous),
+                       mean(f.umf_d for f in fous), 1.0)
+    lower = _trapezoid(
+        grid.samples, e,
+        e + h_min * mean((f.lmf_f - f.lmf_e) / f.lmf_height for f in fous),
+        i_ - h_min * mean((f.lmf_i - f.lmf_g) / f.lmf_height for f in fous),
+        i_, h_min)
+    return SampledFOU(xs=grid.samples, upper=upper, lower=np.minimum(lower, upper),
+                      height=h_min)
+
+
+@pytest.mark.parametrize("sample_count", SAMPLE_COUNTS)
+def test_lwa_exact_equals_closed_form_trapezoid(codebook, vectors, sample_count):
+    grid = DiscretizationGrid(sample_count=sample_count)
+    for choices in vectors:
+        fous = _words(codebook, choices)
+        got = lwa_exact(fous, grid=grid)
+        oracle = _closed_form_lwa(fous, grid)
+        codes = [term.code for term in choices]
+        assert got.height == oracle.height, codes
+        assert np.abs(got.upper - oracle.upper).max() <= 1e-12, codes
+        assert np.abs(got.lower - oracle.lower).max() <= 1e-12, codes
+        interval, expected = centroid(got, grid), centroid(oracle, grid)
+        assert abs(interval.c_l - expected.c_l) <= 1e-12, codes
+        assert abs(interval.c_r - expected.c_r) <= 1e-12, codes

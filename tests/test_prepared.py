@@ -4,9 +4,12 @@ The default schema has 4 parameters x 5 words = 625 feedback vectors, so
 each property below is checked on every one of them, in both LWA modes.
 """
 
+import collections
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 import cwwkit.it2
@@ -14,8 +17,9 @@ import cwwkit.pipeline
 from cwwkit import (Codebook, CodebookEntry, CwwError, DiscretizationGrid,
                     EvalOptions, FeedbackRecord, Method, evaluate_batch,
                     evaluate_student, jaccard_similarity, lwa_exact, lwa_paper)
-from cwwkit.it2 import jaccard_similarities, membership_samples, membership_stack
-from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell
+from cwwkit.it2 import (AlphaCutTable, _cuts_to_membership, jaccard_similarities,
+                        membership_samples, membership_stack)
+from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell, PreparedCodebook
 from cwwkit.vocabulary import LinguisticTerm, ParameterSchema, TermSet
 
 
@@ -140,3 +144,67 @@ def test_large_batch_costs_one_evaluation_per_distinct_vector(
     assert all(row.error is None for row in report.rows)
     assert calls["centroid"] == 625
     assert calls["membership_samples"] <= 2 * 625 + 5
+
+
+def _lwa_exact_per_call(fous, grid, alpha_levels=65):
+    """`lwa_exact` as it was before the alpha-cut table: the cut matrices
+    built from the inputs alone on every call."""
+    params = np.array([[f.umf_a, f.umf_b, f.umf_c, f.umf_d, f.lmf_e, f.lmf_f,
+                        f.lmf_g, f.lmf_i, f.lmf_height] for f in fous])
+    a, b, c, d, e, f, g, i_, h = params.T
+    w = np.full(len(fous), 1.0) / math.fsum([1.0] * len(fous))
+    h_min = float(h.min())
+    alphas_u = np.linspace(0.0, 1.0, alpha_levels)
+    left_u = (a[None, :] + alphas_u[:, None] * (b - a)[None, :]) @ w
+    right_u = (d[None, :] - alphas_u[:, None] * (d - c)[None, :]) @ w
+    alphas_l = np.linspace(0.0, h_min, alpha_levels)
+    frac = alphas_l[:, None] / h[None, :]
+    left_l = (e[None, :] + frac * (f - e)[None, :]) @ w
+    right_l = (i_[None, :] - frac * (i_ - g)[None, :]) @ w
+    upper = _cuts_to_membership(grid.samples, alphas_u, left_u, right_u)
+    lower = _cuts_to_membership(grid.samples, alphas_l, left_l, right_l)
+    return upper, np.minimum(lower, upper), h_min
+
+
+@pytest.mark.parametrize("sample_count", [1001, 51])
+def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
+    grid = DiscretizationGrid(sample_count=sample_count)
+    prepared = PreparedCodebook.build(codebook, None, EvalOptions(grid=grid))
+    table = prepared.alpha_cuts
+    for record in all_records:
+        words = [words[choice.index]
+                 for words, choice in zip(prepared.parameter_fous, record.choices)]
+        upper, lower, height = _lwa_exact_per_call(words, grid)
+        for got in (lwa_exact(words, grid=grid), lwa_exact(words, grid=grid, table=table)):
+            assert got.height == height
+            for samples, expected in ((got.upper, upper), (got.lower, lower)):
+                assert np.array_equal(samples, expected), record.codes
+                assert samples.tobytes() == expected.tobytes(), record.codes
+
+
+def test_alpha_cut_table_rejects_a_word_it_lacks(codebook):
+    words = codebook.recommendation_fous()
+    table = AlphaCutTable(words[:4])
+    lwa_exact(words[:4], table=table)
+    with pytest.raises(ValueError, match="not in the alpha-cut table"):
+        lwa_exact(words[1:], table=table)
+    with pytest.raises(ValueError, match="levels"):
+        lwa_exact(words[:4], alpha_levels=33, table=table)
+
+
+def test_index_methods_cost_one_evaluation_per_index_multiset(
+        monkeypatch, codebook, all_records):
+    calls = collections.Counter()
+    original = cwwkit.pipeline.evaluate_student
+
+    def counting(record, method, *args, **kwargs):
+        calls[method] += 1
+        return original(record, method, *args, **kwargs)
+
+    monkeypatch.setattr(cwwkit.pipeline, "evaluate_student", counting)
+    report = evaluate_batch(all_records, cb=codebook)
+    assert all(row.error is None for row in report.rows)
+    multisets = {tuple(sorted(record.indices)) for record in all_records}
+    assert len(multisets) == 70
+    assert calls == {Method.EXTENSION_PRINCIPLE: 70, Method.SYMBOLIC: 70,
+                     Method.TWO_TUPLE: 70, Method.PERCEPTUAL: 625}

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,3 +162,19 @@ def test_find_keeps_the_lower_index_when_a_label_is_another_code():
             _find_by_loop(ts, word)
         assert str(err.value) == str(expected.value)
         assert (err.value.parameter, err.value.word) == ("x", word)
+
+
+def test_term_hash_survives_a_pickle_from_another_process():
+    # the hash is stored per term, and a string's hash changes with the
+    # interpreter's hash seed, so an unpickled term must hash afresh
+    code = ("import pickle, sys; from cwwkit import LinguisticTerm; "
+            "sys.stdout.buffer.write(pickle.dumps(LinguisticTerm('Small', 'S', 1)))")
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed,
+                                    PYTHONPATH=os.pathsep.join(sys.path)),
+                           timeout=60, check=True)
+    term = pickle.loads(child.stdout)
+    assert term == LinguisticTerm("Small", "S", 1)
+    assert {term: 1}.get(LinguisticTerm("Small", "S", 1)) == 1
+    assert repr(term) == "LinguisticTerm(label='Small', code='S', index=1)"
