@@ -7,8 +7,8 @@ interval type-2 word models.
 """
 
 from .codebook import (Codebook, CodebookEntry, StoredCentroid,
-                       default_codebook, default_feedback_path, dump_codebook,
-                       load_codebook, verify_stored_centroids)
+                       default_codebook, default_feedback_path, load_codebook,
+                       verify_stored_centroids)
 from .errors import (ConfigurationError, CwwError, CodebookError,
                      DegenerateInputError, SchemaError, WordResolutionError)
 from .extension import (TriTuple, aggregate_tri_tuples,
@@ -25,14 +25,13 @@ from .symbolic import WeightVector, sm2, sm_aggregate, sort_terms_descending
 from .two_tuple import TwoTuple, aggregate_beta, to_two_tuple
 from .vocabulary import (FeedbackRecord, LinguisticTerm, ParameterSchema,
                          RawFeedback, TermSet, build_default_schema,
-                         read_feedback_file, resolve_feedback,
-                         write_feedback_file)
+                         read_feedback_file, resolve_feedback)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Codebook", "CodebookEntry", "StoredCentroid", "default_codebook",
-    "default_feedback_path", "dump_codebook", "load_codebook",
+    "default_feedback_path", "load_codebook",
     "verify_stored_centroids",
     "ConfigurationError", "CwwError", "CodebookError", "DegenerateInputError",
     "SchemaError", "WordResolutionError",
@@ -48,5 +47,5 @@ __all__ = [
     "TwoTuple", "aggregate_beta", "to_two_tuple",
     "FeedbackRecord", "LinguisticTerm", "ParameterSchema", "RawFeedback",
     "Recommendation", "TermSet", "build_default_schema", "read_feedback_file",
-    "resolve_feedback", "write_feedback_file",
+    "resolve_feedback",
 ]

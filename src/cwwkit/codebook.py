@@ -192,22 +192,14 @@ def dumps_codebook(cb: Codebook) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CODEBOOK_HEADER)
     for entry in cb.entries:
-        fou = entry.fou
         row = [entry.parameter, entry.term.label, entry.term.code,
-               repr(fou.umf_a), repr(fou.umf_b), repr(fou.umf_c), repr(fou.umf_d),
-               repr(fou.lmf_e), repr(fou.lmf_f), repr(fou.lmf_g), repr(fou.lmf_i),
-               repr(fou.lmf_height)]
+               *map(repr, entry.fou.params)]
         if entry.stored is not None:
             row += [repr(entry.stored.c_l), repr(entry.stored.c_r), repr(entry.stored.mean)]
         else:
             row += ["", "", ""]
         writer.writerow(row)
     return buf.getvalue()
-
-
-def dump_codebook(cb: Codebook, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(dumps_codebook(cb))
 
 
 @lru_cache(maxsize=1)

@@ -69,8 +69,7 @@ class TrapezoidIT2:
     lmf_height: float = 1.0
 
     def __post_init__(self):
-        values = (self.umf_a, self.umf_b, self.umf_c, self.umf_d,
-                  self.lmf_e, self.lmf_f, self.lmf_g, self.lmf_i, self.lmf_height)
+        values = self.params
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite FOU parameter in {values}")
         if not (self.umf_a <= self.umf_b <= self.umf_c <= self.umf_d):
@@ -93,6 +92,12 @@ class TrapezoidIT2:
                 "lower membership exceeds upper membership "
                 f"(worst gap {worst:.3e} at x={knots[gaps.index(worst)]})"
             )
+
+    @property
+    def params(self) -> tuple[float, ...]:
+        """The nine parameters, in constructor and codebook-column order."""
+        return (self.umf_a, self.umf_b, self.umf_c, self.umf_d,
+                self.lmf_e, self.lmf_f, self.lmf_g, self.lmf_i, self.lmf_height)
 
     @property
     def umf(self) -> tuple[float, float, float, float]:
@@ -325,24 +330,13 @@ def centroid_brute_force(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> Centro
     )
 
 
-def _prepare_weights(count: int, weights: Sequence[float] | None) -> np.ndarray:
-    if weights is None:
-        weights = [1.0] * count
-    w = np.asarray(list(weights), dtype=float)
-    if len(w) != count:
-        raise ValueError(f"{count} inputs but {len(w)} weights")
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
-    total = math.fsum(w)  # order-independent, keeps permutations exact
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    return w / total
+# Both linguistic weighted averages weigh every input word the same, and
+# `lwa_exact` cuts each membership function at this many levels.
+ALPHA_LEVELS = 65
 
 
-def lwa_paper(
-    inputs: Sequence[TrapezoidIT2], weights: Sequence[float] | None = None
-) -> TrapezoidIT2:
-    """Parameter-wise weighted average of trapezoidal word models.
+def lwa_paper(inputs: Sequence[TrapezoidIT2]) -> TrapezoidIT2:
+    """Parameter-wise equal-weight average of trapezoidal word models.
 
     Each of the nine parameters, the lower height included, is averaged
     independently. This matches the aggregate tables the shipped
@@ -351,38 +345,30 @@ def lwa_paper(
     """
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
-    w = _prepare_weights(len(inputs), weights).tolist()
-    columns = zip(*((f.umf_a, f.umf_b, f.umf_c, f.umf_d,
-                     f.lmf_e, f.lmf_f, f.lmf_g, f.lmf_i, f.lmf_height) for f in inputs))
+    w = 1.0 / len(inputs)
+    columns = zip(*(f.params for f in inputs))
     # fsum keeps the aggregate exactly permutation invariant
-    avg = [math.fsum(wk * v for wk, v in zip(w, column)) for column in columns]
-    return TrapezoidIT2(*avg)
+    return TrapezoidIT2(*(math.fsum(w * v for v in column) for column in columns))
 
 
 class AlphaCutTable:
     """Alpha-cut endpoints of fixed word models, one column per word.
 
-    The upper cuts are (L, W) matrices over L levels and W distinct
-    words. The lower cuts depend on the aggregate's minimum height, so
-    they are built for each height on first use and kept: there are at
-    most W of them. Each column holds what `lwa_exact` computes for that
+    The upper cuts are (L, W) matrices over L = ALPHA_LEVELS levels and
+    W distinct words. The lower cuts depend on the aggregate's minimum
+    height, so they are built for each height on first use and kept:
+    there are at most W of them. Each column holds what `lwa_exact` computes for that
     word, by the same formulas, so the columns it takes for its inputs
     equal, bit for bit, the matrices it would build from them alone.
     """
 
-    def __init__(self, words: Sequence[TrapezoidIT2], alpha_levels: int = 65):
-        if alpha_levels < 2:
-            raise ValueError(f"need at least 2 alpha levels, got {alpha_levels}")
-        self.alpha_levels = alpha_levels
+    def __init__(self, words: Sequence[TrapezoidIT2]):
         self._columns: dict[TrapezoidIT2, int] = {}
         for word in words:
             self._columns.setdefault(word, len(self._columns))
-        params = np.array(
-            [[f.umf_a, f.umf_b, f.umf_c, f.umf_d,
-              f.lmf_e, f.lmf_f, f.lmf_g, f.lmf_i, f.lmf_height] for f in self._columns]
-        )
+        params = np.array([f.params for f in self._columns])
         a, b, c, d = params[:, :4].T
-        self.alphas_upper = np.linspace(0.0, 1.0, alpha_levels)
+        self.alphas_upper = np.linspace(0.0, 1.0, ALPHA_LEVELS)
         self.upper_left = a[None, :] + self.alphas_upper[:, None] * (b - a)[None, :]
         self.upper_right = d[None, :] - self.alphas_upper[:, None] * (d - c)[None, :]
         self._lower_params = params[:, 4:].T
@@ -401,7 +387,7 @@ class AlphaCutTable:
         cuts = self._lower.get(h_min)
         if cuts is None:
             e, f, g, i_, h = self._lower_params
-            alphas = np.linspace(0.0, h_min, self.alpha_levels)
+            alphas = np.linspace(0.0, h_min, ALPHA_LEVELS)
             frac = alphas[:, None] / h[None, :]
             cuts = self._lower[h_min] = (alphas,
                                          e[None, :] + frac * (f - e)[None, :],
@@ -411,13 +397,11 @@ class AlphaCutTable:
 
 def lwa_exact(
     inputs: Sequence[TrapezoidIT2],
-    weights: Sequence[float] | None = None,
-    alpha_levels: int = 65,
-    grid: DiscretizationGrid = DEFAULT_GRID,
     *,
+    grid: DiscretizationGrid = DEFAULT_GRID,
     table: AlphaCutTable | None = None,
 ) -> SampledFOU:
-    """Alpha-cut weighted average, sampled on the grid.
+    """Alpha-cut equal-weight average, sampled on the grid.
 
     Upper cuts are averaged over levels 0..1; lower cuts over levels
     0..min(h_k), each input's lower trapezoid cut at the same absolute
@@ -431,12 +415,9 @@ def lwa_exact(
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
     if table is None:
-        table = AlphaCutTable(inputs, alpha_levels)
-    elif table.alpha_levels != alpha_levels:
-        raise ValueError(
-            f"alpha-cut table has {table.alpha_levels} levels, not {alpha_levels}")
-    w = _prepare_weights(len(inputs), weights)
+        table = AlphaCutTable(inputs)
     cols = table.columns(inputs)
+    w = np.full(len(cols), 1.0 / len(cols))
     h_min = min(f.lmf_height for f in inputs)
 
     # take() returns a C-ordered selection; `[:, cols]` returns an F-ordered

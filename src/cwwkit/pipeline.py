@@ -84,9 +84,14 @@ class Recommendation:
 
     @cached_property
     def numeric_text(self) -> str:
-        """`numeric_key(self)`, formatted once: rows that repeat a feedback
-        vector share the recommendation, and every report prints it."""
-        return numeric_key(self)
+        """The numeric payload at the precision the report prints it,
+        formatted once: rows that repeat a feedback vector share the
+        recommendation, and every report prints it."""
+        if self.method is Method.EXTENSION_PRINCIPLE:
+            return "{%s}" % ",".join(format(v, "g") for v in self.numeric.as_tuple())
+        if self.method is Method.PERCEPTUAL:
+            return format(self.score, ".2f")
+        return format(self.numeric, "g")
 
 
 @dataclass(frozen=True)
@@ -376,16 +381,6 @@ def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, f
         if row.error is None and row.cells[method].error is None
     ]
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-
-
-def numeric_key(rec: Recommendation) -> str:
-    """The numeric payload at the precision the report prints it."""
-    if rec.method is Method.EXTENSION_PRINCIPLE:
-        tri = rec.numeric
-        return "{%s}" % ",".join(format(v, "g") for v in tri.as_tuple())
-    if rec.method is Method.PERCEPTUAL:
-        return format(rec.score, ".2f")
-    return format(rec.numeric, "g")
 
 
 @dataclass(frozen=True)

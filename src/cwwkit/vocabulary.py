@@ -294,9 +294,3 @@ def format_feedback_file(
             [row.student_id] + [row.words[p.name] for p in schema.parameters]
         )
     return buf.getvalue()
-
-
-def write_feedback_file(path, rows: Sequence[RawFeedback],
-                        schema: ParameterSchema | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(format_feedback_file(rows, schema))

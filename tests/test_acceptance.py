@@ -43,7 +43,7 @@ from cwwkit import (Method, TriTuple, WeightVector, aggregate_beta,
                     uniqueness_report, verify_stored_centroids)
 from cwwkit.it2 import DEFAULT_GRID
 from cwwkit.pipeline import (EvaluationReport, MethodCell, Recommendation,
-                             ReportRow, numeric_key)
+                             ReportRow)
 from cwwkit.rounding import round_half_away
 from reference_data import DIVERGENCES, PUBLISHED, PUBLISHED_AGGREGATES
 from strategies import random_fou

@@ -1,7 +1,7 @@
 import pytest
 
-from cwwkit import (CodebookError, DiscretizationGrid, default_codebook,
-                    verify_stored_centroids)
+from cwwkit import (CodebookError, DiscretizationGrid, TrapezoidIT2,
+                    default_codebook, verify_stored_centroids)
 from cwwkit.codebook import (CODEBOOK_HEADER, Codebook, CodebookEntry,
                              StoredCentroid, dumps_codebook, load_codebook,
                              loads_codebook)
@@ -64,6 +64,12 @@ def test_roundtrip_identical(codebook):
     reloaded = loads_codebook(text)
     assert reloaded == codebook
     assert dumps_codebook(reloaded) == text
+
+
+def test_params_rebuild_every_word(codebook):
+    assert len(codebook.entries) == 25
+    for entry in codebook.entries:
+        assert TrapezoidIT2(*entry.fou.params) == entry.fou, entry.term.code
 
 
 def test_load_from_path(tmp_path, codebook):

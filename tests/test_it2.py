@@ -284,18 +284,9 @@ class TestLwaPaper:
         assert agg == SMALL
 
     def test_identity_on_single_input(self):
-        assert lwa_paper([SMALL], weights=[1.0]) == SMALL
+        assert lwa_paper([SMALL]) == SMALL
 
-    def test_permutation_invariant(self):
-        agg1 = lwa_paper(SS1_WORDS, weights=[0.1, 0.2, 0.3, 0.4])
-        agg2 = lwa_paper(SS1_WORDS[::-1], weights=[0.4, 0.3, 0.2, 0.1])
-        assert agg1 == agg2
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            lwa_paper(SS1_WORDS, weights=[0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            lwa_paper(SS1_WORDS, weights=[1, 1])
+    def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             lwa_paper([])
 
@@ -325,10 +316,6 @@ class TestLwaExact:
         assert sampled.lower.max() <= 0.49 + 1e-9
         # differs by design from the averaged height
         assert lwa_paper(SS1_WORDS).lmf_height == pytest.approx(0.77)
-
-    def test_alpha_level_validation(self):
-        with pytest.raises(ValueError):
-            lwa_exact(SS1_WORDS, alpha_levels=1)
 
     def test_sampled_fou_on_another_grid_raises(self):
         sampled = lwa_exact([SMALL])

@@ -3,7 +3,6 @@ import pytest
 from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions, Method,
                     evaluate_batch, evaluate_student, rank_students,
                     resolve_feedback, uniqueness_report)
-from cwwkit.pipeline import numeric_key
 from cwwkit.vocabulary import (LIKING, PREPARATION, SUBJECT_KNOWLEDGE,
                                TIME_TAKEN, LinguisticTerm, ParameterSchema,
                                RawFeedback, TermSet)
@@ -83,7 +82,7 @@ class TestDeterminism:
         for method in full_report.methods:
             a = row2.cells[method].recommendation
             b = row11.cells[method].recommendation
-            assert (numeric_key(a), a.linguistic.code) == (numeric_key(b), b.linguistic.code)
+            assert (a.numeric_text, a.linguistic.code) == (b.numeric_text, b.linguistic.code)
 
 
 class TestErrorHandling:

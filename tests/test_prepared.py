@@ -188,8 +188,6 @@ def test_alpha_cut_table_rejects_a_word_it_lacks(codebook):
     lwa_exact(words[:4], table=table)
     with pytest.raises(ValueError, match="not in the alpha-cut table"):
         lwa_exact(words[1:], table=table)
-    with pytest.raises(ValueError, match="levels"):
-        lwa_exact(words[:4], alpha_levels=33, table=table)
 
 
 def test_index_methods_cost_one_evaluation_per_index_multiset(
