@@ -21,7 +21,7 @@ from .it2 import (CentroidInterval, DiscretizationGrid, SampledFOU,
 from .pipeline import (EvalOptions, EvaluationReport, Method, Recommendation,
                        evaluate_batch, evaluate_student, rank_students,
                        uniqueness_report)
-from .symbolic import WeightVector, sm2, sm_aggregate, sort_terms_descending
+from .symbolic import sm2, sm_aggregate, sort_terms_descending
 from .two_tuple import TwoTuple, aggregate_beta, to_two_tuple
 from .vocabulary import (FeedbackRecord, LinguisticTerm, ParameterSchema,
                          RawFeedback, TermSet, build_default_schema,
@@ -43,7 +43,7 @@ __all__ = [
     "lower_membership", "lwa_exact", "lwa_paper", "upper_membership",
     "EvalOptions", "EvaluationReport", "Method",
     "evaluate_batch", "evaluate_student", "rank_students", "uniqueness_report",
-    "WeightVector", "sm2", "sm_aggregate", "sort_terms_descending",
+    "sm2", "sm_aggregate", "sort_terms_descending",
     "TwoTuple", "aggregate_beta", "to_two_tuple",
     "FeedbackRecord", "LinguisticTerm", "ParameterSchema", "RawFeedback",
     "Recommendation", "TermSet", "build_default_schema", "read_feedback_file",

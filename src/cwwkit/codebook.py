@@ -18,7 +18,8 @@ from typing import Iterable
 from .errors import CodebookError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
                   TrapezoidIT2, centroid, centroid_brute_force)
-from .vocabulary import LinguisticTerm, ParameterSchema, build_default_schema
+from .vocabulary import (LinguisticTerm, ParameterSchema, TermSet,
+                         build_default_schema)
 
 CODEBOOK_HEADER = (
     "parameter", "label", "code",
@@ -63,30 +64,31 @@ class Codebook:
     def __init__(self, schema: ParameterSchema, entries: Iterable[CodebookEntry]):
         self.schema = schema
         self.entries = tuple(entries)
-        self._by_key = {}
+        # per term-set name, the word models in term-index order
+        slots = {ts.name: [None] * len(ts) for ts in schema.term_sets}
         for entry in self.entries:
-            key = (entry.parameter.lower(), entry.term.code.lower())
-            if key in self._by_key:
+            try:
+                ts = schema.term_set(entry.parameter)
+                term = ts.find(entry.term.code)
+            except (SchemaError, WordResolutionError):
+                raise CodebookError(
+                    f"entry ({entry.parameter!r}, {entry.term.code!r}) "
+                    "is not a word of the schema"
+                ) from None
+            words = slots[ts.name]
+            if words[term.index] is not None:
                 raise CodebookError(
                     f"duplicate entry for ({entry.parameter!r}, {entry.term.code!r})"
                 )
-            self._by_key[key] = entry
-        self._check_complete()
-
-    def _check_complete(self):
-        term_sets = self.schema.term_sets
-        for ts in term_sets:
-            for term in ts:
-                if (ts.name.lower(), term.code.lower()) not in self._by_key:
+            words[term.index] = entry.fou
+        for ts in schema.term_sets:
+            for term, fou in zip(ts, slots[ts.name]):
+                if fou is None:
                     raise CodebookError(
                         f"codebook is missing word {term.label!r} ({term.code}) "
                         f"of {ts.name!r}"
                     )
-        expected = sum(len(ts) for ts in term_sets)
-        if len(self.entries) != expected:
-            raise CodebookError(
-                f"codebook has {len(self.entries)} entries, schema needs {expected}"
-            )
+        self._fous = {name: tuple(words) for name, words in slots.items()}
 
     def __eq__(self, other):
         return (
@@ -95,23 +97,29 @@ class Codebook:
             and self.entries == other.entries
         )
 
-    def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
+    def _term_set(self, parameter: str) -> TermSet:
         try:
-            ts = self.schema.term_set(parameter)
+            return self.schema.term_set(parameter)
         except SchemaError as exc:
             raise CodebookError(str(exc)) from None
+
+    def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
+        ts = self._term_set(parameter)
         try:
             term = ts.find(word)
         except WordResolutionError:
             raise CodebookError(
                 f"no codebook entry for word {word!r} under {parameter!r}"
             ) from None
-        return self._by_key[(ts.name.lower(), term.code.lower())].fou
+        return self._fous[ts.name][term.index]
+
+    def word_fous(self, parameter: str) -> tuple[TrapezoidIT2, ...]:
+        """Word models of one term set, in term-index order."""
+        return self._fous[self._term_set(parameter).name]
 
     def recommendation_fous(self) -> tuple[TrapezoidIT2, ...]:
         """Word models of the recommendation set, in index order."""
-        ts = self.schema.recommendation
-        return tuple(self.lookup(ts.name, term.code) for term in ts)
+        return self._fous[self.schema.recommendation.name]
 
 
 def load_codebook(path, schema: ParameterSchema | None = None) -> Codebook:

@@ -157,10 +157,10 @@ class PreparedCodebook:
     @cached_property
     def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
         """Per parameter, the word models in term-index order."""
-        return tuple(
-            tuple(self.cb.lookup(param.name, term.code) for term in param)
-            for param in self.schema.parameters
-        )
+        if self.cb.schema != self.schema:
+            # the codebook holds its words in its own schema's index order
+            raise ConfigurationError("the codebook was built for another schema")
+        return tuple(self.cb.word_fous(param.name) for param in self.schema.parameters)
 
     @cached_property
     def alpha_cuts(self) -> AlphaCutTable:
@@ -194,8 +194,7 @@ def _evaluate_extension(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recom
 def _evaluate_symbolic(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
     g = prepared.g
     indices = symbolic.sort_terms_descending(fb.indices)
-    weights = symbolic.WeightVector.equal(len(indices))
-    index = symbolic.sm_aggregate(indices, weights, g)
+    index = symbolic.sm_aggregate(indices, g)
     return Recommendation(
         method=Method.SYMBOLIC,
         numeric=index,

@@ -9,11 +9,10 @@ construction and safe to share across concurrent evaluations.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import SchemaError, WordResolutionError
 
@@ -279,18 +278,3 @@ def read_feedback_file(path, schema: ParameterSchema | None = None) -> list[RawF
             rows.append(RawFeedback(student_id=row[0].strip(), words=words))
     return rows
 
-
-def format_feedback_file(
-    rows: Sequence[RawFeedback], schema: ParameterSchema | None = None
-) -> str:
-    """Serialize feedback rows back to the batch-file format, bit-exactly
-    reproducing files written by this function."""
-    schema = schema or build_default_schema()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FEEDBACK_HEADER)
-    for row in rows:
-        writer.writerow(
-            [row.student_id] + [row.words[p.name] for p in schema.parameters]
-        )
-    return buf.getvalue()

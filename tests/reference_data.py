@@ -25,6 +25,20 @@ The two agree everywhere except the five cells listed in DIVERGENCES:
   all of them.
 
 The acceptance module checks each cell against this cause.
+
+Decision steps of the perceptual word, pinned by the acceptance module's
+test_perceptual_decision_steps:
+
+- PUBLISHED: the words are a monotone step function of the score column,
+  SSBA up to 3.53, SSA from 3.92 to 5.38, SSG from 5.96. The SSBA/SSA
+  step lies in (3.53, 3.92] and the SSA/SSG step in (5.38, 5.96].
+- The engine, over all 625 vectors on a 1001-point grid, decodes by
+  Jaccard similarity, so its words are not a function of the score and
+  the bands overlap. Exact LWA: largest SSBA score 4.0135, smallest SSA
+  3.9934, largest SSA 5.9252, smallest SSG 5.9130. Paper LWA: 4.0047,
+  4.0007, 5.9315 and 5.9219. The upper step lies in the published band;
+  the lower one lies at least 0.07 above it, which is why the published
+  words of students 9 and 15 (score 3.92, SSA) differ from the engine's.
 """
 
 # student id -> (words, published extension tuple, published extension word,

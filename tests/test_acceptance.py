@@ -25,6 +25,7 @@ against its derived cause:
 
 import csv
 import functools
+import itertools
 import math
 import time
 from decimal import ROUND_HALF_UP, Decimal
@@ -34,7 +35,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cwwkit import (Method, TriTuple, WeightVector, aggregate_beta,
+from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
+                    TriTuple, aggregate_beta,
                     aggregate_tri_tuples, centroid, centroid_brute_force,
                     evaluate_batch, jaccard_similarity,
                     linguistic_approximation, lower_membership, lwa_exact,
@@ -42,8 +44,8 @@ from cwwkit import (Method, TriTuple, WeightVector, aggregate_beta,
                     uniform_triangular_partition, upper_membership,
                     uniqueness_report, verify_stored_centroids)
 from cwwkit.it2 import DEFAULT_GRID
-from cwwkit.pipeline import (EvaluationReport, MethodCell, Recommendation,
-                             ReportRow)
+from cwwkit.pipeline import (LWA_MODES, EvaluationReport, MethodCell,
+                             Recommendation, ReportRow)
 from cwwkit.rounding import round_half_away
 from reference_data import DIVERGENCES, PUBLISHED, PUBLISHED_AGGREGATES
 from strategies import random_fou
@@ -307,7 +309,7 @@ def test_criterion_5_worked_examples():
     assert sm2(1 / 2, 2, 1, 4) == 2
     assert sm2(1 / 3, 2, 2, 4) == 2
     assert sm2(1 / 4, 3, 2, 4) == 2
-    assert sm_aggregate([3, 2, 2, 1], WeightVector.equal(4), 4) == 2
+    assert sm_aggregate([3, 2, 2, 1], 4) == 2
 
     # index-mean route: translation zero at an integer mean
     beta = aggregate_beta([1, 3, 2, 2])
@@ -367,9 +369,7 @@ def test_criterion_7_invariant_suites(codebook):
         g = int(rng.integers(1, 8))
         n = int(rng.integers(1, 6))
         indices = sorted(rng.integers(0, g + 1, n).tolist(), reverse=True)
-        raw = rng.uniform(0.01, 1.0, n)
-        weights = WeightVector(tuple(raw / raw.sum()))
-        result = sm_aggregate(indices, weights, g)
+        result = sm_aggregate(indices, g)
         assert min(indices) <= result <= max(indices)
     _passed("criterion 7", "containment, similarity, aggregation, round-trip")
 
@@ -395,6 +395,49 @@ def test_criterion_8_ties_and_rounding(sample_rows, codebook, schema):
     assert tt.numeric == 2.5
     assert tt.linguistic.code == "SSG"
     _passed("criterion 8", "tie -> lower word, halves away from zero")
+
+
+# Perceptual scores where the engine's decoded word steps up, over all
+# 625 vectors on a 1001-point grid: the largest SSBA score, the smallest
+# and largest SSA score, and the smallest SSG score.
+ENGINE_DECISION_STEPS = {
+    "exact": (4.0135, 3.9934, 5.9252, 5.9130),
+    "paper": (4.0047, 4.0007, 5.9315, 5.9219),
+}
+
+
+@pytest.mark.parametrize("lwa_mode", LWA_MODES)
+def test_perceptual_decision_steps(schema, codebook, lwa_mode):
+    """Where the decoded word steps up: the engine over every vector,
+    and the published table over its 25 students."""
+    vectors = itertools.product(*(param.terms for param in schema.parameters))
+    records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
+    options = EvalOptions(grid=DiscretizationGrid(1001), lwa_mode=lwa_mode)
+    report = evaluate_batch(records, [Method.PERCEPTUAL], codebook, options=options)
+    engine = {}
+    for row in report.rows:
+        rec = row.cells[Method.PERCEPTUAL].recommendation
+        engine.setdefault(rec.linguistic.code, []).append(rec.score)
+    assert len(records) == 625
+    steps = (max(engine["SSBA"]), min(engine["SSA"]),
+             max(engine["SSA"]), min(engine["SSG"]))
+    assert steps == pytest.approx(ENGINE_DECISION_STEPS[lwa_mode], abs=1e-3)
+
+    # the published words are a monotone step function of the score
+    by_score = sorted((row[7], schema.recommendation.find(row[8]).index)
+                      for row in PUBLISHED.values())
+    assert [index for _, index in by_score] == sorted(index for _, index in by_score)
+    published = {}
+    for row in PUBLISHED.values():
+        published.setdefault(row[8], []).append(row[7])
+    assert (max(published["SSBA"]), min(published["SSA"])) == (3.53, 3.92)
+    assert (max(published["SSA"]), min(published["SSG"])) == (5.38, 5.96)
+
+    # the engine's upper step lies in the published band (5.38, 5.96],
+    # its lower step above the published band (3.53, 3.92]
+    assert all(5.38 < step <= 5.96 for step in steps[2:])
+    assert all(step > 3.92 for step in steps[:2])
+    _passed("decision steps", f"{lwa_mode} LWA")
 
 
 def _published_report(schema) -> EvaluationReport:

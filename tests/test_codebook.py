@@ -51,6 +51,24 @@ def test_recommendation_fous_in_index_order(codebook, schema):
     assert fous[4] == codebook.lookup(RECOMMENDATION, "SSVG")
 
 
+def test_word_fous_follow_term_index_order(codebook, schema):
+    by_word = {(e.parameter, e.term.code): e.fou for e in codebook.entries}
+    for ts in schema.term_sets:
+        expected = tuple(by_word[(ts.name, term.code)] for term in ts)
+        assert codebook.word_fous(ts.name) == expected
+        assert codebook.word_fous(ts.name.upper()) == expected
+    assert codebook.recommendation_fous() == codebook.word_fous(RECOMMENDATION)
+    with pytest.raises(CodebookError):
+        codebook.word_fous("No such parameter")
+
+
+def test_entry_outside_schema_rejected(codebook, schema):
+    stray = CodebookEntry("No such parameter", codebook.entries[0].term,
+                          codebook.entries[0].fou)
+    with pytest.raises(CodebookError, match="not a word of the schema"):
+        Codebook(schema, codebook.entries + (stray,))
+
+
 def test_shoulder_words_have_full_height(codebook, schema):
     for ts in list(schema.parameters) + [schema.recommendation]:
         first = codebook.lookup(ts.name, ts.terms[0].code)

@@ -122,6 +122,19 @@ def test_mixed_cardinality_batch_flags_index_methods_only(codebook, lwa_mode):
             assert again.cells[method] is first.cells[method]
 
 
+def test_codebook_of_another_schema_flags_perceptual_cells(codebook):
+    # the default codebook's time-taken words are five, the schema's three:
+    # its index order does not fit, so no perceptual word may be read from it
+    schema, _ = _mixed_schema_and_codebook(codebook)
+    records = _all_records(schema)
+    report = evaluate_batch(records, [Method.PERCEPTUAL, Method.EXTENSION_PRINCIPLE],
+                            cb=codebook, schema=schema)
+    for row in report.rows:
+        assert row.cells[Method.PERCEPTUAL].error == (
+            "the codebook was built for another schema")
+        assert row.cells[Method.EXTENSION_PRINCIPLE].error is None
+
+
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
 def test_large_batch_costs_one_evaluation_per_distinct_vector(
         monkeypatch, codebook, all_records, lwa_mode):

@@ -1,3 +1,4 @@
+import csv
 import os
 import pickle
 import subprocess
@@ -11,8 +12,7 @@ from cwwkit import (FeedbackRecord, LinguisticTerm, SchemaError, TermSet,
                     default_feedback_path, read_feedback_file,
                     resolve_feedback)
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
-                               SUBJECT_KNOWLEDGE, TIME_TAKEN,
-                               format_feedback_file)
+                               SUBJECT_KNOWLEDGE, TIME_TAKEN)
 
 SS1_WORDS = {
     TIME_TAKEN: "Small",
@@ -115,9 +115,17 @@ def test_read_sample_feedback(schema, sample_rows):
     assert resolved.indices == (4, 0, 0, 0)
 
 
-def test_feedback_file_roundtrip_is_bit_exact(schema, sample_rows):
-    original = default_feedback_path().read_text("utf-8")
-    assert format_feedback_file(sample_rows, schema) == original
+def test_read_feedback_file_matches_csv_rows(schema, sample_rows):
+    with default_feedback_path().open(encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert tuple(header) == FEEDBACK_HEADER
+    expected = [(row[0], tuple(word.strip() for word in row[1:])) for row in rows]
+    names = [param.name for param in schema.parameters]
+    got = [(raw.student_id, tuple(raw.words[name] for name in names))
+           for raw in sample_rows]
+    assert len(got) == 25
+    assert got == expected
+    assert all(list(raw.words) == names for raw in sample_rows)
 
 
 def test_feedback_file_rejects_bad_header(tmp_path):
