@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -43,6 +44,9 @@ class StoredCentroid:
     mean: float
 
     def __post_init__(self):
+        values = (self.c_l, self.c_r, self.mean)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite stored centroid in {values}")
         if abs(self.mean - 0.5 * (self.c_l + self.c_r)) > _MEAN_TOL:
             raise ValueError(
                 f"stored mean {self.mean} is not the midpoint of "
@@ -90,13 +94,6 @@ class Codebook:
                     )
         self._fous = {name: tuple(words) for name, words in slots.items()}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Codebook)
-            and self.schema == other.schema
-            and self.entries == other.entries
-        )
-
     def _term_set(self, parameter: str) -> TermSet:
         try:
             return self.schema.term_set(parameter)
@@ -117,29 +114,25 @@ class Codebook:
         """Word models of one term set, in term-index order."""
         return self._fous[self._term_set(parameter).name]
 
-    def recommendation_fous(self) -> tuple[TrapezoidIT2, ...]:
-        """Word models of the recommendation set, in index order."""
-        return self._fous[self.schema.recommendation.name]
 
-
-def load_codebook(path, schema: ParameterSchema | None = None) -> Codebook:
+def load_codebook(path) -> Codebook:
     """Parse and validate a codebook file.
 
     Raises CodebookError with the offending row number for malformed
     rows, with the word name for invariant violations, and for schema
     words without an entry.
     """
-    schema = schema or build_default_schema()
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        return _parse_codebook(handle, schema, source=str(path))
+        return _parse_codebook(handle, source=str(path))
 
 
-def loads_codebook(text: str, schema: ParameterSchema | None = None) -> Codebook:
-    schema = schema or build_default_schema()
-    return _parse_codebook(io.StringIO(text), schema, source="<string>")
+def loads_codebook(text: str) -> Codebook:
+    return _parse_codebook(io.StringIO(text), source="<string>")
 
 
-def _parse_codebook(handle, schema, source) -> Codebook:
+def _parse_codebook(handle, source) -> Codebook:
+    """Parse codebook rows against the default schema."""
+    schema = build_default_schema()
     reader = csv.reader(handle)
     try:
         header = next(reader)
@@ -192,22 +185,6 @@ def _parse_codebook(handle, schema, source) -> Codebook:
                 raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
         entries.append(CodebookEntry(ts.name, term, fou, stored))
     return Codebook(schema, entries)
-
-
-def dumps_codebook(cb: Codebook) -> str:
-    """Serialize a codebook; load(dumps(load(x))) equals load(x)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CODEBOOK_HEADER)
-    for entry in cb.entries:
-        row = [entry.parameter, entry.term.label, entry.term.code,
-               *map(repr, entry.fou.params)]
-        if entry.stored is not None:
-            row += [repr(entry.stored.c_l), repr(entry.stored.c_r), repr(entry.stored.mean)]
-        else:
-            row += ["", "", ""]
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 @lru_cache(maxsize=1)

@@ -448,14 +448,11 @@ def _cuts_to_membership(xs, alphas, lefts, rights) -> np.ndarray:
 
 
 def jaccard_similarity(fou_a, fou_b, grid: DiscretizationGrid = DEFAULT_GRID) -> float:
-    """Jaccard similarity of two FOUs over the grid, in [0, 1]."""
+    """Jaccard similarity of two FOUs over the grid, in [0, 1]: the
+    one-row case of `jaccard_similarities`."""
     ua, la = membership_samples(fou_a, grid)
     ub, lb = membership_samples(fou_b, grid)
-    numerator = float(np.minimum(ua, ub).sum() + np.minimum(la, lb).sum())
-    denominator = float(np.maximum(ua, ub).sum() + np.maximum(la, lb).sum())
-    if denominator <= 0.0:
-        raise DegenerateInputError("both FOUs are identically zero on the grid")
-    return numerator / denominator
+    return float(jaccard_similarities(ua, la, ub[None, :], lb[None, :])[0])
 
 
 def membership_stack(fous, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -474,9 +471,6 @@ def jaccard_similarities(ua: np.ndarray, la: np.ndarray,
     `ua` and `la` are the (G,) upper and lower samples of the one FOU;
     `upper` and `lower` are (k, G) samples, one row per FOU, as
     `membership_stack` returns them.
-    Each row is reduced along its contiguous axis, in the order the 1-D
-    sums of `jaccard_similarity` take, so entry j equals
-    `jaccard_similarity` of the one FOU and FOU j exactly.
     """
     numerator = np.minimum(ua, upper).sum(axis=1) + np.minimum(la, lower).sum(axis=1)
     denominator = np.maximum(ua, upper).sum(axis=1) + np.maximum(la, lower).sum(axis=1)

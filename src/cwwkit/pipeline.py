@@ -170,7 +170,8 @@ class PreparedCodebook:
     @cached_property
     def recommendation_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(k, G) upper and lower samples of the recommendation words."""
-        return membership_stack(self.cb.recommendation_fous(), self.options.grid)
+        return membership_stack(self.cb.word_fous(self.schema.recommendation.name),
+                                self.options.grid)
 
 
 def _evaluate_extension(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:

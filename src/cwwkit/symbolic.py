@@ -28,7 +28,7 @@ def sm2(w1: float, first_index: int, second_index: int, g: int) -> int:
         )
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"w1 must lie in [0, 1], got {w1}")
-    return min(g, second_index + round_half_away(w1 * (first_index - second_index)))
+    return second_index + round_half_away(w1 * (first_index - second_index))
 
 
 def sm_aggregate(indices: Sequence[int], g: int) -> int:

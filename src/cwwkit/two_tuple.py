@@ -26,11 +26,6 @@ class TwoTuple:
         if not -0.5 <= self.alpha <= 0.5:
             raise ValueError(f"alpha must lie in [-0.5, 0.5], got {self.alpha}")
 
-    @property
-    def value(self) -> float:
-        """Numeric equivalent beta of the pair."""
-        return self.term_index + self.alpha
-
 
 def aggregate_beta(indices: Sequence[int]) -> float:
     """Arithmetic mean of the input term indices."""

@@ -242,18 +242,13 @@ def resolve_feedback(
     return FeedbackRecord(student_id=student_id, choices=tuple(choices))
 
 
-def read_feedback_file(path, schema: ParameterSchema | None = None) -> list[RawFeedback]:
+def read_feedback_file(path) -> list[RawFeedback]:
     """Read a feedback batch file (see FEEDBACK_HEADER for the layout).
 
     Word resolution is deferred so that a bad word in one row does not
     abort a batch; pair with pipeline.evaluate_batch for per-row errors.
     """
-    schema = schema or build_default_schema()
-    if len(schema.parameters) != len(FEEDBACK_COLUMNS):
-        raise SchemaError(
-            "feedback files support exactly "
-            f"{len(FEEDBACK_COLUMNS)} parameters, schema has {len(schema.parameters)}"
-        )
+    schema = build_default_schema()
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:

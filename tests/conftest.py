@@ -1,4 +1,5 @@
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,12 @@ def schema():
 @pytest.fixture(scope="session")
 def codebook():
     return default_codebook()
+
+
+@pytest.fixture(scope="session")
+def codebook_text():
+    """The shipped default codebook file, verbatim."""
+    return resources.files("cwwkit.data").joinpath("codebook_default.csv").read_text("utf-8")
 
 
 @pytest.fixture(scope="session")

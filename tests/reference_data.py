@@ -39,6 +39,20 @@ test_perceptual_decision_steps:
   4.0007, 5.9315 and 5.9219. The upper step lies in the published band;
   the lower one lies at least 0.07 above it, which is why the published
   words of students 9 and 15 (score 3.92, SSA) differ from the engine's.
+
+Uniqueness over every vector, pinned by the acceptance module's
+test_uniqueness_over_every_vector (all 625 vectors, 1001-point grid):
+
+- Distinct printed (numeric, word) cells: extension 5, symbolic 5,
+  2-tuple 17, perceptual 333 (exact LWA) or 324 (paper LWA).
+- The largest group of vectors sharing one cell: 359, 259, 85, and 7
+  (exact) or 9 (paper).
+- All 625 full-precision perceptual scores are distinct in both modes.
+- On the bundled sample under the paper LWA, students 4 and 18 share
+  (5.99, SSG), with scores 5.98902 and 5.99444. In exact mode no two
+  students with different feedback share a perceptual cell. The
+  published table has 4 and 18 at (5.96, SSG) and 9 and 15 at
+  (3.92, SSA).
 """
 
 # student id -> (words, published extension tuple, published extension word,

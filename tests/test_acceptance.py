@@ -23,6 +23,7 @@ against its derived cause:
   published words is not known.
 """
 
+import collections
 import csv
 import functools
 import itertools
@@ -487,3 +488,45 @@ def test_uniqueness_tallies_of_reference_cells(schema, full_report):
     assert means["9"] != means["15"]
     assert means["2"] == means["11"]
     _passed("uniqueness note", "reference tallies reproduced, full precision exposed")
+
+
+# Over all 625 vectors on a 1001-point grid, per method: the number of
+# distinct printed (numeric, word) cells and the size of the largest
+# group of vectors sharing one. Only the perceptual cells depend on the
+# LWA mode.
+_INDEX_METHOD_CELLS = {Method.EXTENSION_PRINCIPLE: (5, 359), Method.SYMBOLIC: (5, 259),
+                       Method.TWO_TUPLE: (17, 85)}
+ENGINE_PRINTED_CELLS = {
+    "exact": {**_INDEX_METHOD_CELLS, Method.PERCEPTUAL: (333, 7)},
+    "paper": {**_INDEX_METHOD_CELLS, Method.PERCEPTUAL: (324, 9)},
+}
+
+
+@pytest.mark.parametrize("lwa_mode", LWA_MODES)
+def test_uniqueness_over_every_vector(schema, codebook, sample_rows, lwa_mode):
+    """The paper's claim that only the perceptual method gives unique
+    recommendations, over the whole input space: its full-precision
+    scores are all distinct, its printed cells are not."""
+    vectors = itertools.product(*(param.terms for param in schema.parameters))
+    records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
+    options = EvalOptions(grid=DiscretizationGrid(1001), lwa_mode=lwa_mode)
+    report = evaluate_batch(records, cb=codebook, options=options)
+    groups = uniqueness_report(report)
+    printed = {}
+    for method in report.methods:
+        cells = collections.Counter(
+            (rec.numeric_text, rec.linguistic.code)
+            for rec in (row.cells[method].recommendation for row in report.rows))
+        printed[method] = (len(cells), max(cells.values()))
+        # every vector differs, so the largest shared cell is the largest group
+        assert len(groups[method][0].students) == printed[method][1]
+    assert printed == ENGINE_PRINTED_CELLS[lwa_mode]
+    scores = {row.cells[Method.PERCEPTUAL].recommendation.score for row in report.rows}
+    assert len(scores) == 625
+
+    # the bundled sample keeps the claim in exact mode only
+    sample = evaluate_batch(sample_rows, [Method.PERCEPTUAL], codebook, options=options)
+    shared = {(grp.numeric, grp.word): set(grp.students)
+              for grp in uniqueness_report(sample)[Method.PERCEPTUAL]}
+    assert shared == ({("5.99", "SSG"): {"4", "18"}} if lwa_mode == "paper" else {})
+    _passed("uniqueness over every vector", f"{lwa_mode} LWA")

@@ -8,7 +8,7 @@ import pytest
 
 import cwwkit.codebook
 from cwwkit.cli import main
-from cwwkit.codebook import default_feedback_path, dumps_codebook
+from cwwkit.codebook import default_feedback_path
 
 
 @pytest.fixture()
@@ -35,8 +35,8 @@ class TestCodebookValidate:
         assert code == 2
         assert "FAIL" in out
 
-    def test_bad_height_reported(self, capsys, tmp_path, codebook):
-        lines = dumps_codebook(codebook).splitlines()
+    def test_bad_height_reported(self, capsys, tmp_path, codebook_text):
+        lines = codebook_text.splitlines()
         cells = lines[2].split(",")
         cells[11] = "1.5"  # lower-bound height of the second word
         lines[2] = ",".join(cells)
@@ -45,6 +45,18 @@ class TestCodebookValidate:
         code, _, err = run(capsys, "codebook", "validate", "--codebook", str(path))
         assert code == 2
         assert "height exceeds 1" in err
+
+    def test_non_finite_stored_centroid_reported(self, capsys, tmp_path, codebook_text):
+        lines = codebook_text.splitlines()
+        cells = lines[2].split(",")
+        cells[12:15] = ["nan"] * 3  # stored c_l, c_r, mean of the second word
+        lines[2] = ",".join(cells)
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "codebook", "validate", "--codebook", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:3: word 'Small': non-finite stored centroid" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "codebook", "validate", "--codebook", "/no/such.csv")
@@ -146,11 +158,11 @@ class TestEvaluate:
         assert out.count("student 1 ") == 1
 
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path, sample_feedback,
-                                        codebook):
+                                        codebook_text):
         plain_cb = tmp_path / "cb.csv"
-        plain_cb.write_text(dumps_codebook(codebook), encoding="utf-8")
+        plain_cb.write_text(codebook_text, encoding="utf-8")
         bom_cb = tmp_path / "cb_bom.csv"
-        bom_cb.write_text(dumps_codebook(codebook), encoding="utf-8-sig")
+        bom_cb.write_text(codebook_text, encoding="utf-8-sig")
         bom_feedback = tmp_path / "feedback_bom.csv"
         bom_feedback.write_text(default_feedback_path().read_text("utf-8"),
                                 encoding="utf-8-sig")
@@ -202,9 +214,10 @@ class TestEvaluate:
         assert code == 1
         assert "not found" in err
 
-    def test_env_var_codebook(self, capsys, sample_feedback, tmp_path, monkeypatch, codebook):
+    def test_env_var_codebook(self, capsys, sample_feedback, tmp_path, monkeypatch,
+                              codebook_text):
         path = tmp_path / "cb.csv"
-        path.write_text(dumps_codebook(codebook))
+        path.write_text(codebook_text)
         monkeypatch.setenv("CWWKIT_CODEBOOK", str(path))
         code, out, _ = run(capsys, "evaluate", "--feedback", sample_feedback)
         assert code == 0

@@ -20,7 +20,7 @@ from cwwkit import (Codebook, CodebookEntry, CwwError, DiscretizationGrid,
 from cwwkit.it2 import (AlphaCutTable, _cuts_to_membership, jaccard_similarities,
                         membership_samples, membership_stack)
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell, PreparedCodebook
-from cwwkit.vocabulary import LinguisticTerm, ParameterSchema, TermSet
+from cwwkit.vocabulary import RECOMMENDATION, LinguisticTerm, ParameterSchema, TermSet
 
 
 def _all_records(schema):
@@ -49,12 +49,21 @@ def _expected_cells(records, cb, options):
     return expected
 
 
+def _jaccard_oracle(fou_a, fou_b, grid):
+    """Jaccard similarity of two FOUs from 1-D sums over the grid."""
+    ua, la = membership_samples(fou_a, grid)
+    ub, lb = membership_samples(fou_b, grid)
+    numerator = float(np.minimum(ua, ub).sum() + np.minimum(la, lb).sum())
+    denominator = float(np.maximum(ua, ub).sum() + np.maximum(la, lb).sum())
+    return numerator / denominator
+
+
 @pytest.mark.parametrize("sample_count", [1001, 51])
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
 def test_vectorized_jaccard_equals_pairwise(codebook, all_records, lwa_mode,
                                             sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
-    words = codebook.recommendation_fous()
+    words = codebook.word_fous(RECOMMENDATION)
     upper, lower = membership_stack(words, grid)
     for record in all_records:
         fous = [codebook.lookup(param.name, choice.code)
@@ -62,8 +71,13 @@ def test_vectorized_jaccard_equals_pairwise(codebook, all_records, lwa_mode,
         aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
         vectorized = jaccard_similarities(
             *membership_samples(aggregate, grid), upper, lower).tolist()
-        pairwise = [jaccard_similarity(aggregate, word, grid) for word in words]
-        assert vectorized == pairwise, record.codes
+        for word, similarity in zip(words, vectorized):
+            # in both argument orders, equal bit for bit to the 1-D sums
+            expected = _jaccard_oracle(aggregate, word, grid)
+            assert _jaccard_oracle(word, aggregate, grid) == expected, record.codes
+            assert similarity == expected, record.codes
+            assert jaccard_similarity(aggregate, word, grid) == expected, record.codes
+            assert jaccard_similarity(word, aggregate, grid) == expected, record.codes
 
 
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
@@ -196,7 +210,7 @@ def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
 
 
 def test_alpha_cut_table_rejects_a_word_it_lacks(codebook):
-    words = codebook.recommendation_fous()
+    words = codebook.word_fous(RECOMMENDATION)
     table = AlphaCutTable(words[:4])
     lwa_exact(words[:4], table=table)
     with pytest.raises(ValueError, match="not in the alpha-cut table"):

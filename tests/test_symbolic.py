@@ -39,6 +39,15 @@ def test_sm2_zero_span():
         assert sm2(w1, 2, 2, 4) == 2
 
 
+@given(st.data(), st.integers(1, 1000), st.floats(0.0, 1.0))
+def test_sm2_stays_between_its_indices(data, g, w1):
+    # w1 <= 1 keeps the rounded step within first - second, so the
+    # result never needs clamping to g
+    first = data.draw(st.integers(0, g))
+    second = data.draw(st.integers(0, first))
+    assert second <= sm2(w1, first, second, g) <= first
+
+
 def test_sm2_rejects_bad_indices():
     with pytest.raises(ValueError):
         sm2(0.5, 1, 2, 4)  # second > first
