@@ -19,8 +19,7 @@ from typing import Iterable
 from .errors import CodebookError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
                   TrapezoidIT2, centroid, centroid_brute_force)
-from .vocabulary import (LinguisticTerm, ParameterSchema, TermSet,
-                         build_default_schema)
+from .vocabulary import LinguisticTerm, TermSet, build_default_schema
 
 CODEBOOK_HEADER = (
     "parameter", "label", "code",
@@ -63,10 +62,10 @@ class CodebookEntry:
 
 
 class Codebook:
-    """Immutable word-to-FOU map covering every word of a schema."""
+    """Immutable word-to-FOU map covering every word of the default schema."""
 
-    def __init__(self, schema: ParameterSchema, entries: Iterable[CodebookEntry]):
-        self.schema = schema
+    def __init__(self, entries: Iterable[CodebookEntry]):
+        self.schema = schema = build_default_schema()
         self.entries = tuple(entries)
         # per term-set name, the word models in term-index order
         slots = {ts.name: [None] * len(ts) for ts in schema.term_sets}
@@ -131,9 +130,17 @@ def loads_codebook(text: str) -> Codebook:
 
 
 def _parse_codebook(handle, source) -> Codebook:
+    reader = csv.reader(handle)
+    try:
+        entries = _codebook_entries(reader, source)
+    except csv.Error as exc:
+        raise CodebookError(f"{source}:{reader.line_num}: {exc}") from None
+    return Codebook(entries)
+
+
+def _codebook_entries(reader, source) -> list[CodebookEntry]:
     """Parse codebook rows against the default schema."""
     schema = build_default_schema()
-    reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
@@ -184,7 +191,7 @@ def _parse_codebook(handle, source) -> Codebook:
             except ValueError as exc:
                 raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
         entries.append(CodebookEntry(ts.name, term, fou, stored))
-    return Codebook(schema, entries)
+    return entries
 
 
 @lru_cache(maxsize=1)

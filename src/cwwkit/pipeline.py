@@ -119,47 +119,29 @@ class EvaluationReport:
 
 @dataclass(frozen=True, eq=False)
 class PreparedCodebook:
-    """The word-level data of one (schema, codebook, options) triple.
+    """The word-level data of one (codebook, options) pair.
 
     Every student of a batch shares it, so it is built once per
     `evaluate_batch` call. Each part is computed on first use, by the
     first method that needs it, and never changes after.
     """
 
-    schema: ParameterSchema
     cb: Codebook | None
     options: EvalOptions
 
-    @classmethod
-    def build(cls, cb: Codebook | None, schema: ParameterSchema | None,
-              options: EvalOptions) -> "PreparedCodebook":
-        schema = schema or (cb.schema if cb is not None else build_default_schema())
-        return cls(schema, cb, options)
+    @cached_property
+    def schema(self) -> ParameterSchema:
+        """The paper's fixed vocabulary, the one every codebook covers."""
+        return build_default_schema()
 
     @cached_property
-    def g(self) -> int:
-        """The largest term index, which index-based methods need every
-        term set to share."""
-        gs = {ts.g for ts in self.schema.term_sets}
-        if len(gs) != 1:
-            raise ConfigurationError(
-                "index-based methods need all term sets to share one cardinality; "
-                f"got g values {sorted(gs)}"
-            )
-        return gs.pop()
-
-    @cached_property
-    def partitions(self) -> Mapping[int, tuple[TriTuple, ...]]:
-        """Uniform triangular partition per term-set cardinality."""
-        sizes = {len(ts) for ts in self.schema.term_sets}
-        return {n: extension.uniform_triangular_partition(n) for n in sizes}
+    def partition(self) -> tuple[TriTuple, ...]:
+        """The uniform triangular partition every term set maps onto."""
+        return extension.uniform_triangular_partition(len(self.schema.recommendation))
 
     @cached_property
     def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
         """Per parameter, the word models in term-index order."""
-        if self.cb.schema != self.schema:
-            # the codebook holds its words in its own schema's index order
-            raise ConfigurationError("the codebook was built for another schema")
         return tuple(self.cb.word_fous(param.name) for param in self.schema.parameters)
 
     @cached_property
@@ -175,27 +157,21 @@ class PreparedCodebook:
 
 
 def _evaluate_extension(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
-    schema, partitions = prepared.schema, prepared.partitions
-    tuples = [
-        partitions[len(param)][choice.index]
-        for param, choice in zip(schema.parameters, fb.choices)
-    ]
-    aggregate = extension.aggregate_tri_tuples(tuples)
-    terms = partitions[len(schema.recommendation)]
+    terms = prepared.partition
+    aggregate = extension.aggregate_tri_tuples([terms[i] for i in fb.indices])
     index, _ = extension.linguistic_approximation(aggregate, terms)
     return Recommendation(
         method=Method.EXTENSION_PRINCIPLE,
         numeric=terms[index],
-        linguistic=schema.recommendation[index],
+        linguistic=prepared.schema.recommendation[index],
         score=float(terms[index].m),
         aggregate=aggregate,
     )
 
 
 def _evaluate_symbolic(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
-    g = prepared.g
     indices = symbolic.sort_terms_descending(fb.indices)
-    index = symbolic.sm_aggregate(indices, g)
+    index = symbolic.sm_aggregate(indices, prepared.schema.recommendation.g)
     return Recommendation(
         method=Method.SYMBOLIC,
         numeric=index,
@@ -205,9 +181,8 @@ def _evaluate_symbolic(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recomm
 
 
 def _evaluate_two_tuple(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
-    g = prepared.g
     beta = two_tuple.aggregate_beta(fb.indices)
-    pair = two_tuple.to_two_tuple(beta, g)
+    pair = two_tuple.to_two_tuple(beta, prepared.schema.recommendation.g)
     return Recommendation(
         method=Method.TWO_TUPLE,
         numeric=beta,
@@ -256,20 +231,19 @@ def evaluate_student(
     fb: FeedbackRecord,
     method: Method,
     cb: Codebook | None = None,
-    schema: ParameterSchema | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
     *,
     prepared: PreparedCodebook | None = None,
 ) -> Recommendation:
     """Evaluate one resolved feedback record with one method.
 
-    `prepared` is the word-level data of (cb, schema, options) and takes
-    their place when given; `evaluate_batch` passes the one it built for
-    the whole batch. Without it, it is built for this call.
+    `prepared` is the word-level data of (cb, options) and takes their
+    place when given; `evaluate_batch` passes the one it built for the
+    whole batch. Without it, it is built for this call.
     """
     method = Method(method)
     if prepared is None:
-        prepared = PreparedCodebook.build(cb, schema, options)
+        prepared = PreparedCodebook(cb, options)
     return _EVALUATORS[method](fb, prepared)
 
 
@@ -277,7 +251,6 @@ def evaluate_batch(
     feedback: Sequence[RawFeedback | FeedbackRecord],
     methods: Sequence[Method] = ALL_METHODS,
     cb: Codebook | None = None,
-    schema: ParameterSchema | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
 ) -> EvaluationReport:
     """Evaluate a batch; per-row failures are recorded, not raised.
@@ -300,14 +273,13 @@ def evaluate_batch(
         raise ConfigurationError("no methods selected")
     if Method.PERCEPTUAL in methods and cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
-    prepared = PreparedCodebook.build(cb, schema, options)
+    prepared = PreparedCodebook(cb, options)
     schema = prepared.schema
 
     memo: dict[tuple[LinguisticTerm, ...], Mapping[Method, MethodCell]] = {}
     # The index methods average with equal weights, so their cells depend
-    # only on the multiset of (cardinality, index) pairs. A perceptual
-    # cell depends on the vector: each parameter has its own words.
-    cardinalities = tuple(len(param) for param in schema.parameters)
+    # only on the multiset of term indices. A perceptual cell depends on
+    # the vector: each parameter has its own words.
     by_multiset: dict[tuple[Method, tuple], MethodCell] = {}
     first_rows: dict[str, int] = {}
     rows = []
@@ -332,7 +304,7 @@ def evaluate_batch(
         cells = memo.get(record.choices)
         if cells is None:
             evaluated = {}
-            multiset = tuple(sorted(zip(cardinalities, record.indices)))
+            multiset = tuple(sorted(record.indices))
             for method in methods:
                 if method is Method.PERCEPTUAL:
                     cell = _cell(record, method, prepared)

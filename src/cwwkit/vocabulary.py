@@ -248,28 +248,35 @@ def read_feedback_file(path) -> list[RawFeedback]:
     Word resolution is deferred so that a bad word in one row does not
     abort a batch; pair with pipeline.evaluate_batch for per-row errors.
     """
-    schema = build_default_schema()
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty feedback file") from None
-        if tuple(header) != FEEDBACK_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(FEEDBACK_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(FEEDBACK_HEADER):
-                raise SchemaError(f"{path}:{lineno}: expected {len(FEEDBACK_HEADER)} cells")
-            words = {
-                schema.parameters[i].name: row[i + 1].strip()
-                for i in range(len(FEEDBACK_COLUMNS))
-            }
-            rows.append(RawFeedback(student_id=row[0].strip(), words=words))
+            return _feedback_rows(reader, path)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _feedback_rows(reader, path) -> list[RawFeedback]:
+    schema = build_default_schema()
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty feedback file") from None
+    if tuple(header) != FEEDBACK_HEADER:
+        raise SchemaError(
+            f"{path}: expected header {','.join(FEEDBACK_HEADER)}, "
+            f"got {','.join(header)}"
+        )
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(FEEDBACK_HEADER):
+            raise SchemaError(f"{path}:{lineno}: expected {len(FEEDBACK_HEADER)} cells")
+        words = {
+            schema.parameters[i].name: row[i + 1].strip()
+            for i in range(len(FEEDBACK_COLUMNS))
+        }
+        rows.append(RawFeedback(student_id=row[0].strip(), words=words))
     return rows
 

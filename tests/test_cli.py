@@ -24,6 +24,33 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv):
+    """The CLI in a child process, so that an uncaught exception shows as
+    the interpreter's traceback and exit status."""
+    return subprocess.run(
+        [sys.executable, "-m", "cwwkit.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+@pytest.mark.parametrize("command", [("evaluate", "--feedback"),
+                                     ("codebook", "validate", "--codebook")])
+def test_oversized_cell_is_data_error(tmp_path, codebook_text, command):
+    # one cell beyond the csv module's default field limit of 131 072
+    path = tmp_path / "big.csv"
+    if command[0] == "evaluate":
+        path.write_text("student_id,time_taken,subject_knowledge,liking,preparation\n"
+                        f"1,{'S' * 200_000},SLA,AM,PM\n")
+    else:
+        path.write_text(codebook_text + "x" * 200_000 + "\n")
+    result = run_child(*command, str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"cwwkit: error: {path}:")
+    assert "field larger than field limit" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 class TestCodebookValidate:
     def test_default_codebook_passes(self, capsys):
         code, out, _ = run(capsys, "codebook", "validate")
@@ -78,6 +105,14 @@ class TestCodebookValidate:
         assert code == 2
         assert "worst delta: 1.000e-08" in out
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("sample_count, status", [(51, 2), (101, 2), (201, 0)])
+    def test_stored_centroids_verify_on_fine_grids(self, capsys, sample_count, status):
+        # the stored centroids were computed on a fine grid: coarse grids
+        # drift past the default tolerance on the shoulder words
+        code, out, _ = run(capsys, "codebook", "validate", "--grid", str(sample_count))
+        assert code == status
+        assert ("FAIL" in out) == (status == 2)
 
     @pytest.mark.parametrize("argv", [
         ("--grid", "2"), ("--grid", "1000000000"), ("--grid", "many"),
@@ -198,12 +233,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flag", ["--feedback", "--codebook", "--out"])
     def test_directory_path_is_usage_error(self, tmp_path, flag):
-        # in a child process, so that an uncaught exception shows as the
-        # interpreter's traceback and exit status
-        result = subprocess.run(
-            [sys.executable, "-m", "cwwkit.cli", "evaluate", flag, str(tmp_path)],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        result = run_child("evaluate", flag, str(tmp_path))
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr.startswith("cwwkit: error: ")

@@ -60,11 +60,11 @@ def test_word_fous_follow_term_index_order(codebook, schema):
         codebook.word_fous("No such parameter")
 
 
-def test_entry_outside_schema_rejected(codebook, schema):
+def test_entry_outside_schema_rejected(codebook):
     stray = CodebookEntry("No such parameter", codebook.entries[0].term,
                           codebook.entries[0].fou)
     with pytest.raises(CodebookError, match="not a word of the schema"):
-        Codebook(schema, codebook.entries + (stray,))
+        Codebook(codebook.entries + (stray,))
 
 
 def test_shoulder_words_have_full_height(codebook, schema):
@@ -150,9 +150,9 @@ def test_stored_mean_must_be_midpoint():
     StoredCentroid(1.0, 2.0, 1.5)
 
 
-def test_missing_stored_centroid_is_allowed(codebook, schema):
+def test_missing_stored_centroid_is_allowed(codebook):
     entries = [CodebookEntry(e.parameter, e.term, e.fou, None) for e in codebook.entries]
-    cb = Codebook(schema, entries)
+    cb = Codebook(entries)
     report = verify_stored_centroids(cb, tolerance=0.0)
     assert report.passed
     assert "no stored centroid" in report.format_text()

@@ -82,7 +82,7 @@ def test_raising_one_word_never_lowers_the_result(codebook, schema, vectors, lwa
 def test_index_methods_are_permutation_invariant(codebook, vectors, method):
     # Each term keeps its index, whichever parameter it is given for; the
     # methods see only the indices, averaged with equal weights.
-    prepared = PreparedCodebook.build(codebook, None, EvalOptions())
+    prepared = PreparedCodebook(codebook, EvalOptions())
     mismatches = []
     for choices in vectors:
         expected = evaluate_student(FeedbackRecord("v", choices), method,

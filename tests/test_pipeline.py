@@ -4,8 +4,7 @@ from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions, Method,
                     evaluate_batch, evaluate_student, rank_students,
                     resolve_feedback, uniqueness_report)
 from cwwkit.vocabulary import (LIKING, PREPARATION, SUBJECT_KNOWLEDGE,
-                               TIME_TAKEN, LinguisticTerm, ParameterSchema,
-                               RawFeedback, TermSet)
+                               TIME_TAKEN, RawFeedback)
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
                             ENGINE_PERCEPTUAL_PARAM_MODE, PUBLISHED)
 
@@ -123,16 +122,6 @@ class TestErrorHandling:
     def test_invalid_lwa_mode(self):
         with pytest.raises(ConfigurationError):
             EvalOptions(lwa_mode="bogus")
-
-    def test_mixed_cardinality_schema_rejected(self, codebook):
-        tiny = TermSet("Tiny parameter", (
-            LinguisticTerm("low", "LO", 0), LinguisticTerm("high", "HI", 1),
-        ))
-        schema = ParameterSchema(parameters=(tiny,), recommendation=TermSet(
-            "Out", tuple(LinguisticTerm(f"t{i}", f"T{i}", i) for i in range(5))))
-        record = resolve_feedback(schema, {"Tiny parameter": "LO"}, "x")
-        with pytest.raises(ConfigurationError):
-            evaluate_student(record, Method.SYMBOLIC, schema=schema)
 
 
 class TestSingleStudent:

@@ -15,22 +15,19 @@ import pytest
 import cwwkit.it2
 import cwwkit.pipeline
 from cwwkit import (Codebook, CodebookEntry, CwwError, DiscretizationGrid,
-                    EvalOptions, FeedbackRecord, Method, evaluate_batch,
-                    evaluate_student, jaccard_similarity, lwa_exact, lwa_paper)
+                    EvalOptions, FeedbackRecord, Method, TrapezoidIT2,
+                    evaluate_batch, evaluate_student, jaccard_similarity,
+                    lwa_exact, lwa_paper)
 from cwwkit.it2 import (AlphaCutTable, _cuts_to_membership, jaccard_similarities,
                         membership_samples, membership_stack)
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell, PreparedCodebook
-from cwwkit.vocabulary import RECOMMENDATION, LinguisticTerm, ParameterSchema, TermSet
-
-
-def _all_records(schema):
-    vectors = itertools.product(*(param.terms for param in schema.parameters))
-    return [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
+from cwwkit.vocabulary import RECOMMENDATION
 
 
 @pytest.fixture(scope="module")
 def all_records(schema):
-    records = _all_records(schema)
+    vectors = itertools.product(*(param.terms for param in schema.parameters))
+    records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
     assert len(records) == 625
     return records
 
@@ -98,55 +95,30 @@ def test_repeated_shuffled_batch_matches_evaluate_student(codebook, all_records,
                 row.student_id, method)
 
 
-def _mixed_schema_and_codebook(codebook):
-    """The default schema with time taken cut to 3 words, and a codebook
-    that reuses the default word models for it."""
-    schema = codebook.schema
-    kept = [schema.parameters[0][i] for i in (0, 2, 4)]
-    short = TermSet(schema.parameters[0].name, tuple(
-        LinguisticTerm(t.label, t.code, i) for i, t in enumerate(kept)))
-    mixed = ParameterSchema(parameters=(short,) + schema.parameters[1:],
-                            recommendation=schema.recommendation)
-    entries = [CodebookEntry(ts.name, term, codebook.lookup(ts.name, term.code))
-               for ts in mixed.term_sets for term in ts]
-    return mixed, Codebook(mixed, entries)
-
-
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
-def test_mixed_cardinality_batch_flags_index_methods_only(codebook, lwa_mode):
-    schema, cb = _mixed_schema_and_codebook(codebook)
+def test_repeated_vector_reuses_failed_cells(codebook, all_records, lwa_mode):
+    # every parameter word a spike between two grid samples: no aggregate
+    # has membership mass on the grid, so each perceptual cell fails
+    spike = TrapezoidIT2(*[0.105] * 8, 1.0)
+    cb = Codebook(entry if entry.parameter == RECOMMENDATION
+                  else CodebookEntry(entry.parameter, entry.term, spike)
+                  for entry in codebook.entries)
     options = EvalOptions(lwa_mode=lwa_mode)
-    records = _all_records(schema)
-    assert len(records) == 3 * 125
-    batch = records + [FeedbackRecord(f"again {r.student_id}", r.choices)
-                       for r in records]
+    batch = all_records + [FeedbackRecord(f"again {r.student_id}", r.choices)
+                           for r in all_records]
     report = evaluate_batch(batch, cb=cb, options=options)
-    expected = _expected_cells(records, cb, options)
+    expected = _expected_cells(all_records, cb, options)
     for row, record in zip(report.rows, batch):
         assert row.error is None
-        for method in (Method.SYMBOLIC, Method.TWO_TUPLE):
-            assert "share one cardinality" in row.cells[method].error
-        for method in (Method.EXTENSION_PRINCIPLE, Method.PERCEPTUAL):
-            assert row.cells[method].error is None
+        assert "no membership mass on the grid" in row.cells[Method.PERCEPTUAL].error
         for method in ALL_METHODS:
             assert row.cells[method] == expected[(method, record.choices)]
+            if method is not Method.PERCEPTUAL:
+                assert row.cells[method].error is None
     # a repeated vector reuses the first row's cells, failed ones included
-    for first, again in zip(report.rows[:len(records)], report.rows[len(records):]):
+    for first, again in zip(report.rows[:625], report.rows[625:]):
         for method in ALL_METHODS:
             assert again.cells[method] is first.cells[method]
-
-
-def test_codebook_of_another_schema_flags_perceptual_cells(codebook):
-    # the default codebook's time-taken words are five, the schema's three:
-    # its index order does not fit, so no perceptual word may be read from it
-    schema, _ = _mixed_schema_and_codebook(codebook)
-    records = _all_records(schema)
-    report = evaluate_batch(records, [Method.PERCEPTUAL, Method.EXTENSION_PRINCIPLE],
-                            cb=codebook, schema=schema)
-    for row in report.rows:
-        assert row.cells[Method.PERCEPTUAL].error == (
-            "the codebook was built for another schema")
-        assert row.cells[Method.EXTENSION_PRINCIPLE].error is None
 
 
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
@@ -196,7 +168,7 @@ def _lwa_exact_per_call(fous, grid, alpha_levels=65):
 @pytest.mark.parametrize("sample_count", [1001, 51])
 def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
-    prepared = PreparedCodebook.build(codebook, None, EvalOptions(grid=grid))
+    prepared = PreparedCodebook(codebook, EvalOptions(grid=grid))
     table = prepared.alpha_cuts
     for record in all_records:
         words = [words[choice.index]
