@@ -11,6 +11,7 @@ realizations and Jaccard similarity, all over a shared uniform grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -145,6 +146,12 @@ class DiscretizationGrid:
         xs.flags.writeable = False
         return xs
 
+    @cached_property
+    def sample_list(self) -> list[float]:
+        """`samples` as Python floats, which `bisect` searches without
+        numpy's per-call overhead."""
+        return self.samples.tolist()
+
 
 DEFAULT_GRID = DiscretizationGrid()
 
@@ -163,6 +170,15 @@ class SampledFOU:
             raise ValueError("xs, upper and lower must have equal length")
         if (self.lower - self.upper).max() > _CONTAINMENT_TOL:
             raise ValueError("lower membership exceeds upper membership")
+
+    @classmethod
+    def _contained(cls, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                   height: float) -> SampledFOU:
+        """A sampled FOU whose `lower` is `np.minimum(lower, upper)` by
+        construction, so the containment check cannot fail and is skipped."""
+        fou = cls.__new__(cls)
+        fou.xs, fou.upper, fou.lower, fou.height = xs, upper, lower, height
+        return fou
 
 
 def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +223,7 @@ class CentroidInterval:
 
 
 def _check_mass(upper: np.ndarray) -> None:
-    if float(upper.sum()) <= 0.0:
+    if float(np.add.reduce(upper)) <= 0.0:
         raise DegenerateInputError("FOU carries no membership mass on the grid")
 
 
@@ -220,8 +236,8 @@ def _check_support(fou) -> None:
             )
 
 
-def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, gap: np.ndarray,
-              left: bool) -> tuple[float, int]:
+def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
+              gap: np.ndarray, left: bool) -> tuple[float, int]:
     """Iterative switch-point search for one end of the centroid interval.
 
     The switch k counts the samples in the leading block; for the left
@@ -230,12 +246,15 @@ def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, gap: np.ndar
     converged value is recomputed from scratch so incremental updates
     cannot accumulate drift.
     """
-    n = len(xs)
+    xs, points = grid.samples, grid.sample_list
+    n = len(points)
     head, tail = (upper, lower) if left else (lower, upper)
+    add = np.add.reduce  # what `ndarray.sum` calls, without its wrapper
 
     def evaluate(switch: int) -> tuple[float, float]:
-        num = float(xs[:switch] @ head[:switch] + xs[switch:] @ tail[switch:])
-        den = float(head[:switch].sum() + tail[switch:].sum())
+        leading, trailing = head[:switch], tail[switch:]
+        num = float(xs[:switch].dot(leading) + xs[switch:].dot(trailing))
+        den = float(add(leading) + add(trailing))
         return num, den
 
     k = int(round(n / 2.4)) if left else int(round(n / 1.7))
@@ -249,14 +268,14 @@ def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, gap: np.ndar
     previous = -1
     for _ in range(n):
         y = a / b
-        k_new = int(np.searchsorted(xs, y, side="right"))
-        k_new = min(max(k_new, 1), n - 1)
+        # the first sample above y, clamped to [1, n - 1]
+        k_new = bisect_right(points, y, 1, n - 1)
         if k_new == k:
             break
         lo, hi = (k, k_new) if k_new > k else (k_new, k)
         diff = gap[lo:hi]
-        moved_mass = float(diff.sum())
-        moved_first = float(xs[lo:hi] @ diff)
+        moved_mass = float(add(diff))
+        moved_first = float(xs[lo:hi].dot(diff))
         sign = 1.0 if k_new > k else -1.0
         if not left:
             sign = -sign
@@ -288,12 +307,11 @@ def _ekm_side(xs: np.ndarray, upper: np.ndarray, lower: np.ndarray, gap: np.ndar
 def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Centroid interval by the enhanced switch-point iteration."""
     _check_support(fou)
-    xs = grid.samples
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
     gap = upper - lower
-    c_l, k_l = _ekm_side(xs, upper, lower, gap, left=True)
-    c_r, k_r = _ekm_side(xs, upper, lower, gap, left=False)
+    c_l, k_l = _ekm_side(grid, upper, lower, gap, left=True)
+    c_r, k_r = _ekm_side(grid, upper, lower, gap, left=False)
     return CentroidInterval(c_l=c_l, c_r=c_r, switch_left=k_l, switch_right=k_r)
 
 
@@ -354,12 +372,14 @@ def lwa_paper(inputs: Sequence[TrapezoidIT2]) -> TrapezoidIT2:
 class AlphaCutTable:
     """Alpha-cut endpoints of fixed word models, one column per word.
 
-    The upper cuts are (L, W) matrices over L = ALPHA_LEVELS levels and
-    W distinct words. The lower cuts depend on the aggregate's minimum
-    height, so they are built for each height on first use and kept:
-    there are at most W of them. Each column holds what `lwa_exact` computes for that
-    word, by the same formulas, so the columns it takes for its inputs
-    equal, bit for bit, the matrices it would build from them alone.
+    A set of cuts is its L = ALPHA_LEVELS levels, the same levels
+    reversed, and a (2, L, W) array of the left and right endpoints of W
+    distinct words at those levels. The upper cuts are built up front.
+    The lower cuts depend on the aggregate's minimum height, so they are
+    built for each height on first use and kept: there are at most W of
+    them. Each column holds what `lwa_exact` computes for that word, by
+    the same formulas, so the columns it takes for its inputs equal, bit
+    for bit, the arrays it would build from them alone.
     """
 
     def __init__(self, words: Sequence[TrapezoidIT2]):
@@ -368,9 +388,9 @@ class AlphaCutTable:
             self._columns.setdefault(word, len(self._columns))
         params = np.array([f.params for f in self._columns])
         a, b, c, d = params[:, :4].T
-        self.alphas_upper = np.linspace(0.0, 1.0, ALPHA_LEVELS)
-        self.upper_left = a[None, :] + self.alphas_upper[:, None] * (b - a)[None, :]
-        self.upper_right = d[None, :] - self.alphas_upper[:, None] * (d - c)[None, :]
+        alphas = np.linspace(0.0, 1.0, ALPHA_LEVELS)
+        self.upper = _cut_set(alphas, a[None, :] + alphas[:, None] * (b - a)[None, :],
+                              d[None, :] - alphas[:, None] * (d - c)[None, :])
         self._lower_params = params[:, 4:].T
         self._lower: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -382,17 +402,23 @@ class AlphaCutTable:
             raise ValueError(f"word not in the alpha-cut table: {exc.args[0]}") from None
 
     def lower_cuts(self, h_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Levels 0..h_min and the (L, W) left and right lower cuts, each
-        word's lower trapezoid cut at the same absolute level."""
+        """The cuts at levels 0..h_min, each word's lower trapezoid cut at
+        the same absolute level."""
         cuts = self._lower.get(h_min)
         if cuts is None:
             e, f, g, i_, h = self._lower_params
             alphas = np.linspace(0.0, h_min, ALPHA_LEVELS)
             frac = alphas[:, None] / h[None, :]
-            cuts = self._lower[h_min] = (alphas,
-                                         e[None, :] + frac * (f - e)[None, :],
-                                         i_[None, :] - frac * (i_ - g)[None, :])
+            cuts = self._lower[h_min] = _cut_set(alphas, e[None, :] + frac * (f - e)[None, :],
+                                                 i_[None, :] - frac * (i_ - g)[None, :])
         return cuts
+
+
+def _cut_set(alphas: np.ndarray, lefts: np.ndarray,
+             rights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The levels, the levels reversed (right edges run downwards) and the
+    (2, L, W) endpoints."""
+    return alphas, alphas[::-1].copy(), np.array([lefts, rights])
 
 
 def lwa_exact(
@@ -418,32 +444,35 @@ def lwa_exact(
         table = AlphaCutTable(inputs)
     cols = table.columns(inputs)
     w = np.full(len(cols), 1.0 / len(cols))
-    h_min = min(f.lmf_height for f in inputs)
-
-    # take() returns a C-ordered selection; `[:, cols]` returns an F-ordered
-    # one, whose `@ w` may round differently in the last bit
-    left_u = table.upper_left.take(cols, axis=1) @ w
-    right_u = table.upper_right.take(cols, axis=1) @ w
-    alphas_l, lefts_l, rights_l = table.lower_cuts(h_min)
-    left_l = lefts_l.take(cols, axis=1) @ w
-    right_l = rights_l.take(cols, axis=1) @ w
-
-    xs = grid.samples
-    upper = _cuts_to_membership(xs, table.alphas_upper, left_u, right_u)
-    lower = _cuts_to_membership(xs, alphas_l, left_l, right_l)
-    return SampledFOU(xs=xs, upper=upper, lower=np.minimum(lower, upper), height=h_min)
+    h_min = min([f.lmf_height for f in inputs])
+    upper = _cuts_to_membership(grid, table.upper, cols, w)
+    lower = _cuts_to_membership(grid, table.lower_cuts(h_min), cols, w)
+    return SampledFOU._contained(grid.samples, upper, np.minimum(lower, upper), h_min)
 
 
-def _cuts_to_membership(xs, alphas, lefts, rights) -> np.ndarray:
-    """Membership from nested cuts: mu(x) = max alpha with x inside the cut."""
-    from_left = np.interp(xs, lefts, alphas)
-    from_right = np.interp(xs, rights[::-1], alphas[::-1])
-    mu = np.minimum(from_left, from_right)
-    # pin the top plateau and the support explicitly; zero-width edges
-    # otherwise depend on how interp resolves duplicate knots (xs is sorted)
-    mu[xs.searchsorted(lefts[-1]):xs.searchsorted(rights[-1], side="right")] = alphas[-1]
-    mu[:xs.searchsorted(lefts[0])] = 0.0
-    mu[xs.searchsorted(rights[0], side="right"):] = 0.0
+def _cuts_to_membership(grid: DiscretizationGrid, cut_set, cols: list[int],
+                        w: np.ndarray) -> np.ndarray:
+    """Membership of the `w`-weighted average of the `cols` words' nested
+    cuts: mu(x) = max alpha with x inside the averaged cut."""
+    alphas, reversed_alphas, cuts = cut_set
+    # take() returns a C-ordered selection; `[..., cols]` returns an
+    # F-ordered one, whose `@ w` may round differently in the last bit
+    lefts, rights = cuts.take(cols, axis=2) @ w
+    xs, points = grid.samples, grid.sample_list
+    start = bisect_left(points, float(lefts[0]))
+    rise = bisect_left(points, float(lefts[-1]))
+    fall = bisect_right(points, float(rights[-1]))
+    stop = bisect_right(points, float(rights[0]))
+    # mu is the lower of the left-edge and right-edge interpolations, and
+    # each edge reads the top level on the other's side, so only the edges
+    # are interpolated. The plateau and the outside of the support are set
+    # explicitly; zero-width edges otherwise depend on how interp resolves
+    # duplicate knots (xs is sorted)
+    top = alphas[-1]
+    mu = np.zeros(len(points))
+    mu[start:rise] = np.minimum(np.interp(xs[start:rise], lefts, alphas), top)
+    mu[rise:fall] = top
+    mu[fall:stop] = np.minimum(np.interp(xs[fall:stop], rights[::-1], reversed_alphas), top)
     return mu
 
 
@@ -472,8 +501,9 @@ def jaccard_similarities(ua: np.ndarray, la: np.ndarray,
     `upper` and `lower` are (k, G) samples, one row per FOU, as
     `membership_stack` returns them.
     """
-    numerator = np.minimum(ua, upper).sum(axis=1) + np.minimum(la, lower).sum(axis=1)
-    denominator = np.maximum(ua, upper).sum(axis=1) + np.maximum(la, lower).sum(axis=1)
+    add = np.add.reduce  # what `ndarray.sum` calls, without its wrapper
+    numerator = add(np.minimum(ua, upper), axis=1) + add(np.minimum(la, lower), axis=1)
+    denominator = add(np.maximum(ua, upper), axis=1) + add(np.maximum(la, lower), axis=1)
     if (denominator <= 0.0).any():
         raise DegenerateInputError("both FOUs are identically zero on the grid")
     return numerator / denominator

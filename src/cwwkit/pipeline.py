@@ -208,12 +208,13 @@ def _evaluate_perceptual(fb: FeedbackRecord, prepared: PreparedCodebook) -> Reco
     interval = centroid(aggregate, grid)
     similarities = tuple(jaccard_similarities(
         aggregate.upper, aggregate.lower, *prepared.recommendation_samples).tolist())
-    index = int(np.argmax(similarities))  # argmax keeps the lowest index on ties
+    index = similarities.index(max(similarities))  # the lowest index on ties
+    score = interval.mean
     return Recommendation(
         method=Method.PERCEPTUAL,
-        numeric=round(interval.mean, 2),
+        numeric=round(score, 2),
         linguistic=prepared.schema.recommendation[index],
-        score=interval.mean,
+        score=score,
         centroid=interval,
         similarities=similarities,
     )

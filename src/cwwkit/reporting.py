@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Mapping
 
 from .pipeline import DuplicateGroup, EvaluationReport, Method
@@ -92,46 +93,108 @@ def render_csv(report: EvaluationReport, verbose: bool = False) -> str:
     return buf.getvalue()
 
 
-def _row_payload(row, methods, verbose: bool) -> dict:
-    payload: dict[str, object] = {"student_id": row.student_id}
-    payload["words"] = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
-    if row.error is not None:
-        payload["error"] = row.error
-        return payload
-    method_payload = {}
-    for method in methods:
-        cell = row.cells[method]
-        if cell.error is not None:
-            method_payload[method.value] = {"error": cell.error}
-            continue
-        rec = cell.recommendation
-        entry: dict[str, object] = {
-            "numeric": rec.numeric_text,
-            "word": rec.linguistic.code,
-            "label": rec.linguistic.label,
-        }
-        if rec.centroid is not None:
-            entry["centroid"] = [rec.centroid.c_l, rec.centroid.c_r]
-            if verbose:
-                entry["centroid_mean"] = rec.score
-                entry["similarities"] = [float(s) for s in rec.similarities]
-        if rec.two_tuple is not None:
-            entry["two_tuple"] = [rec.two_tuple.term_index, rec.two_tuple.alpha]
-        if rec.aggregate is not None:
-            entry["aggregate"] = list(rec.aggregate.as_tuple())
-        method_payload[method.value] = entry
-    payload["methods"] = method_payload
-    return payload
+# The C string encoder json.dumps uses; json.dumps(indent=2) itself runs
+# CPython's pure-Python encoder, which formatted every shared cell again.
+_json_str = json.encoder.encode_basestring_ascii
+# Keys and indents of the nested row objects, in json.dumps(indent=2) form.
+_ROW_INDENT, _ROW_KEY, _METHOD_KEY = " " * 4, "\n" + " " * 6, "\n" + " " * 8
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for a value nested at `indent`."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = "\n" + indent + "  "
+    if isinstance(value, dict):
+        items = [_json_str(key) + ": " + _json(item, indent + "  ")
+                 for key, item in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(item, indent + "  ") for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + "\n" + indent + closing
+
+
+def _cell_entry(cell, verbose: bool) -> dict:
+    if cell.error is not None:
+        return {"error": cell.error}
+    rec = cell.recommendation
+    entry: dict[str, object] = {
+        "numeric": rec.numeric_text,
+        "word": rec.linguistic.code,
+        "label": rec.linguistic.label,
+    }
+    if rec.centroid is not None:
+        entry["centroid"] = [rec.centroid.c_l, rec.centroid.c_r]
+        if verbose:
+            entry["centroid_mean"] = rec.score
+            entry["similarities"] = [float(s) for s in rec.similarities]
+    if rec.two_tuple is not None:
+        entry["two_tuple"] = [rec.two_tuple.term_index, rec.two_tuple.alpha]
+    if rec.aggregate is not None:
+        entry["aggregate"] = list(rec.aggregate.as_tuple())
+    return entry
+
+
+def _json_rows(report: EvaluationReport, verbose: bool) -> str:
+    """The report's "rows" list. Rows that repeat a feedback vector or an
+    index multiset share cell objects, so each cell's entry is formatted
+    once and spliced into every row that holds it."""
+    keys = [(method, _METHOD_KEY + _json_str(method.value) + ": ")
+            for method in report.methods]
+    entries: dict[int, str] = {}  # id(cell) -> entry; the report keeps cells alive
+    rows = []
+    for row in report.rows:
+        words = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
+        text = ("{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + ","
+                + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ",")
+        if row.error is not None:
+            text += _ROW_KEY + '"error": ' + _json_str(row.error)
+        elif not keys:
+            text += _ROW_KEY + '"methods": {}'
+        else:
+            parts = []
+            for method, key in keys:
+                cell = row.cells[method]
+                entry = entries.get(id(cell))
+                if entry is None:
+                    entry = entries[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
+                parts.append(key + entry)
+            text += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
+        rows.append(text + "\n" + _ROW_INDENT + "}")
+    if not rows:
+        return "[]"
+    return "[\n" + _ROW_INDENT + (",\n" + _ROW_INDENT).join(rows) + "\n  ]"
 
 
 def render_json(report: EvaluationReport, verbose: bool = False,
                 uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]] | None = None) -> str:
-    document: dict[str, object] = {
-        "metadata": dict(report.metadata),
-        "rows": [_row_payload(row, report.methods, verbose) for row in report.rows],
-    }
+    """The report as a JSON document, byte for byte what
+    `json.dumps(document, indent=2)` writes, newline-terminated."""
+    text = ('{\n  "metadata": ' + _json(dict(report.metadata), "  ")
+            + ',\n  "rows": ' + _json_rows(report, verbose))
     if uniqueness is not None:
-        document["uniqueness"] = {
+        text += ',\n  "uniqueness": ' + _json({
             "note": _UNIQUENESS_NOTE,
             "groups": {
                 method.value: [
@@ -145,8 +208,8 @@ def render_json(report: EvaluationReport, verbose: bool = False,
                 ]
                 for method, groups in uniqueness.items()
             },
-        }
-    return json.dumps(document, indent=2) + "\n"
+        }, "  ")
+    return text + "\n}\n"
 
 
 def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]]) -> str:

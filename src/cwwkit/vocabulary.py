@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Mapping
 
 from .errors import SchemaError, WordResolutionError
@@ -169,8 +169,14 @@ class FeedbackRecord:
         return tuple(c.code for c in self.choices)
 
 
+@cache
 def build_default_schema() -> ParameterSchema:
-    """Return the built-in five-term vocabulary for all five term sets."""
+    """Return the built-in five-term vocabulary for all five term sets.
+
+    Built once per process: the schema is immutable, so every reader,
+    codebook and batch shares it, and with it the word lookup tables the
+    first of them builds.
+    """
 
     def term_set(name, words):
         terms = tuple(

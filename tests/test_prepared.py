@@ -11,17 +11,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cwwkit.it2
 import cwwkit.pipeline
-from cwwkit import (Codebook, CodebookEntry, CwwError, DiscretizationGrid,
-                    EvalOptions, FeedbackRecord, Method, TrapezoidIT2,
-                    evaluate_batch, evaluate_student, jaccard_similarity,
-                    lwa_exact, lwa_paper)
-from cwwkit.it2 import (AlphaCutTable, _cuts_to_membership, jaccard_similarities,
-                        membership_samples, membership_stack)
+from cwwkit import (CentroidInterval, Codebook, CodebookEntry, CwwError,
+                    DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
+                    TrapezoidIT2, centroid, evaluate_batch, evaluate_student,
+                    jaccard_similarity, lwa_exact, lwa_paper)
+from cwwkit.it2 import (AlphaCutTable, jaccard_similarities, membership_samples,
+                        membership_stack, sample_fou)
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell, PreparedCodebook
 from cwwkit.vocabulary import RECOMMENDATION
+from strategies import trapezoid_it2
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,12 @@ def test_large_batch_costs_one_evaluation_per_distinct_vector(
     assert calls["membership_samples"] <= 2 * 625 + 5
 
 
+# Reference implementations of the perceptual path, each made of the numpy
+# calls the engine used before it cut its per-vector call count: scalar
+# `searchsorted`, `ndarray.sum`, `@` and interpolation over the whole grid,
+# where the engine now uses `bisect`, `np.add.reduce`, `ndarray.dot` and
+# interpolates only the cut edges. The engine must match them bit for bit.
+
 def _lwa_exact_per_call(fous, grid, alpha_levels=65):
     """`lwa_exact` as it was before the alpha-cut table: the cut matrices
     built from the inputs alone on every call."""
@@ -160,9 +168,125 @@ def _lwa_exact_per_call(fous, grid, alpha_levels=65):
     frac = alphas_l[:, None] / h[None, :]
     left_l = (e[None, :] + frac * (f - e)[None, :]) @ w
     right_l = (i_[None, :] - frac * (i_ - g)[None, :]) @ w
-    upper = _cuts_to_membership(grid.samples, alphas_u, left_u, right_u)
-    lower = _cuts_to_membership(grid.samples, alphas_l, left_l, right_l)
+    upper = _cuts_to_membership_reference(grid.samples, alphas_u, left_u, right_u)
+    lower = _cuts_to_membership_reference(grid.samples, alphas_l, left_l, right_l)
     return upper, np.minimum(lower, upper), h_min
+
+
+def _cuts_to_membership_reference(xs, alphas, lefts, rights):
+    from_left = np.interp(xs, lefts, alphas)
+    from_right = np.interp(xs, rights[::-1], alphas[::-1])
+    mu = np.minimum(from_left, from_right)
+    mu[xs.searchsorted(lefts[-1]):xs.searchsorted(rights[-1], side="right")] = alphas[-1]
+    mu[:xs.searchsorted(lefts[0])] = 0.0
+    mu[xs.searchsorted(rights[0], side="right"):] = 0.0
+    return mu
+
+
+def _ekm_side_reference(xs, upper, lower, gap, left):
+    n = len(xs)
+    head, tail = (upper, lower) if left else (lower, upper)
+
+    def evaluate(switch):
+        num = float(xs[:switch] @ head[:switch] + xs[switch:] @ tail[switch:])
+        den = float(head[:switch].sum() + tail[switch:].sum())
+        return num, den
+
+    k = int(round(n / 2.4)) if left else int(round(n / 1.7))
+    k = min(max(k, 1), n - 1)
+    a, b = evaluate(k)
+    if b <= 0.0:
+        nz = np.flatnonzero(upper)
+        k = min(max(int(nz[-1]) if left else int(nz[0]), 1), n - 1)
+        a, b = evaluate(k)
+    previous = -1
+    for _ in range(n):
+        y = a / b
+        k_new = int(np.searchsorted(xs, y, side="right"))
+        k_new = min(max(k_new, 1), n - 1)
+        if k_new == k:
+            break
+        lo, hi = (k, k_new) if k_new > k else (k_new, k)
+        diff = gap[lo:hi]
+        moved_mass = float(diff.sum())
+        moved_first = float(xs[lo:hi] @ diff)
+        sign = 1.0 if k_new > k else -1.0
+        if not left:
+            sign = -sign
+        a_new = a + sign * moved_first
+        b_new = b + sign * moved_mass
+        if b_new <= 0.0:
+            break
+        if b_new < 1e-12:
+            a_new, b_new = evaluate(k_new)
+            if b_new <= 0.0:
+                break
+        if k_new == previous:
+            num_here, den_here = evaluate(k)
+            num_there, den_there = evaluate(k_new)
+            if den_here > 0.0 and den_there > 0.0:
+                better = num_there / den_there < num_here / den_here
+                if better == left:
+                    k = k_new
+            break
+        previous, k = k, k_new
+        a, b = a_new, b_new
+    num, den = evaluate(k)
+    return num / den, k
+
+
+def _centroid_reference(xs, upper, lower):
+    gap = upper - lower
+    c_l, k_l = _ekm_side_reference(xs, upper, lower, gap, left=True)
+    c_r, k_r = _ekm_side_reference(xs, upper, lower, gap, left=False)
+    return CentroidInterval(c_l=c_l, c_r=c_r, switch_left=k_l, switch_right=k_r)
+
+
+def _jaccard_similarities_reference(ua, la, upper, lower):
+    numerator = np.minimum(ua, upper).sum(axis=1) + np.minimum(la, lower).sum(axis=1)
+    denominator = np.maximum(ua, upper).sum(axis=1) + np.maximum(la, lower).sum(axis=1)
+    return numerator / denominator
+
+
+@pytest.mark.parametrize("sample_count", [1001, 51])
+@pytest.mark.parametrize("lwa_mode", LWA_MODES)
+def test_perceptual_path_matches_reference_bit_for_bit(codebook, all_records,
+                                                       lwa_mode, sample_count):
+    grid = DiscretizationGrid(sample_count=sample_count)
+    options = EvalOptions(grid=grid, lwa_mode=lwa_mode)
+    prepared = PreparedCodebook(codebook, options)
+    report = evaluate_batch(all_records, [Method.PERCEPTUAL], codebook, options)
+    for record, row in zip(all_records, report.rows):
+        words = [words[choice.index]
+                 for words, choice in zip(prepared.parameter_fous, record.choices)]
+        if lwa_mode == "exact":
+            upper, lower, height = _lwa_exact_per_call(words, grid)
+            got = lwa_exact(words, grid=grid, table=prepared.alpha_cuts)
+            assert got.height == height
+            assert np.array_equal(got.upper, upper), record.codes
+            assert np.array_equal(got.lower, lower), record.codes
+        else:
+            aggregate = sample_fou(lwa_paper(words), grid)
+            upper, lower = aggregate.upper, aggregate.lower
+        similarities = tuple(_jaccard_similarities_reference(
+            upper, lower, *prepared.recommendation_samples).tolist())
+        rec = row.cells[Method.PERCEPTUAL].recommendation
+        assert rec.centroid == _centroid_reference(grid.samples, upper, lower), record.codes
+        assert rec.similarities == similarities, record.codes
+        assert rec.linguistic.index == int(np.argmax(similarities)), record.codes
+
+
+@pytest.mark.parametrize("sample_count", [1001, 51])
+def test_centroid_on_a_grid_sample_matches_reference(sample_count):
+    # crisp intervals centred on grid samples: the switch-point search
+    # meets a sample exactly, where searching left or right of it differs
+    grid = DiscretizationGrid(sample_count=sample_count)
+    for middle in range(1, 10):
+        for half in (0.5, 1.0):
+            lo, hi = middle - half, middle + half
+            fou = TrapezoidIT2(lo, lo, hi, hi, lo, lo, hi, hi)
+            expected = _centroid_reference(grid.samples, *membership_samples(fou, grid))
+            assert centroid(fou, grid) == expected, (lo, hi)
 
 
 @pytest.mark.parametrize("sample_count", [1001, 51])
@@ -179,6 +303,18 @@ def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
             for samples, expected in ((got.upper, upper), (got.lower, lower)):
                 assert np.array_equal(samples, expected), record.codes
                 assert samples.tobytes() == expected.tobytes(), record.codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(trapezoid_it2(), min_size=1, max_size=6),
+       sample_count=st.sampled_from([51, 1001]))
+def test_lwa_exact_matches_reference_on_any_words(words, sample_count):
+    grid = DiscretizationGrid(sample_count=sample_count)
+    upper, lower, height = _lwa_exact_per_call(words, grid)
+    got = lwa_exact(words, grid=grid)
+    assert got.height == height
+    assert np.array_equal(got.upper, upper)
+    assert np.array_equal(got.lower, lower)
 
 
 def test_alpha_cut_table_rejects_a_word_it_lacks(codebook):

@@ -1,12 +1,18 @@
 import csv
 import io
+import itertools
 import json
+import math
 
-from cwwkit import Method, evaluate_batch, uniqueness_report
-from cwwkit.reporting import (render_csv, render_json, render_ranking,
-                              render_table, render_uniqueness)
-from cwwkit.pipeline import rank_students
-from cwwkit.vocabulary import TIME_TAKEN, RawFeedback
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cwwkit import EvalOptions, FeedbackRecord, Method, evaluate_batch, uniqueness_report
+from cwwkit.reporting import (_UNIQUENESS_NOTE, render_csv, render_json,
+                              render_ranking, render_table, render_uniqueness)
+from cwwkit.pipeline import (ALL_METHODS, LWA_MODES, EvaluationReport,
+                             MethodCell, ReportRow, rank_students)
+from cwwkit.vocabulary import FEEDBACK_COLUMNS, TIME_TAKEN, RawFeedback
 
 
 def test_table_is_deterministic(full_report):
@@ -94,3 +100,113 @@ def test_ranking_text(full_report):
     lines = text.splitlines()
     assert lines[0] == "ranking by Perceptual"
     assert lines[1].startswith("  1. student 3")
+
+
+# The JSON document as `render_json` built it before it wrote the
+# document itself: one payload dict per row, dumped by json.dumps.
+def _row_payload_reference(row, methods, verbose):
+    payload = {"student_id": row.student_id}
+    payload["words"] = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
+    if row.error is not None:
+        payload["error"] = row.error
+        return payload
+    method_payload = {}
+    for method in methods:
+        cell = row.cells[method]
+        if cell.error is not None:
+            method_payload[method.value] = {"error": cell.error}
+            continue
+        rec = cell.recommendation
+        entry = {
+            "numeric": rec.numeric_text,
+            "word": rec.linguistic.code,
+            "label": rec.linguistic.label,
+        }
+        if rec.centroid is not None:
+            entry["centroid"] = [rec.centroid.c_l, rec.centroid.c_r]
+            if verbose:
+                entry["centroid_mean"] = rec.score
+                entry["similarities"] = [float(s) for s in rec.similarities]
+        if rec.two_tuple is not None:
+            entry["two_tuple"] = [rec.two_tuple.term_index, rec.two_tuple.alpha]
+        if rec.aggregate is not None:
+            entry["aggregate"] = list(rec.aggregate.as_tuple())
+        method_payload[method.value] = entry
+    payload["methods"] = method_payload
+    return payload
+
+
+def _render_json_reference(report, verbose, uniqueness):
+    document = {
+        "metadata": dict(report.metadata),
+        "rows": [_row_payload_reference(row, report.methods, verbose)
+                 for row in report.rows],
+    }
+    if uniqueness is not None:
+        document["uniqueness"] = {
+            "note": _UNIQUENESS_NOTE,
+            "groups": {
+                method.value: [
+                    {"numeric": grp.numeric, "word": grp.word,
+                     "students": list(grp.students),
+                     "distinct_feedback": grp.distinct_feedback}
+                    for grp in groups
+                ]
+                for method, groups in uniqueness.items()
+            },
+        }
+    return json.dumps(document, indent=2) + "\n"
+
+
+# any text: non-ASCII, control characters, quotes and backslashes included
+_TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _reports(draw, pool):
+    """Reports built by hand from the bundled sample's cells, with drawn
+    ids, words, errors and metadata. Rows share cell objects, as the rows
+    of a batch do."""
+    methods = tuple(draw(st.lists(st.sampled_from(ALL_METHODS), unique=True)))
+    failed = [MethodCell(error=draw(_TEXT)) for _ in range(draw(st.integers(0, 2)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        codes = draw(st.none() | st.tuples(*[_TEXT] * len(FEEDBACK_COLUMNS)))
+        if draw(st.booleans()):
+            rows.append(ReportRow(draw(_TEXT), codes, {}, error=draw(_TEXT)))
+            continue
+        cells = {method: draw(st.sampled_from(pool[method] + failed))
+                 for method in methods}
+        rows.append(ReportRow(draw(_TEXT), codes, cells))
+    metadata = draw(st.dictionaries(_TEXT, _JSON_VALUES, max_size=3))
+    return EvaluationReport(methods=methods, rows=tuple(rows), metadata=metadata)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), verbose=st.booleans())
+def test_json_equals_json_dumps_of_the_document(full_report, data, verbose):
+    pool = {method: list({id(row.cells[method]): row.cells[method]
+                          for row in full_report.rows}.values())
+            for method in ALL_METHODS}
+    report = data.draw(_reports(pool))
+    summary = uniqueness_report(report)
+    uniqueness = data.draw(st.sampled_from([None, {}, summary]))
+    assert (render_json(report, verbose, uniqueness)
+            == _render_json_reference(report, verbose, uniqueness))
+
+
+@pytest.mark.parametrize("lwa_mode", LWA_MODES)
+def test_json_of_every_vector_equals_json_dumps(codebook, schema, lwa_mode):
+    vectors = itertools.product(*(param.terms for param in schema.parameters))
+    records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
+    report = evaluate_batch(records, cb=codebook, options=EvalOptions(lwa_mode=lwa_mode))
+    summary = uniqueness_report(report)
+    for verbose in (False, True):
+        for uniqueness in (None, summary):
+            assert (render_json(report, verbose, uniqueness)
+                    == _render_json_reference(report, verbose, uniqueness))

@@ -11,8 +11,9 @@ from cwwkit import (FeedbackRecord, LinguisticTerm, SchemaError, TermSet,
                     WordResolutionError, build_default_schema,
                     default_feedback_path, read_feedback_file,
                     resolve_feedback)
+from cwwkit.cli import main
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
-                               SUBJECT_KNOWLEDGE, TIME_TAKEN)
+                               SUBJECT_KNOWLEDGE, TIME_TAKEN, ParameterSchema)
 
 SS1_WORDS = {
     TIME_TAKEN: "Small",
@@ -34,6 +35,23 @@ def test_default_schema_shape(schema):
 
 def test_default_schema_deterministic(schema):
     assert build_default_schema() == schema
+
+
+def test_default_schema_is_built_once(monkeypatch, capsys):
+    assert build_default_schema() is build_default_schema()
+    builds = []
+    post_init = ParameterSchema.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ParameterSchema, "__post_init__", counting)
+    build_default_schema.cache_clear()
+    assert main(["evaluate"]) == 0
+    assert capsys.readouterr().out
+    # the feedback reader, the codebook and the batch share one schema
+    assert len(builds) <= 1
 
 
 def test_resolve_ss1_by_labels(schema):
