@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
+from ._value import Value, set_field
 from .errors import CodebookError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
                   TrapezoidIT2, centroid, centroid_brute_force)
@@ -34,16 +34,16 @@ _MEAN_TOL = 0.01
 SCAN_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class StoredCentroid:
+class StoredCentroid(Value):
     """Centroid values a codebook row was shipped with."""
 
-    c_l: float
-    c_r: float
-    mean: float
+    _fields = ("c_l", "c_r", "mean")
 
-    def __post_init__(self):
-        values = (self.c_l, self.c_r, self.mean)
+    def __init__(self, c_l: float, c_r: float, mean: float):
+        set_field(self, "c_l", c_l)
+        set_field(self, "c_r", c_r)
+        set_field(self, "mean", mean)
+        values = (c_l, c_r, mean)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite stored centroid in {values}")
         if abs(self.mean - 0.5 * (self.c_l + self.c_r)) > _MEAN_TOL:
@@ -53,12 +53,15 @@ class StoredCentroid:
             )
 
 
-@dataclass(frozen=True)
-class CodebookEntry:
-    parameter: str
-    term: LinguisticTerm
-    fou: TrapezoidIT2
-    stored: StoredCentroid | None = None
+class CodebookEntry(Value):
+    _fields = ("parameter", "term", "fou", "stored")
+
+    def __init__(self, parameter: str, term: LinguisticTerm, fou: TrapezoidIT2,
+                 stored: StoredCentroid | None = None):
+        set_field(self, "parameter", parameter)
+        set_field(self, "term", term)
+        set_field(self, "fou", fou)
+        set_field(self, "stored", stored)
 
 
 class Codebook:
@@ -206,15 +209,18 @@ def default_feedback_path():
     return resources.files("cwwkit.data").joinpath("feedback_sample.csv")
 
 
-@dataclass(frozen=True)
-class CentroidCheck:
+class CentroidCheck(Value):
     """Recomputed-versus-stored centroid comparison for one word."""
 
-    parameter: str
-    code: str
-    recomputed: CentroidInterval
-    stored: StoredCentroid | None
-    tolerance: float
+    _fields = ("parameter", "code", "recomputed", "stored", "tolerance")
+
+    def __init__(self, parameter: str, code: str, recomputed: CentroidInterval,
+                 stored: StoredCentroid | None, tolerance: float):
+        set_field(self, "parameter", parameter)
+        set_field(self, "code", code)
+        set_field(self, "recomputed", recomputed)
+        set_field(self, "stored", stored)
+        set_field(self, "tolerance", tolerance)
 
     @property
     def delta_c_l(self) -> float | None:
@@ -235,11 +241,15 @@ class CentroidCheck:
         return self.delta_c_l <= self.tolerance and self.delta_c_r <= self.tolerance
 
 
-@dataclass(frozen=True)
-class CentroidVerification:
-    checks: tuple[CentroidCheck, ...]
-    tolerance: float
-    scan_delta: float  # worst |iterative - exhaustive scan| over all ends
+class CentroidVerification(Value):
+    _fields = ("checks", "tolerance", "scan_delta")
+
+    def __init__(self, checks: tuple[CentroidCheck, ...], tolerance: float,
+                 scan_delta: float):
+        # scan_delta: the worst |iterative - exhaustive scan| over all ends
+        set_field(self, "checks", checks)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "scan_delta", scan_delta)
 
     @property
     def passed(self) -> bool:

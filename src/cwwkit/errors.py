@@ -27,7 +27,8 @@ class CodebookError(CwwError):
 
 
 class DegenerateInputError(CwwError):
-    """A fuzzy set carries no membership mass on the evaluation grid."""
+    """A fuzzy set carries no membership mass on the evaluation grid, or an
+    aggregate of valid word models is not a valid word model."""
 
 
 class ConfigurationError(CwwError):

@@ -8,19 +8,20 @@ weighted Euclidean distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value, set_field
 
-@dataclass(frozen=True)
-class TriTuple:
+
+class TriTuple(Value):
     """Triangular membership function by left / middle / right abscissae."""
 
-    l: float
-    m: float
-    r: float
+    _fields = ("l", "m", "r")
 
-    def __post_init__(self):
+    def __init__(self, l: float, m: float, r: float):
+        set_field(self, "l", l)
+        set_field(self, "m", m)
+        set_field(self, "r", r)
         if not (self.l <= self.m <= self.r):
             raise ValueError(f"tri-tuple requires l <= m <= r, got {self}")
 

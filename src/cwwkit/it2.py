@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._value import Value, set_field
 from .errors import DegenerateInputError
 
 _CONTAINMENT_TOL = 1e-9
@@ -55,21 +56,24 @@ def _trapezoid_at(x: float, a: float, b: float, c: float, d: float,
     return 0.0
 
 
-@dataclass(frozen=True)
-class TrapezoidIT2:
+class TrapezoidIT2(Value):
     """Trapezoidal footprint of uncertainty on the evaluation scale."""
 
-    umf_a: float
-    umf_b: float
-    umf_c: float
-    umf_d: float
-    lmf_e: float
-    lmf_f: float
-    lmf_g: float
-    lmf_i: float
-    lmf_height: float = 1.0
+    _fields = ("umf_a", "umf_b", "umf_c", "umf_d",
+               "lmf_e", "lmf_f", "lmf_g", "lmf_i", "lmf_height")
 
-    def __post_init__(self):
+    def __init__(self, umf_a: float, umf_b: float, umf_c: float, umf_d: float,
+                 lmf_e: float, lmf_f: float, lmf_g: float, lmf_i: float,
+                 lmf_height: float = 1.0):
+        set_field(self, "umf_a", umf_a)
+        set_field(self, "umf_b", umf_b)
+        set_field(self, "umf_c", umf_c)
+        set_field(self, "umf_d", umf_d)
+        set_field(self, "lmf_e", lmf_e)
+        set_field(self, "lmf_f", lmf_f)
+        set_field(self, "lmf_g", lmf_g)
+        set_field(self, "lmf_i", lmf_i)
+        set_field(self, "lmf_height", lmf_height)
         values = self.params
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite FOU parameter in {values}")
@@ -125,13 +129,13 @@ DOMAIN_MIN, DOMAIN_MAX = 0.0, 10.0
 MAX_SAMPLE_COUNT = 100_001
 
 
-@dataclass(frozen=True)
-class DiscretizationGrid:
+class DiscretizationGrid(Value):
     """Uniform sampling of the evaluation scale, 3 to MAX_SAMPLE_COUNT points."""
 
-    sample_count: int = 1001
+    _fields = ("sample_count",)
 
-    def __post_init__(self):
+    def __init__(self, sample_count: int = 1001):
+        set_field(self, "sample_count", sample_count)
         if self.sample_count < 3:
             raise ValueError(f"grid needs at least 3 samples, got {self.sample_count}")
         if self.sample_count > MAX_SAMPLE_COUNT:
@@ -156,16 +160,21 @@ class DiscretizationGrid:
 DEFAULT_GRID = DiscretizationGrid()
 
 
-@dataclass
-class SampledFOU:
-    """A footprint given by paired membership arrays on a grid."""
+class SampledFOU(Value):
+    """A footprint given by paired membership arrays on a grid.
 
-    xs: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    height: float = 1.0
+    Unhashable: equality compares the arrays.
+    """
 
-    def __post_init__(self):
+    _fields = ("xs", "upper", "lower", "height")
+    __hash__ = None
+
+    def __init__(self, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                 height: float = 1.0):
+        set_field(self, "xs", xs)
+        set_field(self, "upper", upper)
+        set_field(self, "lower", lower)
+        set_field(self, "height", height)
         if not (len(self.xs) == len(self.upper) == len(self.lower)):
             raise ValueError("xs, upper and lower must have equal length")
         if (self.lower - self.upper).max() > _CONTAINMENT_TOL:
@@ -177,7 +186,10 @@ class SampledFOU:
         """A sampled FOU whose `lower` is `np.minimum(lower, upper)` by
         construction, so the containment check cannot fail and is skipped."""
         fou = cls.__new__(cls)
-        fou.xs, fou.upper, fou.lower, fou.height = xs, upper, lower, height
+        set_field(fou, "xs", xs)
+        set_field(fou, "upper", upper)
+        set_field(fou, "lower", lower)
+        set_field(fou, "height", height)
         return fou
 
 
@@ -366,7 +378,14 @@ def lwa_paper(inputs: Sequence[TrapezoidIT2]) -> TrapezoidIT2:
     w = 1.0 / len(inputs)
     columns = zip(*(f.params for f in inputs))
     # fsum keeps the aggregate exactly permutation invariant
-    return TrapezoidIT2(*(math.fsum(w * v for v in column) for column in columns))
+    params = [math.fsum(w * v for v in column) for column in columns]
+    try:
+        return TrapezoidIT2(*params)
+    except ValueError as exc:
+        # averaging keeps both trapezoids ordered and the lower support
+        # inside the upper one, but not the lower membership below the upper
+        raise DegenerateInputError(
+            f"the parameter-wise average is not a footprint: {exc}") from None
 
 
 class AlphaCutTable:
@@ -426,6 +445,7 @@ def lwa_exact(
     *,
     grid: DiscretizationGrid = DEFAULT_GRID,
     table: AlphaCutTable | None = None,
+    columns: Sequence[int] | None = None,
 ) -> SampledFOU:
     """Alpha-cut equal-weight average, sampled on the grid.
 
@@ -436,13 +456,15 @@ def lwa_exact(
 
     `table` holds the cuts of every input word, built once for a batch
     that aggregates the same words again and again; without it, one is
-    built over `inputs`. The result is the same either way.
+    built over `inputs`. `columns` are the inputs' columns in `table`,
+    for a caller that already knows them; without them, the table looks
+    each input up. The result is the same either way.
     """
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
     if table is None:
         table = AlphaCutTable(inputs)
-    cols = table.columns(inputs)
+    cols = table.columns(inputs) if columns is None else columns
     w = np.full(len(cols), 1.0 / len(cols))
     h_min = min([f.lmf_height for f in inputs])
     upper = _cuts_to_membership(grid, table.upper, cols, w)

@@ -9,7 +9,7 @@ once with the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import extension, symbolic, two_tuple
+from ._value import Value, set_field
 from .codebook import Codebook
 from .errors import ConfigurationError, CwwError
 from .extension import TriTuple
@@ -43,18 +44,18 @@ ALL_METHODS = tuple(Method)
 LWA_MODES = ("exact", "paper")
 
 
-@dataclass(frozen=True)
-class EvalOptions:
+class EvalOptions(Value):
     """Tunable evaluation settings; defaults reproduce the reference setup."""
 
-    grid: DiscretizationGrid = DEFAULT_GRID
-    lwa_mode: str = "exact"
+    _fields = ("grid", "lwa_mode")
 
-    def __post_init__(self):
-        if self.lwa_mode not in LWA_MODES:
+    def __init__(self, grid: DiscretizationGrid = DEFAULT_GRID, lwa_mode: str = "exact"):
+        if lwa_mode not in LWA_MODES:
             raise ConfigurationError(
-                f"lwa_mode must be one of {LWA_MODES}, got {self.lwa_mode!r}"
+                f"lwa_mode must be one of {LWA_MODES}, got {lwa_mode!r}"
             )
+        set_field(self, "grid", grid)
+        set_field(self, "lwa_mode", lwa_mode)
 
 
 DEFAULT_OPTIONS = EvalOptions()
@@ -94,40 +95,55 @@ class Recommendation:
         return format(self.numeric, "g")
 
 
-@dataclass(frozen=True)
-class MethodCell:
+class MethodCell(Value):
     """One report cell: a recommendation or the reason it failed."""
 
-    recommendation: Recommendation | None = None
-    error: str | None = None
+    _fields = ("recommendation", "error")
+
+    def __init__(self, recommendation: Recommendation | None = None,
+                 error: str | None = None):
+        set_field(self, "recommendation", recommendation)
+        set_field(self, "error", error)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    student_id: str
-    codes: tuple[str, ...] | None
-    cells: Mapping[Method, MethodCell] = field(default_factory=dict)
-    error: str | None = None
+class ReportRow(Value):
+    _fields = ("student_id", "codes", "cells", "error")
+
+    def __init__(self, student_id: str, codes: tuple[str, ...] | None,
+                 cells: Mapping[Method, MethodCell] | None = None,
+                 error: str | None = None):
+        set_field(self, "student_id", student_id)
+        set_field(self, "codes", codes)
+        set_field(self, "cells", {} if cells is None else cells)
+        set_field(self, "error", error)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    methods: tuple[Method, ...]
-    rows: tuple[ReportRow, ...]
-    metadata: Mapping[str, object] = field(default_factory=dict)
+class EvaluationReport(Value):
+    _fields = ("methods", "rows", "metadata")
+
+    def __init__(self, methods: tuple[Method, ...], rows: tuple[ReportRow, ...],
+                 metadata: Mapping[str, object] | None = None):
+        set_field(self, "methods", methods)
+        set_field(self, "rows", rows)
+        set_field(self, "metadata", {} if metadata is None else metadata)
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedCodebook:
+class PreparedCodebook(Value):
     """The word-level data of one (codebook, options) pair.
 
     Every student of a batch shares it, so it is built once per
     `evaluate_batch` call. Each part is computed on first use, by the
-    first method that needs it, and never changes after.
+    first method that needs it, and never changes after. Two of them are
+    equal only if they are the same object.
     """
 
-    cb: Codebook | None
-    options: EvalOptions
+    _fields = ("cb", "options")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, cb: Codebook | None, options: EvalOptions):
+        set_field(self, "cb", cb)
+        set_field(self, "options", options)
 
     @cached_property
     def schema(self) -> ParameterSchema:
@@ -148,6 +164,12 @@ class PreparedCodebook:
     def alpha_cuts(self) -> AlphaCutTable:
         """The alpha-cut endpoints of every parameter word, for `lwa_exact`."""
         return AlphaCutTable([fou for words in self.parameter_fous for fou in words])
+
+    @cached_property
+    def alpha_cut_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per parameter, each word's column of `alpha_cuts`, in term-index
+        order, so that `lwa_exact` need not look its inputs up."""
+        return tuple(tuple(self.alpha_cuts.columns(words)) for words in self.parameter_fous)
 
     @cached_property
     def recommendation_samples(self) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +226,12 @@ def _evaluate_perceptual(fb: FeedbackRecord, prepared: PreparedCodebook) -> Reco
         # sampled once: the centroid and the decode read the same arrays
         aggregate = sample_fou(lwa_paper(fous), grid)
     else:
-        aggregate = lwa_exact(fous, grid=grid, table=prepared.alpha_cuts)
+        columns = [
+            cols[choice.index]
+            for cols, choice in zip(prepared.alpha_cut_columns, fb.choices)
+        ]
+        aggregate = lwa_exact(fous, grid=grid, table=prepared.alpha_cuts,
+                              columns=columns)
     interval = centroid(aggregate, grid)
     similarities = tuple(jaccard_similarities(
         aggregate.upper, aggregate.lower, *prepared.recommendation_samples).tolist())
@@ -356,15 +383,18 @@ def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, f
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 
-@dataclass(frozen=True)
-class DuplicateGroup:
+class DuplicateGroup(Value):
     """Students sharing one (numeric, word) cell despite differing feedback."""
 
-    method: Method
-    numeric: str
-    word: str
-    students: tuple[str, ...]
-    distinct_feedback: int
+    _fields = ("method", "numeric", "word", "students", "distinct_feedback")
+
+    def __init__(self, method: Method, numeric: str, word: str,
+                 students: tuple[str, ...], distinct_feedback: int):
+        set_field(self, "method", method)
+        set_field(self, "numeric", numeric)
+        set_field(self, "word", word)
+        set_field(self, "students", students)
+        set_field(self, "distinct_feedback", distinct_feedback)
 
 
 def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateGroup, ...]]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from typing import Mapping
 
@@ -93,9 +92,10 @@ def render_csv(report: EvaluationReport, verbose: bool = False) -> str:
     return buf.getvalue()
 
 
-# The C string encoder json.dumps uses; json.dumps(indent=2) itself runs
-# CPython's pure-Python encoder, which formatted every shared cell again.
-_json_str = json.encoder.encode_basestring_ascii
+# The C string encoder json.dumps uses, bound by `render_json`, which alone
+# imports json; json.dumps(indent=2) itself runs CPython's pure-Python
+# encoder, which formatted every shared cell again.
+_json_str = None
 # Keys and indents of the nested row objects, in json.dumps(indent=2) form.
 _ROW_INDENT, _ROW_KEY, _METHOD_KEY = " " * 4, "\n" + " " * 6, "\n" + " " * 8
 
@@ -191,6 +191,10 @@ def render_json(report: EvaluationReport, verbose: bool = False,
                 uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]] | None = None) -> str:
     """The report as a JSON document, byte for byte what
     `json.dumps(document, indent=2)` writes, newline-terminated."""
+    global _json_str
+    import json  # here, so that the table and CSV formats do not load it
+
+    _json_str = json.encoder.encode_basestring_ascii
     text = ('{\n  "metadata": ' + _json(dict(report.metadata), "  ")
             + ',\n  "rows": ' + _json_rows(report, verbose))
     if uniqueness is not None:

@@ -7,20 +7,20 @@ translation alpha in [-0.5, 0.5] so that index + alpha == beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value, set_field
 from .rounding import round_half_away
 
 
-@dataclass(frozen=True)
-class TwoTuple:
+class TwoTuple(Value):
     """A term index paired with its symbolic translation."""
 
-    term_index: int
-    alpha: float
+    _fields = ("term_index", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, term_index: int, alpha: float):
+        set_field(self, "term_index", term_index)
+        set_field(self, "alpha", alpha)
         if self.term_index < 0:
             raise ValueError(f"term index must be >= 0, got {self.term_index}")
         if not -0.5 <= self.alpha <= 0.5:

@@ -9,11 +9,11 @@ construction and safe to share across concurrent evaluations.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from typing import Iterator, Mapping
 
+from ._value import Value, set_field
 from .errors import SchemaError, WordResolutionError
 
 TIME_TAKEN = "Time taken to solve the question"
@@ -36,19 +36,19 @@ class Method(str, Enum):
     PERCEPTUAL = "perceptual"
 
 
-@dataclass(frozen=True)
-class LinguisticTerm:
+class LinguisticTerm(Value):
     """One word of a term set, e.g. label 'Small' with code 'S' at index 1."""
 
-    label: str
-    code: str
-    index: int
+    _fields = ("label", "code", "index")
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"term index must be >= 0, got {self.index}")
+    def __init__(self, label: str, code: str, index: int):
+        if index < 0:
+            raise ValueError(f"term index must be >= 0, got {index}")
         # hashed once: every batch row looks its terms up in the memo
-        object.__setattr__(self, "_hash", hash((self.label, self.code, self.index)))
+        set_field(self, "label", label)
+        set_field(self, "code", code)
+        set_field(self, "index", index)
+        set_field(self, "_hash", hash((label, code, index)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -58,14 +58,14 @@ class LinguisticTerm:
         return LinguisticTerm, (self.label, self.code, self.index)
 
 
-@dataclass(frozen=True)
-class TermSet:
+class TermSet(Value):
     """Ordered vocabulary for one parameter; indices run 0..g without gaps."""
 
-    name: str
-    terms: tuple[LinguisticTerm, ...]
+    _fields = ("name", "terms")
 
-    def __post_init__(self):
+    def __init__(self, name: str, terms: tuple[LinguisticTerm, ...]):
+        set_field(self, "name", name)
+        set_field(self, "terms", terms)
         if len(self.terms) < 2:
             raise ValueError(f"term set {self.name!r} needs at least 2 terms")
         for position, term in enumerate(self.terms):
@@ -111,14 +111,14 @@ class TermSet:
         return term
 
 
-@dataclass(frozen=True)
-class ParameterSchema:
+class ParameterSchema(Value):
     """The evaluated parameters plus the recommendation term set."""
 
-    parameters: tuple[TermSet, ...]
-    recommendation: TermSet
+    _fields = ("parameters", "recommendation")
 
-    def __post_init__(self):
+    def __init__(self, parameters: tuple[TermSet, ...], recommendation: TermSet):
+        set_field(self, "parameters", parameters)
+        set_field(self, "recommendation", recommendation)
         names = [p.name.lower() for p in self.parameters]
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
@@ -145,20 +145,24 @@ class ParameterSchema:
         return ts
 
 
-@dataclass(frozen=True)
-class RawFeedback:
+class RawFeedback(Value):
     """Unresolved feedback: one word of free text per parameter name."""
 
-    student_id: str
-    words: Mapping[str, str]
+    _fields = ("student_id", "words")
+
+    def __init__(self, student_id: str, words: Mapping[str, str]):
+        set_field(self, "student_id", student_id)
+        set_field(self, "words", words)
 
 
-@dataclass(frozen=True)
-class FeedbackRecord:
+class FeedbackRecord(Value):
     """Feedback resolved against a schema: one term per parameter, in order."""
 
-    student_id: str
-    choices: tuple[LinguisticTerm, ...]
+    _fields = ("student_id", "choices")
+
+    def __init__(self, student_id: str, choices: tuple[LinguisticTerm, ...]):
+        set_field(self, "student_id", student_id)
+        set_field(self, "choices", choices)
 
     @property
     def indices(self) -> tuple[int, ...]:

@@ -295,6 +295,38 @@ class TestCompare:
         assert "uniqueness" in data
 
 
+    def test_invalid_paper_average_fails_one_cell(self, capsys, tmp_path, codebook_text):
+        # two valid words whose parameter-wise average is not a footprint
+        lines = codebook_text.splitlines()
+        for index, params in ((1, "0,1,9,10,0,1,9,10,1.0"), (6, "0,10,10,10,0,1,1,1,0.1")):
+            cells = lines[index].split(",")
+            assert cells[2] in ("VL", "SVL")
+            lines[index] = ",".join(cells[:3]) + "," + params + ",,,"
+        codebook = tmp_path / "codebook.csv"
+        codebook.write_text("\n".join(lines) + "\n")
+        feedback = tmp_path / "feedback.csv"
+        feedback.write_text("student_id,time_taken,subject_knowledge,liking,preparation\n"
+                            "1,VL,SVL,AM,PM\n2,S,SL,AM,PM\n")
+        argv = ("compare", "--lwa-mode", "paper", "--codebook", str(codebook),
+                "--feedback", str(feedback))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == ""
+        rows = out.splitlines()
+        # the perceptual columns come last
+        assert rows[1].split()[0] == "1" and rows[1].split()[-2:] == ["!", "failed"]
+        assert rows[2].split()[0] == "2" and "failed" not in rows[2]
+        assert "uniqueness summary" in out
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2
+        first, second = json.loads(out)["rows"]
+        assert "parameter-wise average is not a footprint" in (
+            first["methods"]["perceptual"]["error"])
+        assert all("error" not in first["methods"][m] for m in
+                   ("extension_principle", "symbolic", "two_tuple"))
+        assert all("error" not in cell for cell in second["methods"].values())
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run(capsys, )

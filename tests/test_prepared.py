@@ -123,6 +123,37 @@ def test_repeated_vector_reuses_failed_cells(codebook, all_records, lwa_mode):
             assert again.cells[method] is first.cells[method]
 
 
+# Two valid words whose parameter-wise average is not a footprint: its
+# lower membership exceeds its upper one at x = 1.
+PAPER_AVERAGE_FAILS = (TrapezoidIT2(0, 1, 9, 10, 0, 1, 9, 10, 1.0),
+                       TrapezoidIT2(0, 10, 10, 10, 0, 1, 1, 1, 0.1))
+
+
+def test_invalid_paper_average_fails_only_its_cell(codebook, all_records):
+    with pytest.raises(CwwError, match=r"worst gap -3\.682e-01 at x=1\.0"):
+        lwa_paper(PAPER_AVERAGE_FAILS)
+    # the first word of each of the first two parameters
+    replaced = {(param.name, 0): word
+                for param, word in zip(codebook.schema.parameters, PAPER_AVERAGE_FAILS)}
+    cb = Codebook(CodebookEntry(entry.parameter, entry.term, replaced[key])
+                  if (key := (entry.parameter, entry.term.index)) in replaced else entry
+                  for entry in codebook.entries)
+    options = EvalOptions(lwa_mode="paper")
+    report = evaluate_batch(all_records, cb=cb, options=options)
+    expected = _expected_cells(all_records, cb, options)
+    failed = 0
+    for row, record in zip(report.rows, all_records):
+        assert row.error is None
+        for method in ALL_METHODS:
+            cell = row.cells[method]
+            assert cell == expected[(method, record.choices)]
+            if cell.error is not None:
+                assert method is Method.PERCEPTUAL
+                assert "parameter-wise average is not a footprint" in cell.error
+                failed += 1
+    assert 0 < failed < len(all_records)
+
+
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
 def test_large_batch_costs_one_evaluation_per_distinct_vector(
         monkeypatch, codebook, all_records, lwa_mode):

@@ -40,13 +40,13 @@ def test_default_schema_deterministic(schema):
 def test_default_schema_is_built_once(monkeypatch, capsys):
     assert build_default_schema() is build_default_schema()
     builds = []
-    post_init = ParameterSchema.__post_init__
+    init = ParameterSchema.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         builds.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ParameterSchema, "__post_init__", counting)
+    monkeypatch.setattr(ParameterSchema, "__init__", counting)
     build_default_schema.cache_clear()
     assert main(["evaluate"]) == 0
     assert capsys.readouterr().out
