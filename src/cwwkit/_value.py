@@ -1,15 +1,10 @@
-"""The base of cwwkit's immutable records.
+"""The base of cwwkit's immutable records: `Value` implements equality,
+hashing, `repr` and immutability once, so no record type generates and
+compiles methods of its own when its module is imported."""
 
-A frozen dataclass compiles and runs generated source for each of its
-methods when its class is created, which is most of the cost of
-importing a module that defines a few of them. `Value` implements those
-methods once, over the field names each subclass lists in `_fields`.
-"""
-
-# Stores a field past `Value.__setattr__`, as a frozen dataclass's
-# `__init__` does. Unlike `self.__dict__.update`, it keeps the instance's
-# attributes in the layout instances of one class share, which takes
-# half the memory.
+# Stores a field past `Value.__setattr__`. Unlike `self.__dict__.update`,
+# it keeps the instance's attributes in the layout instances of one class
+# share, which takes half the memory.
 set_field = object.__setattr__
 
 
@@ -17,11 +12,11 @@ class Value:
     """An immutable record compared and hashed by its fields.
 
     A subclass lists its fields in `_fields` and stores each in
-    `__init__` with `set_field`. Like a frozen dataclass, an instance
-    equals only an instance of the same class with equal fields, hashes
-    as the tuple of its fields, prints as `Name(field=value, ...)` and
-    refuses assignment and deletion. It keeps a `__dict__`, which
-    `functools.cached_property` writes to.
+    `__init__` with `set_field`. An instance equals only an instance of
+    the same class with equal fields, hashes as the tuple of its fields,
+    prints as `Name(field=value, ...)` and refuses assignment and
+    deletion. It keeps a `__dict__`, which `functools.cached_property`
+    writes to.
     """
 
     __slots__ = ()

@@ -18,7 +18,7 @@ from typing import Iterable
 from ._value import Value, set_field
 from .errors import CodebookError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
-                  TrapezoidIT2, centroid, centroid_brute_force)
+                  TrapezoidIT2, _check_support, centroid, centroid_brute_force)
 from .vocabulary import LinguisticTerm, TermSet, build_default_schema
 
 CODEBOOK_HEADER = (
@@ -65,7 +65,8 @@ class CodebookEntry(Value):
 
 
 class Codebook:
-    """Immutable word-to-FOU map covering every word of the default schema."""
+    """Immutable word-to-FOU map covering every word of the default schema,
+    each word on the evaluation scale."""
 
     def __init__(self, entries: Iterable[CodebookEntry]):
         self.schema = schema = build_default_schema()
@@ -86,6 +87,11 @@ class Codebook:
                 raise CodebookError(
                     f"duplicate entry for ({entry.parameter!r}, {entry.term.code!r})"
                 )
+            try:
+                _check_support(entry.fou)
+            except ValueError as exc:
+                raise CodebookError(
+                    f"word {term.label!r} ({term.code}) of {ts.name!r}: {exc}") from None
             words[term.index] = entry.fou
         for ts in schema.term_sets:
             for term, fou in zip(ts, slots[ts.name]):

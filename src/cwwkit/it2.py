@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -166,30 +165,26 @@ class SampledFOU(Value):
     Unhashable: equality compares the arrays.
     """
 
-    _fields = ("xs", "upper", "lower", "height")
+    _fields = ("xs", "upper", "lower")
     __hash__ = None
 
-    def __init__(self, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                 height: float = 1.0):
+    def __init__(self, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray):
         set_field(self, "xs", xs)
         set_field(self, "upper", upper)
         set_field(self, "lower", lower)
-        set_field(self, "height", height)
         if not (len(self.xs) == len(self.upper) == len(self.lower)):
             raise ValueError("xs, upper and lower must have equal length")
         if (self.lower - self.upper).max() > _CONTAINMENT_TOL:
             raise ValueError("lower membership exceeds upper membership")
 
     @classmethod
-    def _contained(cls, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                   height: float) -> SampledFOU:
+    def _contained(cls, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> SampledFOU:
         """A sampled FOU whose `lower` is `np.minimum(lower, upper)` by
         construction, so the containment check cannot fail and is skipped."""
         fou = cls.__new__(cls)
         set_field(fou, "xs", xs)
         set_field(fou, "upper", upper)
         set_field(fou, "lower", lower)
-        set_field(fou, "height", height)
         return fou
 
 
@@ -217,17 +212,19 @@ def sample_fou(fou: TrapezoidIT2, grid: DiscretizationGrid) -> SampledFOU:
     decodes it; its support must lie on the grid, as `centroid` requires."""
     _check_support(fou)
     upper, lower = membership_samples(fou, grid)
-    return SampledFOU(xs=grid.samples, upper=upper, lower=lower, height=fou.lmf_height)
+    return SampledFOU(xs=grid.samples, upper=upper, lower=lower)
 
 
-@dataclass(frozen=True)
-class CentroidInterval:
+class CentroidInterval(Value):
     """Type-reduced centroid [c_l, c_r] with 1-based switch indices."""
 
-    c_l: float
-    c_r: float
-    switch_left: int
-    switch_right: int
+    _fields = ("c_l", "c_r", "switch_left", "switch_right")
+
+    def __init__(self, c_l: float, c_r: float, switch_left: int, switch_right: int):
+        set_field(self, "c_l", c_l)
+        set_field(self, "c_r", c_r)
+        set_field(self, "switch_left", switch_left)
+        set_field(self, "switch_right", switch_right)
 
     @property
     def mean(self) -> float:
@@ -389,36 +386,26 @@ def lwa_paper(inputs: Sequence[TrapezoidIT2]) -> TrapezoidIT2:
 
 
 class AlphaCutTable:
-    """Alpha-cut endpoints of fixed word models, one column per word.
+    """Alpha-cut endpoints of fixed word models, one column per word, in order.
 
     A set of cuts is its L = ALPHA_LEVELS levels, the same levels
-    reversed, and a (2, L, W) array of the left and right endpoints of W
-    distinct words at those levels. The upper cuts are built up front.
-    The lower cuts depend on the aggregate's minimum height, so they are
+    reversed, and a (2, L, W) array of the left and right endpoints of
+    the W words at those levels. The upper cuts are built up front. The
+    lower cuts depend on the aggregate's minimum height, so they are
     built for each height on first use and kept: there are at most W of
-    them. Each column holds what `lwa_exact` computes for that word, by
-    the same formulas, so the columns it takes for its inputs equal, bit
-    for bit, the arrays it would build from them alone.
+    them. Each column depends on its word alone, so the columns
+    `lwa_exact` takes from a batch's table equal, bit for bit, those of a
+    table over its inputs alone.
     """
 
     def __init__(self, words: Sequence[TrapezoidIT2]):
-        self._columns: dict[TrapezoidIT2, int] = {}
-        for word in words:
-            self._columns.setdefault(word, len(self._columns))
-        params = np.array([f.params for f in self._columns])
+        params = np.array([f.params for f in words])
         a, b, c, d = params[:, :4].T
         alphas = np.linspace(0.0, 1.0, ALPHA_LEVELS)
         self.upper = _cut_set(alphas, a[None, :] + alphas[:, None] * (b - a)[None, :],
                               d[None, :] - alphas[:, None] * (d - c)[None, :])
         self._lower_params = params[:, 4:].T
         self._lower: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def columns(self, words: Sequence[TrapezoidIT2]) -> list[int]:
-        """The column of each word, in order."""
-        try:
-            return [self._columns[word] for word in words]
-        except KeyError as exc:
-            raise ValueError(f"word not in the alpha-cut table: {exc.args[0]}") from None
 
     def lower_cuts(self, h_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cuts at levels 0..h_min, each word's lower trapezoid cut at
@@ -454,22 +441,21 @@ def lwa_exact(
     level. The resulting lower bound has the minimum input height, which
     is where this differs from `lwa_paper`.
 
-    `table` holds the cuts of every input word, built once for a batch
-    that aggregates the same words again and again; without it, one is
-    built over `inputs`. `columns` are the inputs' columns in `table`,
-    for a caller that already knows them; without them, the table looks
-    each input up. The result is the same either way.
+    Without `table`, the cuts are built over `inputs`. A batch builds one
+    `table` over all its words and passes it with the inputs' `columns`
+    in it; the result is the same.
     """
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
-    if table is None:
-        table = AlphaCutTable(inputs)
-    cols = table.columns(inputs) if columns is None else columns
-    w = np.full(len(cols), 1.0 / len(cols))
+    if table is None and columns is None:
+        table, columns = AlphaCutTable(inputs), range(len(inputs))
+    elif table is None or columns is None or len(columns) != len(inputs):
+        raise ValueError("an alpha-cut table comes with one column per input")
+    w = np.full(len(inputs), 1.0 / len(inputs))
     h_min = min([f.lmf_height for f in inputs])
-    upper = _cuts_to_membership(grid, table.upper, cols, w)
-    lower = _cuts_to_membership(grid, table.lower_cuts(h_min), cols, w)
-    return SampledFOU._contained(grid.samples, upper, np.minimum(lower, upper), h_min)
+    upper = _cuts_to_membership(grid, table.upper, columns, w)
+    lower = _cuts_to_membership(grid, table.lower_cuts(h_min), columns, w)
+    return SampledFOU._contained(grid.samples, upper, np.minimum(lower, upper))
 
 
 def _cuts_to_membership(grid: DiscretizationGrid, cut_set, cols: list[int],

@@ -9,7 +9,6 @@ once with the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -61,8 +60,7 @@ class EvalOptions(Value):
 DEFAULT_OPTIONS = EvalOptions()
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(Value):
     """Per-method evaluation outcome: a numeric payload, its score and a word.
 
     The numeric payload is method specific: the matched triangular tuple
@@ -71,17 +69,25 @@ class Recommendation:
     rounded to two decimals for perceptual computing. `score` is the
     full-precision number students are ranked by (the middle of the
     matched tuple, the index, the mean, the unrounded centroid mean).
-    The remaining fields are intermediates, each set only by its method.
+    The remaining fields are intermediates, each set only by its method;
+    `similarities` has one per recommendation word.
     """
 
-    method: Method
-    numeric: object
-    linguistic: LinguisticTerm
-    score: float
-    aggregate: TriTuple | None = None  # extension principle
-    two_tuple: TwoTuple | None = None  # 2-tuple
-    centroid: CentroidInterval | None = None  # perceptual
-    similarities: tuple[float, ...] | None = None  # perceptual, per recommendation word
+    _fields = ("method", "numeric", "linguistic", "score",
+               "aggregate", "two_tuple", "centroid", "similarities")
+
+    def __init__(self, method: Method, numeric: object, linguistic: LinguisticTerm,
+                 score: float, aggregate: TriTuple | None = None,
+                 two_tuple: TwoTuple | None = None, centroid: CentroidInterval | None = None,
+                 similarities: tuple[float, ...] | None = None):
+        set_field(self, "method", method)
+        set_field(self, "numeric", numeric)
+        set_field(self, "linguistic", linguistic)
+        set_field(self, "score", score)
+        set_field(self, "aggregate", aggregate)
+        set_field(self, "two_tuple", two_tuple)
+        set_field(self, "centroid", centroid)
+        set_field(self, "similarities", similarities)
 
     @cached_property
     def numeric_text(self) -> str:
@@ -167,9 +173,13 @@ class PreparedCodebook(Value):
 
     @cached_property
     def alpha_cut_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per parameter, each word's column of `alpha_cuts`, in term-index
-        order, so that `lwa_exact` need not look its inputs up."""
-        return tuple(tuple(self.alpha_cuts.columns(words)) for words in self.parameter_fous)
+        """Per parameter, its words' columns of `alpha_cuts` in term-index
+        order: parameter p's words follow those of parameters 0..p-1."""
+        columns, start = [], 0
+        for words in self.parameter_fous:
+            columns.append(tuple(range(start, start + len(words))))
+            start += len(words)
+        return tuple(columns)
 
     @cached_property
     def recommendation_samples(self) -> tuple[np.ndarray, np.ndarray]:

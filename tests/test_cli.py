@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +8,7 @@ import pytest
 import cwwkit.codebook
 from cwwkit.cli import main
 from cwwkit.codebook import default_feedback_path
+from cwwkit.it2 import CentroidInterval
 
 
 @pytest.fixture()
@@ -49,6 +49,22 @@ def test_oversized_cell_is_data_error(tmp_path, codebook_text, command):
     assert result.stderr.startswith(f"cwwkit: error: {path}:")
     assert "field larger than field limit" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", [("evaluate", "--lwa-mode", "exact"),
+                                     ("evaluate", "--lwa-mode", "paper"),
+                                     ("codebook", "validate")])
+def test_word_off_the_scale_fails_at_load(tmp_path, codebook_text, command):
+    # the Very Large time word reaching 50 on the 0..10 scale
+    path = tmp_path / "wide.csv"
+    path.write_text(codebook_text.replace("VLA,6.05,9.72,10.00,10.00,",
+                                          "VLA,6.05,9.72,10.00,50,"))
+    result = run_child(*command, "--codebook", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "cwwkit: error: word 'Very Large' (VLA) of 'Time taken to solve the question': "
+        "FOU support [6.05, 50.0] exceeds grid domain [0.0, 10.0]\n")
 
 
 class TestCodebookValidate:
@@ -98,7 +114,8 @@ class TestCodebookValidate:
 
         def shifted_scan(fou, grid):
             interval = scan(fou, grid)
-            return dataclasses.replace(interval, c_r=interval.c_r + 1e-8)
+            return CentroidInterval(interval.c_l, interval.c_r + 1e-8,
+                                    interval.switch_left, interval.switch_right)
 
         monkeypatch.setattr(cwwkit.codebook, "centroid_brute_force", shifted_scan)
         code, out, _ = run(capsys, "codebook", "validate")

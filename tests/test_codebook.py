@@ -144,6 +144,33 @@ def test_rejects_non_finite_stored_centroid(lines, value):
         loads_codebook("\n".join(lines) + "\n")
 
 
+def _vla_ending_at(lines, d):
+    """The codebook with the Very Large time word's support ending at `d`
+    instead of 10."""
+    row = lines[5].replace("VLA,6.05,9.72,10.00,10.00,", f"VLA,6.05,9.72,10.00,{d},")
+    assert row != lines[5]
+    lines[5] = row
+    return "\n".join(lines) + "\n"
+
+
+def test_rejects_word_off_the_scale(lines, codebook):
+    message = (r"word 'Very Large' \(VLA\) of 'Time taken to solve the question': "
+               r"FOU support \[6.05, 50.0\] exceeds grid domain \[0.0, 10.0\]")
+    with pytest.raises(CodebookError, match=message):
+        loads_codebook(_vla_ending_at(lines, "50"))
+    vla = codebook.lookup(TIME_TAKEN, "VLA")
+    wide = TrapezoidIT2(*vla.umf[:3], 50.0, *vla.params[4:])
+    entries = [CodebookEntry(e.parameter, e.term, wide if e.fou is vla else e.fou, e.stored)
+               for e in codebook.entries]
+    with pytest.raises(CodebookError, match=message):
+        Codebook(entries)
+
+
+def test_word_within_the_tolerance_of_the_scale_loads(lines):
+    cb = loads_codebook(_vla_ending_at(lines, repr(10 + 1e-10)))
+    assert cb.lookup(TIME_TAKEN, "VLA").umf_d == 10 + 1e-10
+
+
 def test_stored_mean_must_be_midpoint():
     with pytest.raises(ValueError):
         StoredCentroid(1.0, 2.0, 1.8)

@@ -14,7 +14,6 @@ here; if the change is meant to alter output, recompute the digest and
 say why in CHANGES.md.
 """
 
-import dataclasses
 import hashlib
 import itertools
 from pathlib import Path
@@ -122,7 +121,7 @@ def test_recommendation_fields_digest(codebook):
             for row in report.rows:
                 for method in report.methods:
                     rec = row.cells[method].recommendation
-                    lines.extend(repr(getattr(rec, f.name))
-                                 for f in dataclasses.fields(rec))
+                    lines.extend(repr(getattr(rec, name))
+                                 for name in rec._fields)
     assert len(lines) == 2 * 2 * 625 * 4 * 8
     assert _digest("\n".join(lines)) == RECOMMENDATION_FIELDS_SHA256

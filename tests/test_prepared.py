@@ -201,7 +201,16 @@ def _lwa_exact_per_call(fous, grid, alpha_levels=65):
     right_l = (i_[None, :] - frac * (i_ - g)[None, :]) @ w
     upper = _cuts_to_membership_reference(grid.samples, alphas_u, left_u, right_u)
     lower = _cuts_to_membership_reference(grid.samples, alphas_l, left_l, right_l)
-    return upper, np.minimum(lower, upper), h_min
+    return upper, np.minimum(lower, upper)
+
+
+def _words_and_columns(prepared, record):
+    """The record's word models and their columns of `prepared.alpha_cuts`,
+    as the pipeline passes them to `lwa_exact`."""
+    pairs = [(words[choice.index], cols[choice.index])
+             for words, cols, choice in zip(prepared.parameter_fous,
+                                            prepared.alpha_cut_columns, record.choices)]
+    return [word for word, _ in pairs], [col for _, col in pairs]
 
 
 def _cuts_to_membership_reference(xs, alphas, lefts, rights):
@@ -288,12 +297,10 @@ def test_perceptual_path_matches_reference_bit_for_bit(codebook, all_records,
     prepared = PreparedCodebook(codebook, options)
     report = evaluate_batch(all_records, [Method.PERCEPTUAL], codebook, options)
     for record, row in zip(all_records, report.rows):
-        words = [words[choice.index]
-                 for words, choice in zip(prepared.parameter_fous, record.choices)]
+        words, columns = _words_and_columns(prepared, record)
         if lwa_mode == "exact":
-            upper, lower, height = _lwa_exact_per_call(words, grid)
-            got = lwa_exact(words, grid=grid, table=prepared.alpha_cuts)
-            assert got.height == height
+            upper, lower = _lwa_exact_per_call(words, grid)
+            got = lwa_exact(words, grid=grid, table=prepared.alpha_cuts, columns=columns)
             assert np.array_equal(got.upper, upper), record.codes
             assert np.array_equal(got.lower, lower), record.codes
         else:
@@ -326,11 +333,10 @@ def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
     prepared = PreparedCodebook(codebook, EvalOptions(grid=grid))
     table = prepared.alpha_cuts
     for record in all_records:
-        words = [words[choice.index]
-                 for words, choice in zip(prepared.parameter_fous, record.choices)]
-        upper, lower, height = _lwa_exact_per_call(words, grid)
-        for got in (lwa_exact(words, grid=grid), lwa_exact(words, grid=grid, table=table)):
-            assert got.height == height
+        words, columns = _words_and_columns(prepared, record)
+        upper, lower = _lwa_exact_per_call(words, grid)
+        for got in (lwa_exact(words, grid=grid),
+                    lwa_exact(words, grid=grid, table=table, columns=columns)):
             for samples, expected in ((got.upper, upper), (got.lower, lower)):
                 assert np.array_equal(samples, expected), record.codes
                 assert samples.tobytes() == expected.tobytes(), record.codes
@@ -341,19 +347,23 @@ def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
        sample_count=st.sampled_from([51, 1001]))
 def test_lwa_exact_matches_reference_on_any_words(words, sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
-    upper, lower, height = _lwa_exact_per_call(words, grid)
+    upper, lower = _lwa_exact_per_call(words, grid)
     got = lwa_exact(words, grid=grid)
-    assert got.height == height
     assert np.array_equal(got.upper, upper)
     assert np.array_equal(got.lower, lower)
 
 
-def test_alpha_cut_table_rejects_a_word_it_lacks(codebook):
+def test_lwa_exact_takes_a_table_only_with_one_column_per_input(codebook):
     words = codebook.word_fous(RECOMMENDATION)
-    table = AlphaCutTable(words[:4])
-    lwa_exact(words[:4], table=table)
-    with pytest.raises(ValueError, match="not in the alpha-cut table"):
-        lwa_exact(words[1:], table=table)
+    table = AlphaCutTable(words)
+    expected = lwa_exact(words[1:4])
+    got = lwa_exact(words[1:4], table=table, columns=[1, 2, 3])
+    assert np.array_equal(got.upper, expected.upper)
+    assert np.array_equal(got.lower, expected.lower)
+    for misuse in ({"table": table}, {"columns": [1, 2, 3]},
+                   {"table": table, "columns": [1, 2]}):
+        with pytest.raises(ValueError, match="one column per input"):
+            lwa_exact(words[1:4], **misuse)
 
 
 def test_index_methods_cost_one_evaluation_per_index_multiset(

@@ -18,7 +18,7 @@ from cwwkit import (CentroidInterval, CodebookEntry, DiscretizationGrid,
 from cwwkit._value import Value
 from cwwkit.codebook import CentroidCheck, CentroidVerification
 from cwwkit.pipeline import (DuplicateGroup, MethodCell, PreparedCodebook,
-                             ReportRow)
+                             Recommendation, ReportRow)
 
 SMALL = LinguisticTerm("Small", "S", 0)
 LARGE = LinguisticTerm("Large", "L", 1)
@@ -54,8 +54,11 @@ TYPES = [
                     _default("lmf_height", 1.0)], True,
      (1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 2.5, 3.5, 0.5), (1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 2.5, 3.5)),
     (DiscretizationGrid, [_default("sample_count", 1001)], True, (51,), ()),
-    (SampledFOU, [*map(_no_default, ("xs", "upper", "lower")), _default("height", 1.0)],
-     False, (XS, UPPER, LOWER, 0.5), (XS, UPPER, LOWER)),
+    # one sample each: comparing one-element arrays has a truth value
+    (SampledFOU, list(map(_no_default, ("xs", "upper", "lower"))), False,
+     (XS[1:2], UPPER[1:2], LOWER[1:2]), (XS[1:2], UPPER[1:2], UPPER[1:2])),
+    (CentroidInterval, list(map(_no_default, ("c_l", "c_r", "switch_left", "switch_right"))),
+     True, (2.0, 3.0, 400, 600), (2.0, 3.0, 400, 601)),
     (TriTuple, list(map(_no_default, "lmr")), True, (0.0, 0.5, 1.0), (0.0, 0.0, 1.0)),
     (TwoTuple, list(map(_no_default, ("term_index", "alpha"))), True, (2, -0.25), (2, 0.25)),
     (LinguisticTerm, list(map(_no_default, ("label", "code", "index"))), True,
@@ -91,6 +94,11 @@ TYPES = [
     (DuplicateGroup, list(map(_no_default, ("method", "numeric", "word", "students",
                                             "distinct_feedback"))), True,
      (Method.SYMBOLIC, "1", "SSBA", ("1", "2"), 2), (Method.SYMBOLIC, "1", "SSBA", ("1", "3"), 2)),
+    (Recommendation, [*map(_no_default, ("method", "numeric", "linguistic", "score")),
+                      *(_default(name, None) for name in ("aggregate", "two_tuple", "centroid",
+                                                          "similarities"))], True,
+     (Method.PERCEPTUAL, 2.5, SMALL, 2.5, None, None, INTERVAL, (0.75, 0.25)),
+     (Method.PERCEPTUAL, 2.5, SMALL, 2.5)),
 ]
 
 
