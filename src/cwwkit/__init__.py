@@ -16,8 +16,7 @@ from .extension import (TriTuple, aggregate_tri_tuples,
                         weighted_distance)
 from .it2 import (CentroidInterval, DiscretizationGrid, SampledFOU,
                   TrapezoidIT2, centroid, centroid_brute_force,
-                  jaccard_similarity, lower_membership, lwa_exact, lwa_paper,
-                  upper_membership)
+                  jaccard_similarity, lwa_exact, lwa_paper)
 from .pipeline import (EvalOptions, EvaluationReport, Method, Recommendation,
                        evaluate_batch, evaluate_student, rank_students,
                        uniqueness_report)
@@ -40,7 +39,7 @@ __all__ = [
     "weighted_distance",
     "CentroidInterval", "DiscretizationGrid", "SampledFOU", "TrapezoidIT2",
     "centroid", "centroid_brute_force", "jaccard_similarity",
-    "lower_membership", "lwa_exact", "lwa_paper", "upper_membership",
+    "lwa_exact", "lwa_paper",
     "EvalOptions", "EvaluationReport", "Method",
     "evaluate_batch", "evaluate_student", "rank_students", "uniqueness_report",
     "sm2", "sm_aggregate", "sort_terms_descending",

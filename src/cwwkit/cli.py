@@ -146,7 +146,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _evaluate(args, methods):
-    cb = _load_codebook(args.codebook) if Method.PERCEPTUAL in methods else None
+    # an explicit codebook is validated whatever the methods; the built-in
+    # one is loaded only when the perceptual method needs it
+    explicit = args.codebook or os.environ.get(CODEBOOK_ENV)
+    needed = explicit is not None or Method.PERCEPTUAL in methods
+    cb = _load_codebook(explicit) if needed else None
     feedback = _load_feedback(args.feedback)
     options = EvalOptions(grid=args.grid, lwa_mode=args.lwa_mode)
     return evaluate_batch(feedback, methods, cb, options=options)

@@ -71,36 +71,28 @@ class Codebook:
     def __init__(self, entries: Iterable[CodebookEntry]):
         self.schema = schema = build_default_schema()
         self.entries = tuple(entries)
-        # per term-set name, the word models in term-index order
-        slots = {ts.name: [None] * len(ts) for ts in schema.term_sets}
+        # (term-set name, term) -> word model; an entry names both exactly
+        # as `_codebook_entries` builds them
+        fous = {(ts.name, term): None for ts in schema.term_sets for term in ts}
         for entry in self.entries:
-            try:
-                ts = schema.term_set(entry.parameter)
-                term = ts.find(entry.term.code)
-            except (SchemaError, WordResolutionError):
+            key = name, term = entry.parameter, entry.term
+            if key not in fous:
                 raise CodebookError(
-                    f"entry ({entry.parameter!r}, {entry.term.code!r}) "
-                    "is not a word of the schema"
-                ) from None
-            words = slots[ts.name]
-            if words[term.index] is not None:
-                raise CodebookError(
-                    f"duplicate entry for ({entry.parameter!r}, {entry.term.code!r})"
-                )
+                    f"entry ({name!r}, {term.code!r}) is not a word of the schema")
+            if fous[key] is not None:
+                raise CodebookError(f"duplicate entry for ({name!r}, {term.code!r})")
             try:
                 _check_support(entry.fou)
             except ValueError as exc:
                 raise CodebookError(
-                    f"word {term.label!r} ({term.code}) of {ts.name!r}: {exc}") from None
-            words[term.index] = entry.fou
-        for ts in schema.term_sets:
-            for term, fou in zip(ts, slots[ts.name]):
-                if fou is None:
-                    raise CodebookError(
-                        f"codebook is missing word {term.label!r} ({term.code}) "
-                        f"of {ts.name!r}"
-                    )
-        self._fous = {name: tuple(words) for name, words in slots.items()}
+                    f"word {term.label!r} ({term.code}) of {name!r}: {exc}") from None
+            fous[key] = entry.fou
+        for (name, term), fou in fous.items():
+            if fou is None:
+                raise CodebookError(
+                    f"codebook is missing word {term.label!r} ({term.code}) of {name!r}")
+        self._fous = {ts.name: tuple(fous[ts.name, term] for term in ts)
+                      for ts in schema.term_sets}
 
     def _term_set(self, parameter: str) -> TermSet:
         try:

@@ -112,14 +112,6 @@ class TrapezoidIT2(Value):
         return (self.lmf_e, self.lmf_f, self.lmf_g, self.lmf_i)
 
 
-def upper_membership(fou: TrapezoidIT2, x):
-    return _trapezoid(x, *fou.umf, 1.0)
-
-
-def lower_membership(fou: TrapezoidIT2, x):
-    return _trapezoid(x, *fou.lmf, fou.lmf_height)
-
-
 # The evaluation scale every word model of the codebook lives on.
 DOMAIN_MIN, DOMAIN_MAX = 0.0, 10.0
 
@@ -195,7 +187,7 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
     """
     if isinstance(fou, TrapezoidIT2):
         xs = grid.samples
-        return upper_membership(fou, xs), lower_membership(fou, xs)
+        return _trapezoid(xs, *fou.umf, 1.0), _trapezoid(xs, *fou.lmf, fou.lmf_height)
     if isinstance(fou, SampledFOU):
         if fou.xs is grid.samples or (len(fou.xs) == grid.sample_count
                                       and np.array_equal(fou.xs, grid.samples)):

@@ -314,11 +314,12 @@ def evaluate_batch(
     prepared = PreparedCodebook(cb, options)
     schema = prepared.schema
 
-    memo: dict[tuple[LinguisticTerm, ...], Mapping[Method, MethodCell]] = {}
-    # The index methods average with equal weights, so their cells depend
-    # only on the multiset of term indices. A perceptual cell depends on
-    # the vector: each parameter has its own words.
-    by_multiset: dict[tuple[Method, tuple], MethodCell] = {}
+    # Every method reads only term indices, so a row's cells depend only
+    # on its index vector. The index methods average with equal weights,
+    # so theirs depend only on the multiset of indices; a perceptual cell
+    # needs the vector, since each parameter has its own words.
+    memo: dict[tuple[int, ...], Mapping[Method, MethodCell]] = {}
+    by_multiset: dict[tuple[Method, tuple[int, ...]], MethodCell] = {}
     first_rows: dict[str, int] = {}
     rows = []
     for position, item in enumerate(feedback, start=1):
@@ -339,10 +340,11 @@ def evaluate_batch(
                                   codes=record.codes if record is not None else None,
                                   cells={}, error=row_error))
             continue
-        cells = memo.get(record.choices)
+        indices = record.indices
+        cells = memo.get(indices)
         if cells is None:
             evaluated = {}
-            multiset = tuple(sorted(record.indices))
+            multiset = tuple(sorted(indices))
             for method in methods:
                 if method is Method.PERCEPTUAL:
                     cell = _cell(record, method, prepared)
@@ -353,7 +355,7 @@ def evaluate_batch(
                             record, method, prepared)
                 evaluated[method] = cell
             # read-only, since every row with this vector holds the same cells
-            cells = memo[record.choices] = MappingProxyType(evaluated)
+            cells = memo[indices] = MappingProxyType(evaluated)
         rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
                               cells=cells))
 

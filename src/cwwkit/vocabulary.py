@@ -1,9 +1,11 @@
 """Linguistic vocabulary: parameters, term sets and feedback records.
 
-The default schema covers the four assessment parameters (time taken,
-subject knowledge, liking, perceived preparation) plus the recommendation
-set, each with five ordered terms. All values are immutable after
-construction and safe to share across concurrent evaluations.
+The one schema, `build_default_schema()`, covers the four assessment
+parameters (time taken, subject knowledge, liking, perceived preparation)
+plus the recommendation set, each with five ordered terms. Its invariants
+(indices 0..g, unique words and names) are tested, not checked by the
+constructors. All values are immutable after construction and safe to
+share across concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -44,18 +46,9 @@ class LinguisticTerm(Value):
     def __init__(self, label: str, code: str, index: int):
         if index < 0:
             raise ValueError(f"term index must be >= 0, got {index}")
-        # hashed once: every batch row looks its terms up in the memo
         set_field(self, "label", label)
         set_field(self, "code", code)
         set_field(self, "index", index)
-        set_field(self, "_hash", hash((label, code, index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not copied: a string's hash differs between processes
-        return LinguisticTerm, (self.label, self.code, self.index)
 
 
 class TermSet(Value):
@@ -66,18 +59,6 @@ class TermSet(Value):
     def __init__(self, name: str, terms: tuple[LinguisticTerm, ...]):
         set_field(self, "name", name)
         set_field(self, "terms", terms)
-        if len(self.terms) < 2:
-            raise ValueError(f"term set {self.name!r} needs at least 2 terms")
-        for position, term in enumerate(self.terms):
-            if term.index != position:
-                raise ValueError(
-                    f"term set {self.name!r}: term {term.code!r} has index "
-                    f"{term.index}, expected {position}"
-                )
-        labels = [t.label.lower() for t in self.terms]
-        codes = [t.code.lower() for t in self.terms]
-        if len(set(labels)) != len(labels) or len(set(codes)) != len(codes):
-            raise ValueError(f"term set {self.name!r} has duplicate labels or codes")
 
     @property
     def g(self) -> int:
@@ -119,9 +100,6 @@ class ParameterSchema(Value):
     def __init__(self, parameters: tuple[TermSet, ...], recommendation: TermSet):
         set_field(self, "parameters", parameters)
         set_field(self, "recommendation", recommendation)
-        names = [p.name.lower() for p in self.parameters]
-        if len(set(names)) != len(names):
-            raise ValueError("parameter names must be unique")
 
     @cached_property
     def term_sets(self) -> tuple[TermSet, ...]:
@@ -166,7 +144,7 @@ class FeedbackRecord(Value):
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(c.index for c in self.choices)
+        return tuple([c.index for c in self.choices])
 
     @property
     def codes(self) -> tuple[str, ...]:

@@ -40,11 +40,11 @@ from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
                     TriTuple, aggregate_beta,
                     aggregate_tri_tuples, centroid, centroid_brute_force,
                     evaluate_batch, jaccard_similarity,
-                    linguistic_approximation, lower_membership, lwa_exact,
+                    linguistic_approximation, lwa_exact,
                     lwa_paper, sm2, sm_aggregate, to_two_tuple,
-                    uniform_triangular_partition, upper_membership,
+                    uniform_triangular_partition,
                     uniqueness_report, verify_stored_centroids)
-from cwwkit.it2 import DEFAULT_GRID
+from cwwkit.it2 import DEFAULT_GRID, membership_samples
 from cwwkit.pipeline import (LWA_MODES, EvaluationReport, MethodCell,
                              Recommendation, ReportRow)
 from cwwkit.rounding import round_half_away
@@ -340,12 +340,11 @@ def test_criterion_6_centroid_oracle_equivalence():
 def test_criterion_7_invariant_suites(codebook):
     """Containment, similarity, aggregation and round-trip invariants."""
     rng = np.random.default_rng(7)
-    xs = DEFAULT_GRID.samples
     fous = [entry.fou for entry in codebook.entries]
     fous += [random_fou(rng) for _ in range(100)]
     for fou in fous:
-        gap = upper_membership(fou, xs) - lower_membership(fou, xs)
-        assert gap.min() >= -1e-9
+        upper, lower = membership_samples(fou, DEFAULT_GRID)
+        assert (upper - lower).min() >= -1e-9
 
     for _ in range(20):
         a, b = random_fou(rng), random_fou(rng)

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+import cwwkit.cli
 import cwwkit.codebook
-from cwwkit.cli import main
+from cwwkit.cli import CODEBOOK_ENV, main
 from cwwkit.codebook import default_feedback_path
 from cwwkit.it2 import CentroidInterval
 
@@ -272,6 +273,48 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--feedback", sample_feedback)
         assert code == 1
         assert "not found" in err
+
+
+# An explicit codebook is loaded and validated whatever the methods, so
+# each command that can skip the perceptual method meets every bad one.
+@pytest.mark.parametrize("command", [("evaluate", "--methods", "symbolic"),
+                                     ("compare", "--methods", "two_tuple"),
+                                     ("rank", "--method", "symbolic")],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("kind, status", [("missing", 1), ("directory", 1),
+                                          ("bad-header", 2), ("off-scale", 2),
+                                          ("missing-env", 1)])
+def test_explicit_codebook_is_checked_without_perceptual(
+        capsys, tmp_path, monkeypatch, codebook_text, command, kind, status):
+    monkeypatch.delenv(CODEBOOK_ENV, raising=False)
+    path = tmp_path / "cb.csv"
+    if kind == "directory":
+        path = tmp_path
+    elif kind == "bad-header":
+        path.write_text("nope\n1,2,3\n")
+    elif kind == "off-scale":
+        path.write_text(codebook_text.replace("VLA,6.05,9.72,10.00,10.00,",
+                                              "VLA,6.05,9.72,10.00,50,"))
+    if kind == "missing-env":
+        monkeypatch.setenv(CODEBOOK_ENV, str(path))
+        code, out, err = run(capsys, *command)
+    else:
+        code, out, err = run(capsys, *command, "--codebook", str(path))
+    assert code == status
+    assert out == ""
+    assert err.count("cwwkit: error:") == 1
+    assert "Traceback" not in err
+
+
+def test_builtin_codebook_is_loaded_only_for_perceptual(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the built-in codebook was loaded")
+
+    monkeypatch.delenv(CODEBOOK_ENV, raising=False)
+    monkeypatch.setattr(cwwkit.cli, "default_codebook", refuse)
+    code, out, _ = run(capsys, "evaluate", "--methods", "symbolic")
+    assert code == 0
+    assert out
 
 
 class TestRank:

@@ -1,9 +1,9 @@
 import pytest
 
-from cwwkit import (CodebookError, DiscretizationGrid, TrapezoidIT2,
-                    default_codebook, verify_stored_centroids)
-from cwwkit.codebook import (CODEBOOK_HEADER, Codebook, CodebookEntry,
-                             StoredCentroid, load_codebook, loads_codebook)
+from cwwkit import (CodebookError, DiscretizationGrid, LinguisticTerm,
+                    TrapezoidIT2, verify_stored_centroids)
+from cwwkit.codebook import (Codebook, CodebookEntry, StoredCentroid,
+                             load_codebook, loads_codebook)
 from cwwkit.vocabulary import RECOMMENDATION, TIME_TAKEN
 
 
@@ -65,6 +65,29 @@ def test_entry_outside_schema_rejected(codebook):
                           codebook.entries[0].fou)
     with pytest.raises(CodebookError, match="not a word of the schema"):
         Codebook(codebook.entries + (stray,))
+
+
+def _relabelled(entry):
+    term = entry.term
+    return CodebookEntry(entry.parameter, LinguisticTerm("Tiny", term.code, term.index),
+                         entry.fou)
+
+
+def _renamed(entry):
+    return CodebookEntry(entry.parameter.upper(), entry.term, entry.fou)
+
+
+# A hand-built entry names its parameter and term exactly as the parser
+# builds them.
+@pytest.mark.parametrize("edit, message", [
+    (lambda entries: (_relabelled(entries[0]),) + entries[1:], "not a word of the schema"),
+    (lambda entries: (_renamed(entries[0]),) + entries[1:], "not a word of the schema"),
+    (lambda entries: entries + entries[:1], "duplicate entry"),
+    (lambda entries: entries[1:], "is missing word 'Very little'"),
+], ids=["relabelled-term", "case-changed-parameter", "duplicate", "missing"])
+def test_hand_built_entries_rejected(codebook, edit, message):
+    with pytest.raises(CodebookError, match=message):
+        Codebook(edit(codebook.entries))
 
 
 def test_shoulder_words_have_full_height(codebook, schema):

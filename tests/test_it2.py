@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cwwkit import (CentroidInterval, DegenerateInputError, DiscretizationGrid,
                     TrapezoidIT2, centroid, centroid_brute_force,
-                    jaccard_similarity, lower_membership, lwa_exact, lwa_paper,
-                    upper_membership)
+                    jaccard_similarity, lwa_exact, lwa_paper)
 from cwwkit.it2 import (DEFAULT_GRID, MAX_SAMPLE_COUNT, SampledFOU,
                         _trapezoid, membership_samples)
 from cwwkit.vocabulary import TIME_TAKEN
@@ -35,23 +34,24 @@ SS1_WORDS = [
 
 class TestMembership:
     def test_upper_plateau_and_support(self):
-        assert upper_membership(SMALL, 2.5) == 1.0
-        assert upper_membership(SMALL, 5.0) == 0.0
-        assert upper_membership(SMALL, 1.295) == pytest.approx(0.5, abs=1e-12)
+        assert _trapezoid(2.5, *SMALL.umf, 1.0) == 1.0
+        assert _trapezoid(5.0, *SMALL.umf, 1.0) == 0.0
+        assert _trapezoid(1.295, *SMALL.umf, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_lower_plateau_and_edges(self):
-        assert lower_membership(SMALL, 2.5) == pytest.approx(0.59)
-        assert lower_membership(SMALL, 0.0) == 0.0
-        assert lower_membership(SMALL, 2.0) == pytest.approx(0.59 * 0.21 / 0.71, abs=1e-12)
+        assert _trapezoid(2.5, *SMALL.lmf, SMALL.lmf_height) == pytest.approx(0.59)
+        assert _trapezoid(0.0, *SMALL.lmf, SMALL.lmf_height) == 0.0
+        assert _trapezoid(2.0, *SMALL.lmf, SMALL.lmf_height) == pytest.approx(
+            0.59 * 0.21 / 0.71, abs=1e-12)
 
     def test_zero_width_edge_is_a_step(self):
         # left shoulder: a == b, membership at the knot takes the plateau value
-        assert upper_membership(VERY_LITTLE, 0.0) == 1.0
-        assert lower_membership(VERY_LITTLE, 0.0) == 1.0
+        assert _trapezoid(0.0, *VERY_LITTLE.umf, 1.0) == 1.0
+        assert _trapezoid(0.0, *VERY_LITTLE.lmf, VERY_LITTLE.lmf_height) == 1.0
 
     def test_vectorized_evaluation(self):
         xs = np.array([0.0, 2.5, 5.0])
-        np.testing.assert_allclose(upper_membership(SMALL, xs), [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(_trapezoid(xs, *SMALL.umf, 1.0), [0.0, 1.0, 0.0])
 
 
 def _masked_trapezoid(x, a, b, c, d, height):
@@ -267,9 +267,8 @@ class TestContainment:
     @example(FULL_EDGE_FOU)
     @example(FULL_PLATEAU_FOU)
     def test_lower_never_exceeds_upper(self, fou):
-        xs = DEFAULT_GRID.samples
-        gap = upper_membership(fou, xs) - lower_membership(fou, xs)
-        assert gap.min() >= -1e-9
+        upper, lower = membership_samples(fou, DEFAULT_GRID)
+        assert (upper - lower).min() >= -1e-9
 
 
 class TestLwaPaper:

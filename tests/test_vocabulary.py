@@ -104,19 +104,19 @@ def test_case_variants_resolve_identically(case, term_index):
         assert param.find(variant) == term
 
 
-def test_term_set_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        TermSet("x", (LinguisticTerm("a", "A", 1), LinguisticTerm("b", "B", 2)))
-
-
-def test_term_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        TermSet("x", (LinguisticTerm("a", "A", 0), LinguisticTerm("A", "B", 1)))
-
-
-def test_term_set_needs_two_terms():
-    with pytest.raises(ValueError):
-        TermSet("x", (LinguisticTerm("a", "A", 0),))
+def test_default_schema_invariants(schema):
+    """The invariants `TermSet` and `ParameterSchema` leave unchecked hold
+    for the one schema."""
+    for ts in schema.term_sets:
+        assert [term.index for term in ts] == list(range(ts.g + 1))
+        assert len(ts) >= 2
+        labels = [term.label.lower() for term in ts]
+        codes = [term.code.lower() for term in ts]
+        assert len(set(labels)) == len(labels), ts.name
+        assert len(set(codes)) == len(codes), ts.name
+    names = [param.name.lower() for param in schema.parameters]
+    assert len(set(names)) == len(names)
+    assert schema.recommendation.name.lower() not in names
 
 
 def test_feedback_record_accessors(schema):
