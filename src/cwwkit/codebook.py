@@ -3,23 +3,26 @@
 The shipped default codebook carries one trapezoidal footprint per word
 of the default schema plus the centroid values it was published with;
 stored centroids are retained purely for verification and never feed the
-computation.
+computation. A codebook also holds the data every evaluation derives
+from its words, built on first use and kept for its lifetime.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable
 
+import numpy as np
+
 from ._value import Value, set_field
 from .errors import CodebookError, SchemaError, WordResolutionError
-from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
-                  TrapezoidIT2, _check_support, centroid, centroid_brute_force)
-from .vocabulary import LinguisticTerm, TermSet, build_default_schema
+from .it2 import (DEFAULT_GRID, AlphaCutTable, CentroidInterval,
+                  DiscretizationGrid, TrapezoidIT2, _check_support, centroid,
+                  centroid_brute_force, membership_stack)
+from .vocabulary import LinguisticTerm, TermSet, build_default_schema, read_csv
 
 CODEBOOK_HEADER = (
     "parameter", "label", "code",
@@ -66,7 +69,8 @@ class CodebookEntry(Value):
 
 class Codebook:
     """Immutable word-to-FOU map covering every word of the default schema,
-    each word on the evaluation scale."""
+    each word on the evaluation scale. The word-level data the perceptual
+    method reads is built on first use and kept for the codebook's lifetime."""
 
     def __init__(self, entries: Iterable[CodebookEntry]):
         self.schema = schema = build_default_schema()
@@ -93,6 +97,7 @@ class Codebook:
                     f"codebook is missing word {term.label!r} ({term.code}) of {name!r}")
         self._fous = {ts.name: tuple(fous[ts.name, term] for term in ts)
                       for ts in schema.term_sets}
+        self._samples = None  # (grid, recommendation samples) of the last grid
 
     def _term_set(self, parameter: str) -> TermSet:
         try:
@@ -114,6 +119,36 @@ class Codebook:
         """Word models of one term set, in term-index order."""
         return self._fous[self._term_set(parameter).name]
 
+    @cached_property
+    def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
+        """Per parameter, the word models in term-index order."""
+        return tuple(self._fous[param.name] for param in self.schema.parameters)
+
+    @cached_property
+    def alpha_cuts(self) -> AlphaCutTable:
+        """The alpha-cut endpoints of every parameter word, for `lwa_exact`."""
+        return AlphaCutTable([fou for words in self.parameter_fous for fou in words])
+
+    @cached_property
+    def alpha_cut_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per parameter, its words' columns of `alpha_cuts` in term-index
+        order: parameter p's words follow those of parameters 0..p-1."""
+        columns, start = [], 0
+        for words in self.parameter_fous:
+            columns.append(tuple(range(start, start + len(words))))
+            start += len(words)
+        return tuple(columns)
+
+    def recommendation_samples(self, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
+        """(k, G) read-only upper and lower samples of the recommendation
+        words. Only the last grid's are kept, in one (grid, samples) pair
+        replaced whole, so no reader pairs a grid with another's samples."""
+        last = self._samples
+        if last is None or last[0] != grid:
+            words = self._fous[self.schema.recommendation.name]
+            last = self._samples = (grid, membership_stack(words, grid))
+        return last[1]
+
 
 def load_codebook(path) -> Codebook:
     """Parse and validate a codebook file.
@@ -131,34 +166,10 @@ def loads_codebook(text: str) -> Codebook:
 
 
 def _parse_codebook(handle, source) -> Codebook:
-    reader = csv.reader(handle)
-    try:
-        entries = _codebook_entries(reader, source)
-    except csv.Error as exc:
-        raise CodebookError(f"{source}:{reader.line_num}: {exc}") from None
-    return Codebook(entries)
-
-
-def _codebook_entries(reader, source) -> list[CodebookEntry]:
     """Parse codebook rows against the default schema."""
     schema = build_default_schema()
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CodebookError(f"{source}: empty codebook file") from None
-    if tuple(header) != CODEBOOK_HEADER:
-        raise CodebookError(
-            f"{source}: expected header {','.join(CODEBOOK_HEADER)}, "
-            f"got {','.join(header)}"
-        )
     entries = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CODEBOOK_HEADER):
-            raise CodebookError(
-                f"{source}:{lineno}: expected {len(CODEBOOK_HEADER)} cells, got {len(row)}"
-            )
+    for lineno, row in read_csv(handle, source, CODEBOOK_HEADER, CodebookError):
         parameter, label, code = (cell.strip() for cell in row[:3])
         try:
             ts = schema.term_set(parameter)
@@ -192,7 +203,7 @@ def _codebook_entries(reader, source) -> list[CodebookEntry]:
             except ValueError as exc:
                 raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
         entries.append(CodebookEntry(ts.name, term, fou, stored))
-    return entries
+    return Codebook(entries)
 
 
 @lru_cache(maxsize=1)

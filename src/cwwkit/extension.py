@@ -8,6 +8,7 @@ weighted Euclidean distance.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Sequence
 
 from ._value import Value, set_field
@@ -34,11 +35,13 @@ class TriTuple(Value):
 DISTANCE_WEIGHTS = (0.2, 0.6, 0.2)
 
 
+@cache
 def uniform_triangular_partition(cardinality: int) -> tuple[TriTuple, ...]:
     """Tri-tuples of a uniform partition with term middles at i/g.
 
     Interior terms span ((i-1)/g, i/g, (i+1)/g); the end terms are
-    shoulders pinned to the domain boundary.
+    shoulders pinned to the domain boundary. Built once per cardinality:
+    the tuple and its tri-tuples are immutable, so every caller shares it.
     """
     if cardinality < 2:
         raise ValueError(f"partition needs cardinality >= 2, got {cardinality}")

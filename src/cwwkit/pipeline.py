@@ -1,10 +1,10 @@
 """Per-student evaluation across the four methods, ranking and uniqueness.
 
 Students are independent work units; all shared inputs (schema, codebook,
-grid) are immutable, and report rows preserve input order. A batch
-prepares its word-level data once, evaluates each distinct feedback
-vector once with the perceptual method and each multiset of term indices
-once with the others.
+grid) are immutable, and report rows preserve input order. The codebook
+holds the word-level data every student shares; a batch evaluates each
+distinct feedback vector once with the perceptual method and each
+multiset of term indices once with the others.
 """
 
 from __future__ import annotations
@@ -13,24 +13,20 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import extension, symbolic, two_tuple
 from ._value import Value, set_field
 from .codebook import Codebook
 from .errors import ConfigurationError, CwwError
 from .extension import TriTuple
-from .it2 import (DEFAULT_GRID, DOMAIN_MAX, DOMAIN_MIN, AlphaCutTable,
-                  CentroidInterval, DiscretizationGrid, TrapezoidIT2, centroid,
-                  jaccard_similarities, lwa_exact, lwa_paper, membership_stack,
-                  sample_fou)
+from .it2 import (DEFAULT_GRID, DOMAIN_MAX, DOMAIN_MIN, CentroidInterval,
+                  DiscretizationGrid, centroid, jaccard_similarities, lwa_exact,
+                  lwa_paper, sample_fou)
 # Not called here, but kept importable from this module: the benchmark's
 # tracer (benchmarks/tracing.py) wraps it under this name.
 from .it2 import jaccard_similarity  # noqa: F401
 from .two_tuple import TwoTuple
-from .vocabulary import (FeedbackRecord, LinguisticTerm, Method,
-                         ParameterSchema, RawFeedback, build_default_schema,
-                         resolve_feedback)
+from .vocabulary import (FeedbackRecord, LinguisticTerm, Method, RawFeedback,
+                         build_default_schema, resolve_feedback)
 
 ALL_METHODS = tuple(Method)
 
@@ -134,123 +130,75 @@ class EvaluationReport(Value):
         set_field(self, "metadata", {} if metadata is None else metadata)
 
 
-class PreparedCodebook(Value):
-    """The word-level data of one (codebook, options) pair.
-
-    Every student of a batch shares it, so it is built once per
-    `evaluate_batch` call. Each part is computed on first use, by the
-    first method that needs it, and never changes after. Two of them are
-    equal only if they are the same object.
-    """
-
-    _fields = ("cb", "options")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, cb: Codebook | None, options: EvalOptions):
-        set_field(self, "cb", cb)
-        set_field(self, "options", options)
-
-    @cached_property
-    def schema(self) -> ParameterSchema:
-        """The paper's fixed vocabulary, the one every codebook covers."""
-        return build_default_schema()
-
-    @cached_property
-    def partition(self) -> tuple[TriTuple, ...]:
-        """The uniform triangular partition every term set maps onto."""
-        return extension.uniform_triangular_partition(len(self.schema.recommendation))
-
-    @cached_property
-    def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
-        """Per parameter, the word models in term-index order."""
-        return tuple(self.cb.word_fous(param.name) for param in self.schema.parameters)
-
-    @cached_property
-    def alpha_cuts(self) -> AlphaCutTable:
-        """The alpha-cut endpoints of every parameter word, for `lwa_exact`."""
-        return AlphaCutTable([fou for words in self.parameter_fous for fou in words])
-
-    @cached_property
-    def alpha_cut_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per parameter, its words' columns of `alpha_cuts` in term-index
-        order: parameter p's words follow those of parameters 0..p-1."""
-        columns, start = [], 0
-        for words in self.parameter_fous:
-            columns.append(tuple(range(start, start + len(words))))
-            start += len(words)
-        return tuple(columns)
-
-    @cached_property
-    def recommendation_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k, G) upper and lower samples of the recommendation words."""
-        return membership_stack(self.cb.word_fous(self.schema.recommendation.name),
-                                self.options.grid)
-
-
-def _evaluate_extension(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
-    terms = prepared.partition
+def _evaluate_extension(fb: FeedbackRecord, cb: Codebook | None,
+                        options: EvalOptions) -> Recommendation:
+    recommendation = build_default_schema().recommendation
+    terms = extension.uniform_triangular_partition(len(recommendation))
     aggregate = extension.aggregate_tri_tuples([terms[i] for i in fb.indices])
     index, _ = extension.linguistic_approximation(aggregate, terms)
     return Recommendation(
         method=Method.EXTENSION_PRINCIPLE,
         numeric=terms[index],
-        linguistic=prepared.schema.recommendation[index],
+        linguistic=recommendation[index],
         score=float(terms[index].m),
         aggregate=aggregate,
     )
 
 
-def _evaluate_symbolic(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
+def _evaluate_symbolic(fb: FeedbackRecord, cb: Codebook | None,
+                       options: EvalOptions) -> Recommendation:
+    recommendation = build_default_schema().recommendation
     indices = symbolic.sort_terms_descending(fb.indices)
-    index = symbolic.sm_aggregate(indices, prepared.schema.recommendation.g)
+    index = symbolic.sm_aggregate(indices, recommendation.g)
     return Recommendation(
         method=Method.SYMBOLIC,
         numeric=index,
-        linguistic=prepared.schema.recommendation[index],
+        linguistic=recommendation[index],
         score=float(index),
     )
 
 
-def _evaluate_two_tuple(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
+def _evaluate_two_tuple(fb: FeedbackRecord, cb: Codebook | None,
+                        options: EvalOptions) -> Recommendation:
+    recommendation = build_default_schema().recommendation
     beta = two_tuple.aggregate_beta(fb.indices)
-    pair = two_tuple.to_two_tuple(beta, prepared.schema.recommendation.g)
+    pair = two_tuple.to_two_tuple(beta, recommendation.g)
     return Recommendation(
         method=Method.TWO_TUPLE,
         numeric=beta,
-        linguistic=prepared.schema.recommendation[pair.term_index],
+        linguistic=recommendation[pair.term_index],
         score=float(beta),
         two_tuple=pair,
     )
 
 
-def _evaluate_perceptual(fb: FeedbackRecord, prepared: PreparedCodebook) -> Recommendation:
-    if prepared.cb is None:
+def _evaluate_perceptual(fb: FeedbackRecord, cb: Codebook | None,
+                         options: EvalOptions) -> Recommendation:
+    if cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
     fous = [
         words[choice.index]
-        for words, choice in zip(prepared.parameter_fous, fb.choices)
+        for words, choice in zip(cb.parameter_fous, fb.choices)
     ]
-    grid = prepared.options.grid
-    if prepared.options.lwa_mode == "paper":
+    grid = options.grid
+    if options.lwa_mode == "paper":
         # sampled once: the centroid and the decode read the same arrays
         aggregate = sample_fou(lwa_paper(fous), grid)
     else:
         columns = [
             cols[choice.index]
-            for cols, choice in zip(prepared.alpha_cut_columns, fb.choices)
+            for cols, choice in zip(cb.alpha_cut_columns, fb.choices)
         ]
-        aggregate = lwa_exact(fous, grid=grid, table=prepared.alpha_cuts,
-                              columns=columns)
+        aggregate = lwa_exact(fous, grid=grid, table=cb.alpha_cuts, columns=columns)
     interval = centroid(aggregate, grid)
     similarities = tuple(jaccard_similarities(
-        aggregate.upper, aggregate.lower, *prepared.recommendation_samples).tolist())
+        aggregate.upper, aggregate.lower, *cb.recommendation_samples(grid)).tolist())
     index = similarities.index(max(similarities))  # the lowest index on ties
     score = interval.mean
     return Recommendation(
         method=Method.PERCEPTUAL,
         numeric=round(score, 2),
-        linguistic=prepared.schema.recommendation[index],
+        linguistic=cb.schema.recommendation[index],
         score=score,
         centroid=interval,
         similarities=similarities,
@@ -270,19 +218,13 @@ def evaluate_student(
     method: Method,
     cb: Codebook | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
-    *,
-    prepared: PreparedCodebook | None = None,
 ) -> Recommendation:
     """Evaluate one resolved feedback record with one method.
 
-    `prepared` is the word-level data of (cb, options) and takes their
-    place when given; `evaluate_batch` passes the one it built for the
-    whole batch. Without it, it is built for this call.
+    The perceptual method needs `cb`; the word-level data it reads is
+    built by the codebook on first use and shared by every later call.
     """
-    method = Method(method)
-    if prepared is None:
-        prepared = PreparedCodebook(cb, options)
-    return _EVALUATORS[method](fb, prepared)
+    return _EVALUATORS[Method(method)](fb, cb, options)
 
 
 def evaluate_batch(
@@ -294,7 +236,8 @@ def evaluate_batch(
     """Evaluate a batch; per-row failures are recorded, not raised.
 
     Rows may be raw (unresolved) feedback; a word that fails to resolve
-    flags that row only, and so does a student id already used by an
+    flags that row only, and so do a resolved record that does not hold
+    one schema word per parameter and a student id already used by an
     earlier row (rows count from 1 in input order). Configuration
     problems such as requesting the perceptual method without a codebook
     abort the whole batch.
@@ -311,8 +254,7 @@ def evaluate_batch(
         raise ConfigurationError("no methods selected")
     if Method.PERCEPTUAL in methods and cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
-    prepared = PreparedCodebook(cb, options)
-    schema = prepared.schema
+    schema = build_default_schema()
 
     # Every method reads only term indices, so a row's cells depend only
     # on its index vector. The index methods average with equal weights,
@@ -325,6 +267,9 @@ def evaluate_batch(
     for position, item in enumerate(feedback, start=1):
         if isinstance(item, FeedbackRecord):
             record, row_error = item, None
+            if len(record.choices) != len(schema.parameters) or not all(
+                    term in ts.terms for ts, term in zip(schema.parameters, record.choices)):
+                row_error = f"feedback {record.codes} is not one word of each parameter"
         else:
             try:
                 record = resolve_feedback(schema, item.words, item.student_id)
@@ -347,12 +292,12 @@ def evaluate_batch(
             multiset = tuple(sorted(indices))
             for method in methods:
                 if method is Method.PERCEPTUAL:
-                    cell = _cell(record, method, prepared)
+                    cell = _cell(record, method, cb, options)
                 else:
                     cell = by_multiset.get((method, multiset))
                     if cell is None:
                         cell = by_multiset[method, multiset] = _cell(
-                            record, method, prepared)
+                            record, method, cb, options)
                 evaluated[method] = cell
             # read-only, since every row with this vector holds the same cells
             cells = memo[indices] = MappingProxyType(evaluated)
@@ -369,11 +314,11 @@ def evaluate_batch(
     return EvaluationReport(methods=methods, rows=tuple(rows), metadata=metadata)
 
 
-def _cell(record: FeedbackRecord, method: Method,
-          prepared: PreparedCodebook) -> MethodCell:
+def _cell(record: FeedbackRecord, method: Method, cb: Codebook | None,
+          options: EvalOptions) -> MethodCell:
+    # `method` goes second and by position: the benchmark's tracer reads it there
     try:
-        return MethodCell(recommendation=evaluate_student(
-            record, method, prepared=prepared))
+        return MethodCell(recommendation=evaluate_student(record, method, cb, options))
     except CwwError as exc:
         return MethodCell(error=str(exc))
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
 from ._value import Value, set_field
-from .errors import SchemaError, WordResolutionError
+from .errors import CwwError, SchemaError, WordResolutionError
 
 TIME_TAKEN = "Time taken to solve the question"
 SUBJECT_KNOWLEDGE = "Subject's Knowledge"
@@ -230,41 +230,41 @@ def resolve_feedback(
     return FeedbackRecord(student_id=student_id, choices=tuple(choices))
 
 
+def read_csv(handle: TextIO, source, header: tuple[str, ...],
+             error: type[CwwError]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank records after `header`, as (line the record starts on,
+    cells). A missing header, a record without one cell per header column,
+    malformed CSV and undecodable bytes raise `error`, naming `source`."""
+    reader = csv.reader(handle)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{source}: empty file")
+        if tuple(first) != header:
+            raise error(f"{source}: expected header {','.join(header)}, "
+                        f"got {','.join(first)}")
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise error(f"{source}:{line}: expected {len(header)} cells, "
+                                f"got {len(row)}")
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise error(f"{source}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}: {exc}") from None
+
+
 def read_feedback_file(path) -> list[RawFeedback]:
     """Read a feedback batch file (see FEEDBACK_HEADER for the layout).
 
     Word resolution is deferred so that a bad word in one row does not
     abort a batch; pair with pipeline.evaluate_batch for per-row errors.
     """
+    names = [param.name for param in build_default_schema().parameters]
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            return _feedback_rows(reader, path)
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _feedback_rows(reader, path) -> list[RawFeedback]:
-    schema = build_default_schema()
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty feedback file") from None
-    if tuple(header) != FEEDBACK_HEADER:
-        raise SchemaError(
-            f"{path}: expected header {','.join(FEEDBACK_HEADER)}, "
-            f"got {','.join(header)}"
-        )
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(FEEDBACK_HEADER):
-            raise SchemaError(f"{path}:{lineno}: expected {len(FEEDBACK_HEADER)} cells")
-        words = {
-            schema.parameters[i].name: row[i + 1].strip()
-            for i in range(len(FEEDBACK_COLUMNS))
-        }
-        rows.append(RawFeedback(student_id=row[0].strip(), words=words))
-    return rows
-
+        return [RawFeedback(student_id=row[0].strip(),
+                            words={name: cell.strip() for name, cell in zip(names, row[1:])})
+                for _, row in read_csv(handle, path, FEEDBACK_HEADER, SchemaError)]

@@ -306,6 +306,70 @@ def test_explicit_codebook_is_checked_without_perceptual(
     assert "Traceback" not in err
 
 
+FEEDBACK_HEAD = "student_id,time_taken,subject_knowledge,liking,preparation\n"
+FEEDBACK_COMMANDS = [("evaluate",), ("compare",), ("rank", "--method", "symbolic")]
+
+
+def _write_feedback(tmp_path, kind, codebook_text):
+    """A feedback path of one input class, and a fragment of its error."""
+    path = tmp_path / "feedback.csv"
+    if kind == "missing":
+        return path, "feedback file not found"
+    if kind == "directory":
+        return tmp_path, "Is a directory"
+    if kind == "not-utf8":
+        path.write_bytes((FEEDBACK_HEAD + "1,Tr\xe9s,SLA,AM,PM\n").encode("latin-1"))
+        return path, f"{path}: 'utf-8' codec can't decode byte 0xe9"
+    text, fragment = {
+        "empty": ("", f"{path}: empty file"),
+        "header-only": (FEEDBACK_HEAD, "cannot evaluate an empty batch"),
+        "codebook": (codebook_text, f"{path}: expected header"),
+        # the quoted id spans lines 2 and 3, so the short record starts on line 4
+        "short-row": (FEEDBACK_HEAD + '"a\nb",S,SLA,AM,PM\n2,S,SLA,AM\n',
+                      f"{path}:4: expected 5 cells, got 4"),
+        "long-cell": (FEEDBACK_HEAD + f"1,{'S' * 200_000},SLA,AM,PM\n",
+                      "field larger than field limit"),
+    }[kind]
+    path.write_text(text, encoding="utf-8")
+    return path, fragment
+
+
+# The feedback half of the exit-code contract: each command meets every
+# class of unreadable feedback file with one error line and no output.
+@pytest.mark.parametrize("command", FEEDBACK_COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize("kind, status", [
+    ("missing", 1), ("directory", 1), ("empty", 2), ("header-only", 2),
+    ("not-utf8", 2), ("codebook", 2), ("short-row", 2), ("long-cell", 2)])
+def test_unreadable_feedback_file_contract(capsys, tmp_path, codebook_text, command,
+                                           kind, status):
+    path, fragment = _write_feedback(tmp_path, kind, codebook_text)
+    code, out, err = run(capsys, *command, "--feedback", str(path))
+    assert code == status
+    assert out == ""
+    assert err.count("cwwkit: error:") == 1
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+# ...and with every class of bad row: the batch runs, the row is flagged
+# (`rank` leaves it out), and the data exit code reports it.
+@pytest.mark.parametrize("command", FEEDBACK_COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize("row, flag", [
+    ("2,Tiny,SLA,AM,PM", "# 2: unknown word 'Tiny'"),
+    ("1,M,SM,AH,PH", "# 1: duplicate student id '1', first used by row 1"),
+    ("2,S\0,SLA,AM,PM", "# 2: unknown word 'S\\x00'")])
+def test_bad_feedback_row_contract(capsys, tmp_path, command, row, flag):
+    path = tmp_path / "feedback.csv"
+    path.write_text(FEEDBACK_HEAD + "1,S,SLA,AM,PM\n" + row + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *command, "--feedback", str(path))
+    assert code == 2
+    assert "cwwkit: error:" not in err
+    if command[0] == "rank":
+        assert out.splitlines()[1:] == ["  1. student 1        score 2.0000"]
+    else:
+        assert flag in out
+
+
 def test_builtin_codebook_is_loaded_only_for_perceptual(capsys, monkeypatch):
     def refuse():
         raise AssertionError("the built-in codebook was loaded")

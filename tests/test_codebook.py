@@ -121,6 +121,14 @@ def test_rejects_short_row(lines):
         loads_codebook("\n".join(lines) + "\n")
 
 
+def test_error_names_the_line_a_record_starts_on(lines):
+    # the quoted label of the first word spans lines 2 and 3
+    lines[1] = lines[1].replace(",Very little,", ',"Very\nlittle",')
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    with pytest.raises(CodebookError, match="^<string>:4: expected 15 cells, got 14$"):
+        loads_codebook("\n".join(lines) + "\n")
+
+
 def test_rejects_unordered_upper_trapezoid(lines):
     # swap c and d of the Small row so d < c
     lines[2] = "Time taken to solve the question,Small,S,0.59,2.00,4.41,3.00,1.79,2.50,2.50,3.21,0.59,1.88,3.12,2.50"

@@ -14,7 +14,7 @@ from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
                     SampledFOU, centroid, centroid_brute_force, evaluate_batch,
                     evaluate_student, lwa_exact, lwa_paper)
 from cwwkit.it2 import _trapezoid
-from cwwkit.pipeline import ALL_METHODS, LWA_MODES, PreparedCodebook
+from cwwkit.pipeline import ALL_METHODS, LWA_MODES
 
 INDEX_METHODS = (Method.EXTENSION_PRINCIPLE, Method.SYMBOLIC, Method.TWO_TUPLE)
 
@@ -82,13 +82,11 @@ def test_raising_one_word_never_lowers_the_result(codebook, schema, vectors, lwa
 def test_index_methods_are_permutation_invariant(codebook, vectors, method):
     # Each term keeps its index, whichever parameter it is given for; the
     # methods see only the indices, averaged with equal weights.
-    prepared = PreparedCodebook(codebook, EvalOptions())
     mismatches = []
     for choices in vectors:
-        expected = evaluate_student(FeedbackRecord("v", choices), method,
-                                    prepared=prepared)
+        expected = evaluate_student(FeedbackRecord("v", choices), method, codebook)
         for order in _permutations(choices):
-            got = evaluate_student(FeedbackRecord("v", order), method, prepared=prepared)
+            got = evaluate_student(FeedbackRecord("v", order), method, codebook)
             if got != expected:
                 mismatches.append([term.code for term in order])
     assert mismatches == []

@@ -1,11 +1,15 @@
 """The names the `cwwkit` package exports."""
 
+import ast
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import cwwkit
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_lists_every_imported_public_name_once():
@@ -36,3 +40,33 @@ def test_cli_import_loads_no_json_and_no_dataclasses():
     assert json_loaded == "False"
     assert dataclasses_loaded == "False"
     assert dataclass_types == "0"
+
+
+def _unused_imports(path):
+    """Names a file's top-level imports bind and the file never reads."""
+    text = path.read_text("utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_module_or_test_imports_an_unused_name():
+    # __init__.py imports to re-export; benchmarks/ is not scanned
+    paths = [path for path in sorted((ROOT / "src" / "cwwkit").glob("*.py"))
+             if path.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 20
+    assert [name for path in paths for name in _unused_imports(path)] == []

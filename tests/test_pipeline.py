@@ -1,8 +1,9 @@
 import pytest
 
-from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions, Method,
-                    evaluate_batch, evaluate_student, rank_students,
-                    resolve_feedback, uniqueness_report)
+from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions,
+                    FeedbackRecord, LinguisticTerm, Method, evaluate_batch,
+                    evaluate_student, rank_students, resolve_feedback,
+                    uniqueness_report)
 from cwwkit.vocabulary import (LIKING, PREPARATION, SUBJECT_KNOWLEDGE,
                                TIME_TAKEN, RawFeedback)
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
@@ -106,6 +107,29 @@ class TestErrorHandling:
             assert row.error == "duplicate student id '1', first used by row 1"
             assert row.cells == {}
         assert report.rows[2].codes == ("S", "SLA", "AM", "PM")
+
+    @pytest.mark.parametrize("case", ["index beyond g", "three choices", "five choices",
+                                      "another parameter's word", "unknown label"])
+    def test_hand_built_record_off_the_schema_flags_its_row(self, schema, codebook, case):
+        valid = tuple(param[2] for param in schema.parameters)
+        time, knowledge = schema.parameters[:2]
+        choices = {
+            "index beyond g": (LinguisticTerm("Huge", "H", 7),) + valid[1:],
+            "three choices": valid[:3],
+            "five choices": valid + (time[1],),
+            "another parameter's word": (knowledge[1],) + valid[1:],
+            "unknown label": (LinguisticTerm("Huge", "H", 1),) + valid[1:],
+        }[case]
+        # an equal copy of the schema's terms is not flagged
+        copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
+        batch = [FeedbackRecord("bad", choices), FeedbackRecord("ok", valid),
+                 FeedbackRecord("copy", copy)]
+        bad, ok, copied = evaluate_batch(batch, cb=codebook).rows
+        assert bad.error.endswith("is not one word of each parameter")
+        assert bad.cells == {}
+        assert ok.error is None and copied.error is None
+        assert copied.cells == ok.cells
+        assert all(cell.error is None for cell in ok.cells.values())
 
     def test_perceptual_without_codebook(self, sample_rows):
         with pytest.raises(ConfigurationError):

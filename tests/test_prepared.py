@@ -1,4 +1,4 @@
-"""Exhaustive checks of the per-batch prepared codebook and memo.
+"""Exhaustive checks of the codebook's word-level data and the batch memo.
 
 The default schema has 4 parameters x 5 words = 625 feedback vectors, so
 each property below is checked on every one of them, in both LWA modes.
@@ -21,7 +21,7 @@ from cwwkit import (CentroidInterval, Codebook, CodebookEntry, CwwError,
                     jaccard_similarity, lwa_exact, lwa_paper)
 from cwwkit.it2 import (AlphaCutTable, jaccard_similarities, membership_samples,
                         membership_stack, sample_fou)
-from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell, PreparedCodebook
+from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell
 from cwwkit.vocabulary import RECOMMENDATION
 from strategies import trapezoid_it2
 
@@ -55,6 +55,43 @@ def _jaccard_oracle(fou_a, fou_b, grid):
     numerator = float(np.minimum(ua, ub).sum() + np.minimum(la, lb).sum())
     denominator = float(np.maximum(ua, ub).sum() + np.maximum(la, lb).sum())
     return numerator / denominator
+
+
+def test_codebook_keeps_its_word_data_and_one_grid_of_samples(codebook):
+    cb = Codebook(codebook.entries)
+    assert cb.alpha_cuts is cb.alpha_cuts
+    assert cb.parameter_fous == tuple(cb.word_fous(p.name) for p in cb.schema.parameters)
+    assert cb.alpha_cut_columns == tuple(tuple(range(5 * p, 5 * p + 5)) for p in range(4))
+    words = cb.word_fous(RECOMMENDATION)
+    coarse = cb.recommendation_samples(DiscretizationGrid(51))
+    assert cb.recommendation_samples(DiscretizationGrid(51)) is coarse
+    for sample_count in (1001, 51):
+        grid = DiscretizationGrid(sample_count)
+        upper, lower = cb.recommendation_samples(grid)
+        expected = membership_stack(words, grid)
+        assert np.array_equal(upper, expected[0]) and np.array_equal(lower, expected[1])
+        # only the last grid's samples are held
+        held_grid, (held_upper, _) = cb._samples
+        assert held_grid == grid and held_upper is upper
+    assert cb.recommendation_samples(DiscretizationGrid(51)) is not coarse
+
+
+def test_samples_are_read_as_one_grid_and_samples_pair(codebook):
+    # The comparison with the held grid lets another caller replace the
+    # held pair in between, as a thread switch could; the caller still
+    # gets the samples of the grid it compared.
+    cb = Codebook(codebook.entries)
+    other = DiscretizationGrid(101)
+
+    class Meddling(DiscretizationGrid):
+        def __ne__(self, held):
+            cb.recommendation_samples(other)
+            return False
+
+    cb.recommendation_samples(DiscretizationGrid(51))
+    upper, lower = cb.recommendation_samples(Meddling(51))
+    assert upper.shape == lower.shape == (5, 51)
+    assert cb._samples[0] == other
 
 
 @pytest.mark.parametrize("sample_count", [1001, 51])
@@ -204,12 +241,12 @@ def _lwa_exact_per_call(fous, grid, alpha_levels=65):
     return upper, np.minimum(lower, upper)
 
 
-def _words_and_columns(prepared, record):
-    """The record's word models and their columns of `prepared.alpha_cuts`,
+def _words_and_columns(codebook, record):
+    """The record's word models and their columns of `codebook.alpha_cuts`,
     as the pipeline passes them to `lwa_exact`."""
     pairs = [(words[choice.index], cols[choice.index])
-             for words, cols, choice in zip(prepared.parameter_fous,
-                                            prepared.alpha_cut_columns, record.choices)]
+             for words, cols, choice in zip(codebook.parameter_fous,
+                                            codebook.alpha_cut_columns, record.choices)]
     return [word for word, _ in pairs], [col for _, col in pairs]
 
 
@@ -294,20 +331,19 @@ def test_perceptual_path_matches_reference_bit_for_bit(codebook, all_records,
                                                        lwa_mode, sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
     options = EvalOptions(grid=grid, lwa_mode=lwa_mode)
-    prepared = PreparedCodebook(codebook, options)
     report = evaluate_batch(all_records, [Method.PERCEPTUAL], codebook, options)
     for record, row in zip(all_records, report.rows):
-        words, columns = _words_and_columns(prepared, record)
+        words, columns = _words_and_columns(codebook, record)
         if lwa_mode == "exact":
             upper, lower = _lwa_exact_per_call(words, grid)
-            got = lwa_exact(words, grid=grid, table=prepared.alpha_cuts, columns=columns)
+            got = lwa_exact(words, grid=grid, table=codebook.alpha_cuts, columns=columns)
             assert np.array_equal(got.upper, upper), record.codes
             assert np.array_equal(got.lower, lower), record.codes
         else:
             aggregate = sample_fou(lwa_paper(words), grid)
             upper, lower = aggregate.upper, aggregate.lower
         similarities = tuple(_jaccard_similarities_reference(
-            upper, lower, *prepared.recommendation_samples).tolist())
+            upper, lower, *codebook.recommendation_samples(grid)).tolist())
         rec = row.cells[Method.PERCEPTUAL].recommendation
         assert rec.centroid == _centroid_reference(grid.samples, upper, lower), record.codes
         assert rec.similarities == similarities, record.codes
@@ -330,10 +366,9 @@ def test_centroid_on_a_grid_sample_matches_reference(sample_count):
 @pytest.mark.parametrize("sample_count", [1001, 51])
 def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
-    prepared = PreparedCodebook(codebook, EvalOptions(grid=grid))
-    table = prepared.alpha_cuts
+    table = codebook.alpha_cuts
     for record in all_records:
-        words, columns = _words_and_columns(prepared, record)
+        words, columns = _words_and_columns(codebook, record)
         upper, lower = _lwa_exact_per_call(words, grid)
         for got in (lwa_exact(words, grid=grid),
                     lwa_exact(words, grid=grid, table=table, columns=columns)):

@@ -17,8 +17,7 @@ from cwwkit import (CentroidInterval, CodebookEntry, DiscretizationGrid,
                     TwoTuple)
 from cwwkit._value import Value
 from cwwkit.codebook import CentroidCheck, CentroidVerification
-from cwwkit.pipeline import (DuplicateGroup, MethodCell, PreparedCodebook,
-                             Recommendation, ReportRow)
+from cwwkit.pipeline import DuplicateGroup, MethodCell, Recommendation, ReportRow
 
 SMALL = LinguisticTerm("Small", "S", 0)
 LARGE = LinguisticTerm("Large", "L", 1)
@@ -89,8 +88,6 @@ TYPES = [
      ("7", ("S",), {}, "bad word"), ("7", ("S",))),
     (EvaluationReport, [*map(_no_default, ("methods", "rows")), _factory("metadata", dict)],
      True, ((Method.SYMBOLIC,), (ROW,), {"students": 1}), ((Method.SYMBOLIC,), (ROW,))),
-    (PreparedCodebook, list(map(_no_default, ("cb", "options"))), True,
-     (None, EvalOptions()), (None, EvalOptions(lwa_mode="paper"))),
     (DuplicateGroup, list(map(_no_default, ("method", "numeric", "word", "students",
                                             "distinct_feedback"))), True,
      (Method.SYMBOLIC, "1", "SSBA", ("1", "2"), 2), (Method.SYMBOLIC, "1", "SSBA", ("1", "3"), 2)),
@@ -105,8 +102,7 @@ TYPES = [
 @pytest.fixture(params=TYPES, ids=lambda spec: spec[0].__name__)
 def spec(request):
     cls, twin_fields, frozen, args, other = request.param
-    twin = make_dataclass(cls.__name__, twin_fields, frozen=frozen,
-                          eq=cls is not PreparedCodebook)
+    twin = make_dataclass(cls.__name__, twin_fields, frozen=frozen)
     return cls, twin, args, other
 
 
@@ -124,8 +120,6 @@ def _same(a, b):
         x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):
             assert np.array_equal(x, y), name
-        elif type(a) is PreparedCodebook:
-            assert repr(x) == repr(y), name
         else:
             assert x == y, name
 
@@ -155,11 +149,6 @@ def test_equality_and_hash_match_the_twin(spec):
     assert value == value
     # another class holding the same values is never equal
     assert value != twin_value and twin_value != value
-    if cls is PreparedCodebook:
-        # compared and hashed by identity
-        assert value != again
-        assert hash(value) == object.__hash__(value)
-        return
     assert _hash_or_error(value) == _hash_or_error(twin_value)
     if cls is SampledFOU:
         assert cls.__hash__ is None
@@ -189,7 +178,7 @@ def test_copies_equal_the_original(spec, round_trip):
     value = cls(*args)
     copied = round_trip(value)
     _same(copied, value)
-    if cls not in (PreparedCodebook, SampledFOU):
+    if cls is not SampledFOU:
         assert copied == value
         assert _hash_or_error(copied) == _hash_or_error(value)
 

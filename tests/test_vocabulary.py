@@ -1,6 +1,7 @@
 import csv
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,14 @@ def test_feedback_file_rejects_short_row(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_feedback_file(bad)
     assert ":2:" in str(err.value)
+
+
+def test_feedback_error_names_the_line_a_record_starts_on(tmp_path):
+    # the quoted id of the first record spans lines 2 and 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(FEEDBACK_HEADER) + '\n"a\nb",S,SL,AM,PM\n2,S,SL,AM\n')
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:4: expected 5 cells, got 4$"):
+        read_feedback_file(bad)
 
 
 def _find_by_loop(ts, word):
