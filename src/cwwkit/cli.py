@@ -8,6 +8,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -18,8 +19,8 @@ from .errors import ConfigurationError, CwwError
 from .it2 import DEFAULT_GRID, MAX_SAMPLE_COUNT, DiscretizationGrid
 from .pipeline import (ALL_METHODS, LWA_MODES, EvalOptions, Method,
                        evaluate_batch, rank_students, uniqueness_report)
-from .reporting import (render_csv, render_json, render_ranking, render_table,
-                        render_uniqueness)
+from .reporting import (render_csv, render_flags, render_json, render_ranking,
+                        render_table, render_uniqueness)
 from .vocabulary import read_feedback_file
 
 EXIT_OK = 0
@@ -137,12 +138,12 @@ def _load_feedback(path: str | None):
     return read_feedback_file(path)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+def _destination(path: str | None):
+    """The output stream as a context manager: stdout, left open, or the
+    `--out` file, closed on exit."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _evaluate(args, methods):
@@ -172,21 +173,23 @@ def _cmd_codebook_validate(args) -> int:
     return EXIT_OK if verification.passed else EXIT_DATA
 
 
-def _render_report(report, args, uniqueness=None) -> str:
+def _render_report(report, args, out, uniqueness=None) -> None:
     verbose = args.verbose_precision
     if args.format == "json":
-        return render_json(report, verbose, uniqueness)
+        render_json(report, out, verbose, uniqueness)
+        return
     render = render_csv if args.format == "csv" else render_table
-    text = render(report, verbose)
+    render(report, out, verbose)
     if uniqueness is not None:
-        text += "\n" + render_uniqueness(uniqueness)
-    return text
+        out.write("\n")
+        render_uniqueness(uniqueness, out)
 
 
 def _cmd_evaluate(args, with_uniqueness: bool) -> int:
     report = _evaluate(args, _parse_methods(args.methods))
     uniqueness = uniqueness_report(report) if with_uniqueness else None
-    _emit(_render_report(report, args, uniqueness), args.out)
+    with _destination(args.out) as out:
+        _render_report(report, args, out, uniqueness)
     return _exit_status(report)
 
 
@@ -195,7 +198,11 @@ def _cmd_rank(args) -> int:
     if len(methods) != 1:
         raise ConfigurationError("rank takes exactly one method")
     report = _evaluate(args, methods)
-    _emit(render_ranking(rank_students(report, methods[0]), methods[0]), args.out)
+    ranking = rank_students(report, methods[0])
+    with _destination(args.out) as out:
+        render_ranking(ranking, methods[0], out)
+        # the rows left out of the ranking, and why
+        render_flags(report, out, methods[0])
     return _exit_status(report)
 
 

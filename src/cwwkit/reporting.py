@@ -7,9 +7,8 @@ no timestamps, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from typing import Mapping
+from typing import Mapping, TextIO
 
 from .pipeline import DuplicateGroup, EvaluationReport, Method
 from .vocabulary import FEEDBACK_COLUMNS
@@ -42,8 +41,9 @@ def _cell_word(cell) -> str:
     return cell.recommendation.linguistic.code
 
 
-def render_table(report: EvaluationReport, verbose: bool = False) -> str:
-    """Fixed-width table: one row per student, two columns per method."""
+def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
+    """Fixed-width table: one row per student, two columns per method,
+    then one `# <id>: <reason>` line per flagged row; one write per line."""
     header = ["student"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         title = _METHOD_TITLES[method]
@@ -60,16 +60,25 @@ def render_table(report: EvaluationReport, verbose: bool = False) -> str:
                 cells += [_cell_numeric(cell, method, verbose), _cell_word(cell)]
         table.append(cells)
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = []
     for r in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    errors = [f"# {row.student_id}: {row.error}" for row in report.rows if row.error]
-    return "\n".join(lines + errors) + "\n"
+        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    render_flags(report, out)
 
 
-def render_csv(report: EvaluationReport, verbose: bool = False) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def render_flags(report: EvaluationReport, out: TextIO, method: Method | None = None) -> None:
+    """One `# <id>: <reason>` line per flagged row and, given `method`,
+    per row whose `method` cell failed."""
+    for row in report.rows:
+        reason = row.error
+        if reason is None and method is not None:
+            reason = row.cells[method].error
+        if reason:
+            out.write(f"# {row.student_id}: {reason}\n")
+
+
+def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
+    """Delimited text with a header; the csv writer makes one write per row."""
+    writer = csv.writer(out, lineterminator="\n")
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         header += [f"{method.value}_numeric", f"{method.value}_word"]
@@ -89,7 +98,6 @@ def render_csv(report: EvaluationReport, verbose: bool = False) -> str:
                     cells += [_cell_numeric(cell, method, verbose), _cell_word(cell)]
         cells.append(row.error or "")
         writer.writerow(cells)
-    return buf.getvalue()
 
 
 # The C string encoder json.dumps uses, bound by `render_json`, which alone
@@ -156,17 +164,17 @@ def _cell_entry(cell, verbose: bool) -> dict:
     return entry
 
 
-def _json_rows(report: EvaluationReport, verbose: bool) -> str:
-    """The report's "rows" list. Rows that repeat a feedback vector or an
-    index multiset share cell objects, so each cell's entry is formatted
-    once and spliced into every row that holds it."""
+def _write_json_rows(report: EvaluationReport, out: TextIO, verbose: bool) -> None:
+    """The report's "rows" list, one write per row. Rows that repeat a
+    feedback vector or an index multiset share cell objects, so each cell's
+    entry is formatted once and spliced into every row that holds it."""
     keys = [(method, _METHOD_KEY + _json_str(method.value) + ": ")
             for method in report.methods]
     entries: dict[int, str] = {}  # id(cell) -> entry; the report keeps cells alive
-    rows = []
+    opening = "[\n" + _ROW_INDENT
     for row in report.rows:
         words = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
-        text = ("{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + ","
+        text = (opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + ","
                 + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ",")
         if row.error is not None:
             text += _ROW_KEY + '"error": ' + _json_str(row.error)
@@ -181,24 +189,25 @@ def _json_rows(report: EvaluationReport, verbose: bool) -> str:
                     entry = entries[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
                 parts.append(key + entry)
             text += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
-        rows.append(text + "\n" + _ROW_INDENT + "}")
-    if not rows:
-        return "[]"
-    return "[\n" + _ROW_INDENT + (",\n" + _ROW_INDENT).join(rows) + "\n  ]"
+        out.write(text + "\n" + _ROW_INDENT + "}")
+        opening = ",\n" + _ROW_INDENT
+    out.write("\n  ]" if report.rows else "[]")
 
 
-def render_json(report: EvaluationReport, verbose: bool = False,
-                uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]] | None = None) -> str:
-    """The report as a JSON document, byte for byte what
-    `json.dumps(document, indent=2)` writes, newline-terminated."""
+def render_json(report: EvaluationReport, out: TextIO, verbose: bool = False,
+                uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]] | None = None) -> None:
+    """Write the report as a JSON document, byte for byte what
+    `json.dumps(document, indent=2)` writes, newline-terminated: the head,
+    one write per row, then the uniqueness block and the closing brace."""
     global _json_str
     import json  # here, so that the table and CSV formats do not load it
 
     _json_str = json.encoder.encode_basestring_ascii
-    text = ('{\n  "metadata": ' + _json(dict(report.metadata), "  ")
-            + ',\n  "rows": ' + _json_rows(report, verbose))
+    out.write('{\n  "metadata": ' + _json(dict(report.metadata), "  ") + ',\n  "rows": ')
+    _write_json_rows(report, out, verbose)
+    tail = "\n}\n"
     if uniqueness is not None:
-        text += ',\n  "uniqueness": ' + _json({
+        tail = ',\n  "uniqueness": ' + _json({
             "note": _UNIQUENESS_NOTE,
             "groups": {
                 method.value: [
@@ -212,30 +221,30 @@ def render_json(report: EvaluationReport, verbose: bool = False,
                 ]
                 for method, groups in uniqueness.items()
             },
-        }, "  ")
-    return text + "\n}\n"
+        }, "  ") + tail
+    out.write(tail)
 
 
-def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]]) -> str:
-    lines = ["uniqueness summary", f"note: {_UNIQUENESS_NOTE}"]
+def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]],
+                      out: TextIO) -> None:
+    out.write("uniqueness summary\n")
+    out.write(f"note: {_UNIQUENESS_NOTE}\n")
     for method, groups in uniqueness.items():
         title = _METHOD_TITLES[method]
         if not groups:
-            lines.append(f"{title}: all recommendations unique")
+            out.write(f"{title}: all recommendations unique\n")
             continue
-        lines.append(f"{title}: {len(groups)} duplicate group(s)")
+        out.write(f"{title}: {len(groups)} duplicate group(s)\n")
         for grp in groups:
-            lines.append(
+            out.write(
                 f"  ({grp.numeric}, {grp.word}) shared by {len(grp.students)} students "
                 f"[{', '.join(grp.students)}] "
-                f"({grp.distinct_feedback} distinct feedback vectors)"
+                f"({grp.distinct_feedback} distinct feedback vectors)\n"
             )
-    return "\n".join(lines) + "\n"
 
 
-def render_ranking(ranking, method: Method) -> str:
+def render_ranking(ranking, method: Method, out: TextIO) -> None:
     title = _METHOD_TITLES[Method(method)]
-    lines = [f"ranking by {title}"]
+    out.write(f"ranking by {title}\n")
     for position, (student_id, score) in enumerate(ranking, start=1):
-        lines.append(f"{position:3d}. student {student_id:8s} score {score:.4f}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{position:3d}. student {student_id:8s} score {score:.4f}\n")

@@ -262,9 +262,13 @@ def read_feedback_file(path) -> list[RawFeedback]:
 
     Word resolution is deferred so that a bad word in one row does not
     abort a batch; pair with pipeline.evaluate_batch for per-row errors.
+    A file without records raises SchemaError naming the file.
     """
     names = [param.name for param in build_default_schema().parameters]
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        return [RawFeedback(student_id=row[0].strip(),
+        rows = [RawFeedback(student_id=row[0].strip(),
                             words={name: cell.strip() for name, cell in zip(names, row[1:])})
                 for _, row in read_csv(handle, path, FEEDBACK_HEADER, SchemaError)]
+    if not rows:
+        raise SchemaError(f"{path}: no feedback rows")
+    return rows

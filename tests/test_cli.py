@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cwwkit.cli
 import cwwkit.codebook
 from cwwkit.cli import CODEBOOK_ENV, main
 from cwwkit.codebook import default_feedback_path
 from cwwkit.it2 import CentroidInterval
+from strategies import random_fou
 
 
 @pytest.fixture()
@@ -190,11 +195,13 @@ class TestEvaluate:
         code, out, _ = run(capsys, "evaluate", "--feedback", str(path))
         assert code == 2
         assert "failed" in out
-        # rank leaves the row out of the ranking but flags the batch alike
+        # rank leaves the row out of the ranking, names it below the ranking
+        # and flags the batch alike
         code, out, _ = run(capsys, "rank", "--feedback", str(path),
                            "--method", "symbolic")
         assert code == 2
-        assert len(out.splitlines()) == 25
+        assert len(out.splitlines()) == 26
+        assert out.splitlines()[-1].startswith("# 1: unknown word 'Tiny'")
         assert "student 1 " not in out
 
     def test_duplicate_student_id_sets_data_exit(self, capsys, tmp_path):
@@ -306,6 +313,29 @@ def test_explicit_codebook_is_checked_without_perceptual(
     assert "Traceback" not in err
 
 
+# Any valid codebook, not only the shipped one, meets the contract: its
+# words are drawn by `random_fou`, without stored centroids, and the
+# bundled class is evaluated against it in both LWA modes.
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_codebook_contract(tmp_path_factory, codebook_text, seed):
+    rng = np.random.default_rng(seed)
+    lines = codebook_text.splitlines()
+    for index in range(1, len(lines)):
+        numbers = [repr(float(x)) for x in random_fou(rng).params]
+        lines[index] = ",".join(lines[index].split(",")[:3] + numbers + ["", "", ""])
+    path = tmp_path_factory.mktemp("codebook") / "codebook.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for mode in ("exact", "paper"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--codebook", str(path), "--grid", "51",
+                         "--lwa-mode", mode])
+        assert code in (0, 2)
+        assert err.getvalue().count("cwwkit: error:") <= 1
+        assert "Traceback" not in err.getvalue()
+
+
 FEEDBACK_HEAD = "student_id,time_taken,subject_knowledge,liking,preparation\n"
 FEEDBACK_COMMANDS = [("evaluate",), ("compare",), ("rank", "--method", "symbolic")]
 
@@ -322,7 +352,7 @@ def _write_feedback(tmp_path, kind, codebook_text):
         return path, f"{path}: 'utf-8' codec can't decode byte 0xe9"
     text, fragment = {
         "empty": ("", f"{path}: empty file"),
-        "header-only": (FEEDBACK_HEAD, "cannot evaluate an empty batch"),
+        "header-only": (FEEDBACK_HEAD, f"{path}: no feedback rows"),
         "codebook": (codebook_text, f"{path}: expected header"),
         # the quoted id spans lines 2 and 3, so the short record starts on line 4
         "short-row": (FEEDBACK_HEAD + '"a\nb",S,SLA,AM,PM\n2,S,SLA,AM\n',
@@ -352,7 +382,8 @@ def test_unreadable_feedback_file_contract(capsys, tmp_path, codebook_text, comm
 
 
 # ...and with every class of bad row: the batch runs, the row is flagged
-# (`rank` leaves it out), and the data exit code reports it.
+# (`rank` leaves it out of the ranking and names it below), and the data
+# exit code reports it.
 @pytest.mark.parametrize("command", FEEDBACK_COMMANDS, ids=lambda command: command[0])
 @pytest.mark.parametrize("row, flag", [
     ("2,Tiny,SLA,AM,PM", "# 2: unknown word 'Tiny'"),
@@ -364,10 +395,11 @@ def test_bad_feedback_row_contract(capsys, tmp_path, command, row, flag):
     code, out, err = run(capsys, *command, "--feedback", str(path))
     assert code == 2
     assert "cwwkit: error:" not in err
+    assert flag in out
     if command[0] == "rank":
-        assert out.splitlines()[1:] == ["  1. student 1        score 2.0000"]
-    else:
-        assert flag in out
+        ranked, footer = out.splitlines()[1:]
+        assert ranked == "  1. student 1        score 2.0000"
+        assert footer.startswith(flag)
 
 
 def test_builtin_codebook_is_loaded_only_for_perceptual(capsys, monkeypatch):
@@ -449,6 +481,14 @@ class TestCompare:
         assert all("error" not in first["methods"][m] for m in
                    ("extension_principle", "symbolic", "two_tuple"))
         assert all("error" not in cell for cell in second["methods"].values())
+        # `rank` leaves the failed cell's row out and names it below the ranking
+        code, out, err = run(capsys, "rank", "--method", "perceptual", *argv[1:])
+        assert code == 2
+        assert err == ""
+        lines = out.splitlines()
+        assert [line.split()[2] for line in lines[1:-1]] == ["2"]
+        assert lines[-1].startswith("# 1: ")
+        assert "parameter-wise average is not a footprint" in lines[-1]
 
 
 class TestUsage:

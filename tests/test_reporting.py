@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -15,12 +16,19 @@ from cwwkit.pipeline import (ALL_METHODS, LWA_MODES, EvaluationReport,
 from cwwkit.vocabulary import FEEDBACK_COLUMNS, TIME_TAKEN, RawFeedback
 
 
+def _text(render, *args, **kwargs) -> str:
+    """What a renderer writes, as one string."""
+    out = io.StringIO()
+    render(*args, out=out, **kwargs)
+    return out.getvalue()
+
+
 def test_table_is_deterministic(full_report):
-    assert render_table(full_report) == render_table(full_report)
+    assert _text(render_table, full_report) == _text(render_table, full_report)
 
 
 def test_table_contains_cells(full_report):
-    text = render_table(full_report)
+    text = _text(render_table, full_report)
     lines = text.splitlines()
     assert lines[0].startswith("student")
     assert len(lines) == 26
@@ -31,13 +39,13 @@ def test_table_contains_cells(full_report):
 
 
 def test_table_verbose_full_precision(full_report):
-    text = render_table(full_report, verbose=True)
+    text = _text(render_table, full_report, verbose=True)
     # full-precision perceptual scores have more than two decimals
     assert "4.963" in text
 
 
 def test_csv_parses_back(full_report):
-    text = render_csv(full_report)
+    text = _text(render_csv, full_report)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][0] == "student_id"
     assert rows[0][-1] == "error"
@@ -53,14 +61,14 @@ def test_csv_parses_back(full_report):
 def test_csv_flags_failed_rows(sample_rows, codebook):
     bad = RawFeedback("99", {**sample_rows[0].words, TIME_TAKEN: "Tiny"})
     report = evaluate_batch(list(sample_rows) + [bad], cb=codebook)
-    rows = list(csv.reader(io.StringIO(render_csv(report))))
+    rows = list(csv.reader(io.StringIO(_text(render_csv, report))))
     last = dict(zip(rows[0], rows[-1]))
     assert last["student_id"] == "99"
     assert "Tiny" in last["error"]
 
 
 def test_json_structure(full_report):
-    data = json.loads(render_json(full_report))
+    data = json.loads(_text(render_json, full_report))
     assert data["metadata"]["students"] == 25
     assert len(data["rows"]) == 25
     row = data["rows"][0]
@@ -72,7 +80,7 @@ def test_json_structure(full_report):
 
 
 def test_json_verbose_exposes_full_precision(full_report):
-    data = json.loads(render_json(full_report, verbose=True))
+    data = json.loads(_text(render_json, full_report, verbose=True))
     cell = data["rows"][0]["methods"]["perceptual"]
     assert abs(cell["centroid_mean"] - 4.963515) < 1e-4
     assert len(cell["similarities"]) == 5
@@ -80,7 +88,7 @@ def test_json_verbose_exposes_full_precision(full_report):
 
 def test_json_with_uniqueness(full_report):
     summary = uniqueness_report(full_report)
-    data = json.loads(render_json(full_report, uniqueness=summary))
+    data = json.loads(_text(render_json, full_report, uniqueness=summary))
     assert "uniqueness" in data
     ep_groups = data["uniqueness"]["groups"]["extension_principle"]
     assert max(len(g["students"]) for g in ep_groups) == 17
@@ -88,7 +96,7 @@ def test_json_with_uniqueness(full_report):
 
 def test_uniqueness_text(full_report):
     summary = uniqueness_report(full_report)
-    text = render_uniqueness(summary)
+    text = _text(render_uniqueness, summary)
     assert "uniqueness summary" in text
     assert "Perceptual: all recommendations unique" in text
     assert "shared by 17 students" in text
@@ -96,7 +104,7 @@ def test_uniqueness_text(full_report):
 
 def test_ranking_text(full_report):
     ranking = rank_students(full_report, Method.PERCEPTUAL)
-    text = render_ranking(ranking, Method.PERCEPTUAL)
+    text = _text(render_ranking, ranking, Method.PERCEPTUAL)
     lines = text.splitlines()
     assert lines[0] == "ranking by Perceptual"
     assert lines[1].startswith("  1. student 3")
@@ -196,17 +204,66 @@ def test_json_equals_json_dumps_of_the_document(full_report, data, verbose):
     report = data.draw(_reports(pool))
     summary = uniqueness_report(report)
     uniqueness = data.draw(st.sampled_from([None, {}, summary]))
-    assert (render_json(report, verbose, uniqueness)
+    assert (_text(render_json, report, verbose=verbose, uniqueness=uniqueness)
             == _render_json_reference(report, verbose, uniqueness))
 
 
-@pytest.mark.parametrize("lwa_mode", LWA_MODES)
-def test_json_of_every_vector_equals_json_dumps(codebook, schema, lwa_mode):
+@pytest.fixture(scope="module")
+def every_vector_reports(codebook, schema):
+    """The report of all 625 feedback vectors in each LWA mode."""
     vectors = itertools.product(*(param.terms for param in schema.parameters))
     records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
-    report = evaluate_batch(records, cb=codebook, options=EvalOptions(lwa_mode=lwa_mode))
+    return {mode: evaluate_batch(records, cb=codebook, options=EvalOptions(lwa_mode=mode))
+            for mode in LWA_MODES}
+
+
+@pytest.mark.parametrize("lwa_mode", LWA_MODES)
+def test_json_of_every_vector_equals_json_dumps(every_vector_reports, lwa_mode):
+    report = every_vector_reports[lwa_mode]
     summary = uniqueness_report(report)
     for verbose in (False, True):
         for uniqueness in (None, summary):
-            assert (render_json(report, verbose, uniqueness)
+            assert (_text(render_json, report, verbose=verbose, uniqueness=uniqueness)
                     == _render_json_reference(report, verbose, uniqueness))
+
+
+class _Recorder:
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# sha256 of each format for the 625-vector report in exact mode, as the
+# renderers that returned one string wrote it
+EVERY_VECTOR_SHA256 = {
+    render_table: "6b873244eefda7d3de6232992f4960d6c535d5d63b53f3fcbf8d31e3c1efe83d",
+    render_csv: "3bccef3b61b3e4ac17961c6f7b69f4b228e8efe36357d46925e6faac1f6deea4",
+    render_json: "8100d0de3b707cf662280e9d16ac54a8b3432aa168b90e1362812ffbe7002652",
+}
+
+
+# Each row goes to the stream as soon as it is formatted, so no write is
+# longer than one row's text: its line, or for JSON its object with the
+# separator before it. A renderer that built the document first and wrote
+# it once would write hundreds of times that.
+@pytest.mark.parametrize("render", EVERY_VECTOR_SHA256, ids=lambda render: render.__name__)
+def test_each_row_is_written_as_it_is_formatted(every_vector_reports, render):
+    report = every_vector_reports["exact"]
+    stream = _Recorder()
+    render(report, stream)
+    text = "".join(stream.writes)
+    assert text == _text(render, report)
+    assert hashlib.sha256(text.encode()).hexdigest() == EVERY_VECTOR_SHA256[render]
+    if render is render_json:
+        separator = "\n" + " " * 4 + "{"
+        longest = max(len(row) for row in text.split(separator)) + len(separator)
+    else:
+        longest = max(len(line) for line in text.splitlines(keepends=True))
+    assert max(len(write) for write in stream.writes) <= longest
+    assert len(stream.writes) > len(report.rows)
+
