@@ -144,7 +144,7 @@ class Codebook:
         words. Only the last grid's are kept, in one (grid, samples) pair
         replaced whole, so no reader pairs a grid with another's samples."""
         last = self._samples
-        if last is None or last[0] != grid:
+        if last is None or (last[0] is not grid and last[0] != grid):
             words = self._fous[self.schema.recommendation.name]
             last = self._samples = (grid, membership_stack(words, grid))
         return last[1]

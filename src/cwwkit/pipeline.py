@@ -235,9 +235,10 @@ def evaluate_batch(
 ) -> EvaluationReport:
     """Evaluate a batch; per-row failures are recorded, not raised.
 
-    Rows may be raw (unresolved) feedback; a word that fails to resolve
-    flags that row only, and so do a resolved record that does not hold
-    one schema word per parameter and a student id already used by an
+    Rows may be resolved records or raw (unresolved) feedback, as
+    `read_feedback_file` returns them; a word that fails to resolve flags
+    that row only, and so do a resolved record that does not hold one
+    schema word per parameter and a student id already used by an
     earlier row (rows count from 1 in input order). Configuration
     problems such as requesting the perceptual method without a codebook
     abort the whole batch.
@@ -245,7 +246,8 @@ def evaluate_batch(
     Each distinct feedback vector is evaluated once per method, and the
     extension, symbolic and 2-tuple methods once per multiset of term
     indices; rows that share a vector or multiset share the resulting
-    cells, failed ones included.
+    cells, failed ones included, and rows that share a vector share its
+    codes tuple.
     """
     if not feedback:
         raise ValueError("cannot evaluate an empty batch")
@@ -260,7 +262,7 @@ def evaluate_batch(
     # on its index vector. The index methods average with equal weights,
     # so theirs depend only on the multiset of indices; a perceptual cell
     # needs the vector, since each parameter has its own words.
-    memo: dict[tuple[int, ...], Mapping[Method, MethodCell]] = {}
+    memo: dict[tuple[int, ...], tuple[tuple[str, ...], Mapping[Method, MethodCell]]] = {}
     by_multiset: dict[tuple[Method, tuple[int, ...]], MethodCell] = {}
     first_rows: dict[str, int] = {}
     rows = []
@@ -268,7 +270,8 @@ def evaluate_batch(
         if isinstance(item, FeedbackRecord):
             record, row_error = item, None
             if len(record.choices) != len(schema.parameters) or not all(
-                    term in ts.terms for ts, term in zip(schema.parameters, record.choices)):
+                    _is_one_of(term, ts.terms)
+                    for ts, term in zip(schema.parameters, record.choices)):
                 row_error = f"feedback {record.codes} is not one word of each parameter"
         else:
             try:
@@ -286,8 +289,8 @@ def evaluate_batch(
                                   cells={}, error=row_error))
             continue
         indices = record.indices
-        cells = memo.get(indices)
-        if cells is None:
+        known = memo.get(indices)
+        if known is None:
             evaluated = {}
             multiset = tuple(sorted(indices))
             for method in methods:
@@ -299,10 +302,11 @@ def evaluate_batch(
                         cell = by_multiset[method, multiset] = _cell(
                             record, method, cb, options)
                 evaluated[method] = cell
-            # read-only, since every row with this vector holds the same cells
-            cells = memo[indices] = MappingProxyType(evaluated)
-        rows.append(ReportRow(student_id=record.student_id, codes=record.codes,
-                              cells=cells))
+            # read-only, since every row with this vector holds the same
+            # codes and cells
+            known = memo[indices] = (record.codes, MappingProxyType(evaluated))
+        codes, cells = known
+        rows.append(ReportRow(student_id=record.student_id, codes=codes, cells=cells))
 
     metadata = {
         "methods": [m.value for m in methods],
@@ -312,6 +316,17 @@ def evaluate_batch(
         "students": len(rows),
     }
     return EvaluationReport(methods=methods, rows=tuple(rows), metadata=metadata)
+
+
+def _is_one_of(term: object, terms: tuple[LinguisticTerm, ...]) -> bool:
+    """`term in terms`, checked for identity first: a resolved record holds
+    the schema's own terms, and `in` would run `Value.__eq__` on each term
+    before the one that is `term`. A plain loop: `any()` over a generator
+    costs four times as much per call."""
+    for candidate in terms:
+        if candidate is term:
+            return True
+    return term in terms
 
 
 def _cell(record: FeedbackRecord, method: Method, cb: Codebook | None,

@@ -194,35 +194,45 @@ def _write_json_rows(report: EvaluationReport, out: TextIO, verbose: bool) -> No
     out.write("\n  ]" if report.rows else "[]")
 
 
+def _write_json_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]],
+                           out: TextIO) -> None:
+    """The document's "uniqueness" block: its head, then one write per
+    method's key and per duplicate group."""
+    out.write(',\n  "uniqueness": {\n    "note": ' + _json_str(_UNIQUENESS_NOTE)
+              + ',\n    "groups": {' + ("" if uniqueness else "}"))
+    opening = "\n      "
+    for method, groups in uniqueness.items():
+        out.write(opening + _json_str(method.value) + ": " + ("[" if groups else "[]"))
+        separator = "\n        "
+        for grp in groups:
+            out.write(separator + _json({
+                "numeric": grp.numeric,
+                "word": grp.word,
+                "students": list(grp.students),
+                "distinct_feedback": grp.distinct_feedback,
+            }, " " * 8))
+            separator = ",\n        "
+        if groups:
+            out.write("\n      ]")
+        opening = ",\n      "
+    out.write("\n    }\n  }" if uniqueness else "\n  }")
+
+
 def render_json(report: EvaluationReport, out: TextIO, verbose: bool = False,
                 uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]] | None = None) -> None:
     """Write the report as a JSON document, byte for byte what
     `json.dumps(document, indent=2)` writes, newline-terminated: the head,
-    one write per row, then the uniqueness block and the closing brace."""
+    one write per row, then the uniqueness block one group at a time and
+    the closing brace."""
     global _json_str
     import json  # here, so that the table and CSV formats do not load it
 
     _json_str = json.encoder.encode_basestring_ascii
     out.write('{\n  "metadata": ' + _json(dict(report.metadata), "  ") + ',\n  "rows": ')
     _write_json_rows(report, out, verbose)
-    tail = "\n}\n"
     if uniqueness is not None:
-        tail = ',\n  "uniqueness": ' + _json({
-            "note": _UNIQUENESS_NOTE,
-            "groups": {
-                method.value: [
-                    {
-                        "numeric": grp.numeric,
-                        "word": grp.word,
-                        "students": list(grp.students),
-                        "distinct_feedback": grp.distinct_feedback,
-                    }
-                    for grp in groups
-                ]
-                for method, groups in uniqueness.items()
-            },
-        }, "  ") + tail
-    out.write(tail)
+        _write_json_uniqueness(uniqueness, out)
+    out.write("\n}\n")
 
 
 def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from ._value import Value, set_field
 from .errors import CwwError, SchemaError, WordResolutionError
@@ -222,12 +222,17 @@ def resolve_feedback(
     if extra:
         raise SchemaError(f"unknown parameters in feedback: {sorted(extra)}")
     lowered = {k.lower(): v for k, v in raw.items()}
-    choices = []
     for name, param in known.items():
         if name not in lowered:
             raise SchemaError(f"feedback is missing parameter {param.name!r}")
-        choices.append(param.find(lowered[name]))
-    return FeedbackRecord(student_id=student_id, choices=tuple(choices))
+    return FeedbackRecord(student_id, _find_each(schema.parameters,
+                                                 [lowered[name] for name in known]))
+
+
+def _find_each(parameters: tuple[TermSet, ...],
+               words: Iterable[str]) -> tuple[LinguisticTerm, ...]:
+    """The term of each parameter that its word, in parameter order, names."""
+    return tuple([param.find(word) for param, word in zip(parameters, words)])
 
 
 def read_csv(handle: TextIO, source, header: tuple[str, ...],
@@ -257,18 +262,25 @@ def read_csv(handle: TextIO, source, header: tuple[str, ...],
         raise error(f"{source}: {exc}") from None
 
 
-def read_feedback_file(path) -> list[RawFeedback]:
+def read_feedback_file(path) -> list[FeedbackRecord | RawFeedback]:
     """Read a feedback batch file (see FEEDBACK_HEADER for the layout).
 
-    Word resolution is deferred so that a bad word in one row does not
-    abort a batch; pair with pipeline.evaluate_batch for per-row errors.
-    A file without records raises SchemaError naming the file.
+    Each row is resolved as it is read, into a FeedbackRecord of the
+    schema's own terms. A row with a word that does not resolve is kept
+    as RawFeedback of its stripped words, so that it fails alone: pair
+    with pipeline.evaluate_batch for per-row errors. A file without
+    records raises SchemaError naming the file.
     """
-    names = [param.name for param in build_default_schema().parameters]
+    parameters = build_default_schema().parameters
+    rows: list[FeedbackRecord | RawFeedback] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        rows = [RawFeedback(student_id=row[0].strip(),
-                            words={name: cell.strip() for name, cell in zip(names, row[1:])})
-                for _, row in read_csv(handle, path, FEEDBACK_HEADER, SchemaError)]
+        for _, row in read_csv(handle, path, FEEDBACK_HEADER, SchemaError):
+            student_id, cells = row[0].strip(), row[1:]
+            try:
+                rows.append(FeedbackRecord(student_id, _find_each(parameters, cells)))
+            except WordResolutionError:
+                rows.append(RawFeedback(student_id, {
+                    param.name: cell.strip() for param, cell in zip(parameters, cells)}))
     if not rows:
         raise SchemaError(f"{path}: no feedback rows")
     return rows

@@ -1,13 +1,25 @@
+import csv
+from types import SimpleNamespace
+
 import pytest
 
 from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions,
-                    FeedbackRecord, LinguisticTerm, Method, evaluate_batch,
-                    evaluate_student, rank_students, resolve_feedback,
+                    FeedbackRecord, LinguisticTerm, Method, build_default_schema,
+                    default_feedback_path, evaluate_batch, evaluate_student,
+                    rank_students, read_feedback_file, resolve_feedback,
                     uniqueness_report)
-from cwwkit.vocabulary import (LIKING, PREPARATION, SUBJECT_KNOWLEDGE,
-                               TIME_TAKEN, RawFeedback)
+from cwwkit.pipeline import _is_one_of
+from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
+                               SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
                             ENGINE_PERCEPTUAL_PARAM_MODE, PUBLISHED)
+
+
+def _words(record):
+    """The record's words as the raw feedback the sample file gives: one
+    code per parameter name."""
+    schema = build_default_schema()
+    return {param.name: term.code for param, term in zip(schema.parameters, record.choices)}
 
 
 def _row(report, sid):
@@ -76,6 +88,12 @@ class TestDeterminism:
         backward = evaluate_batch(list(reversed(sample_rows)), cb=codebook)
         assert list(reversed(backward.rows)) == list(forward.rows)
 
+    def test_rows_with_one_vector_share_its_codes(self, full_report):
+        row2, row11 = _row(full_report, 2), _row(full_report, 11)
+        assert row2.codes is row11.codes
+        codes = [row.codes for row in full_report.rows]
+        assert len({id(c) for c in codes}) == len(set(codes))
+
     def test_identical_feedback_identical_cells(self, full_report):
         row2, row11 = _row(full_report, 2), _row(full_report, 11)
         assert row2.codes == row11.codes
@@ -88,7 +106,7 @@ class TestDeterminism:
 class TestErrorHandling:
     def test_single_bad_word_flags_one_row(self, sample_rows, codebook):
         rows = list(sample_rows)
-        bad = RawFeedback("99", {**rows[0].words, TIME_TAKEN: "Tiny"})
+        bad = RawFeedback("99", {**_words(rows[0]), TIME_TAKEN: "Tiny"})
         report = evaluate_batch(rows + [bad], cb=codebook)
         flagged = [r for r in report.rows if r.error is not None]
         assert len(flagged) == 1
@@ -97,9 +115,9 @@ class TestErrorHandling:
         assert sum(r.error is None for r in report.rows) == 25
 
     def test_duplicate_student_id_flags_later_rows(self, sample_rows, codebook):
-        first = RawFeedback("1", {**sample_rows[0].words, TIME_TAKEN: "Tiny"})
+        first = RawFeedback("1", {**_words(sample_rows[0]), TIME_TAKEN: "Tiny"})
         batch = [first, sample_rows[1], sample_rows[0],
-                 RawFeedback("1", sample_rows[2].words)]
+                 RawFeedback("1", _words(sample_rows[2]))]
         report = evaluate_batch(batch, cb=codebook)
         assert "Tiny" in report.rows[0].error
         assert report.rows[1].error is None
@@ -109,7 +127,8 @@ class TestErrorHandling:
         assert report.rows[2].codes == ("S", "SLA", "AM", "PM")
 
     @pytest.mark.parametrize("case", ["index beyond g", "three choices", "five choices",
-                                      "another parameter's word", "unknown label"])
+                                      "another parameter's word", "unknown label",
+                                      "a non-term with a term's fields"])
     def test_hand_built_record_off_the_schema_flags_its_row(self, schema, codebook, case):
         valid = tuple(param[2] for param in schema.parameters)
         time, knowledge = schema.parameters[:2]
@@ -119,6 +138,8 @@ class TestErrorHandling:
             "five choices": valid + (time[1],),
             "another parameter's word": (knowledge[1],) + valid[1:],
             "unknown label": (LinguisticTerm("Huge", "H", 1),) + valid[1:],
+            "a non-term with a term's fields": (
+                SimpleNamespace(label="Small", code="S", index=1),) + valid[1:],
         }[case]
         # an equal copy of the schema's terms is not flagged
         copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
@@ -130,6 +151,69 @@ class TestErrorHandling:
         assert ok.error is None and copied.error is None
         assert copied.cells == ok.cells
         assert all(cell.error is None for cell in ok.cells.values())
+
+    def test_reader_rows_evaluate_as_the_raw_rows_they_replace(self, tmp_path, codebook):
+        path = tmp_path / "batch.csv"
+        path.write_text(",".join(FEEDBACK_HEADER) + "\n"
+                        "1, small ,Large,moderate,MODERATE\n"
+                        "2,L,SL,AH,PL\n"
+                        "1,VL,SVL,AVL,PVL\n"
+                        "3,Tiny,SL,AH,PL\n"
+                        "2,Huge,SL,AH,PL\n"
+                        "4,  l , sl ,ah,pl\n"
+                        "5,S,SLA,AM,Nope\n")
+        # each row as the reader kept it before it resolved rows: raw words
+        with path.open(encoding="utf-8", newline="") as handle:
+            _, *cells = csv.reader(handle)
+        names = [param.name for param in build_default_schema().parameters]
+        raw = [RawFeedback(row[0].strip(), {name: cell.strip()
+                                            for name, cell in zip(names, row[1:])})
+               for row in cells]
+        rows = read_feedback_file(path)
+        assert [type(row) for row in rows] == [FeedbackRecord] * 3 + [
+            RawFeedback, RawFeedback, FeedbackRecord, RawFeedback]
+        for options in (EvalOptions(), EvalOptions(lwa_mode="paper")):
+            got = evaluate_batch(rows, cb=codebook, options=options)
+            want = evaluate_batch(raw, cb=codebook, options=options)
+            assert len(got.rows) == len(want.rows) == 7
+            for got_row, want_row in zip(got.rows, want.rows):
+                assert got_row == want_row
+            assert got == want
+        flagged = {row.student_id: row.error for row in got.rows if row.error}
+        assert "Tiny" in flagged["3"] and "Nope" in flagged["5"]
+        assert [row.error for row in got.rows[2:5:2]] == [
+            "duplicate student id '1', first used by row 1",
+            "duplicate student id '2', first used by row 2"]
+
+    def test_records_of_schema_terms_compare_no_terms(self, monkeypatch, codebook):
+        # read here, not taken from the session's fixture: a test that
+        # clears the schema's cache leaves a new schema behind it
+        rows = read_feedback_file(default_feedback_path())
+        expected = evaluate_batch(rows, cb=codebook)
+        calls = []
+        equal = LinguisticTerm.__eq__
+
+        def counting(self, other):
+            calls.append(other)
+            return equal(self, other)
+
+        monkeypatch.setattr(LinguisticTerm, "__eq__", counting)
+        report = evaluate_batch(rows, cb=codebook)
+        assert calls == []
+        assert report == expected
+        # an equal copy still evaluates, by equality; another parameter's
+        # term and a non-term are still flagged
+        valid = rows[0].choices
+        copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
+        other = (build_default_schema().parameters[1][1],) + valid[1:]
+        duck = (SimpleNamespace(label="Small", code="S", index=1),) + valid[1:]
+        copied, moved, ducked = evaluate_batch(
+            [FeedbackRecord("copy", copy), FeedbackRecord("other", other),
+             FeedbackRecord("duck", duck)], cb=codebook).rows
+        assert calls
+        assert copied.error is None and copied.cells == expected.rows[0].cells
+        for row in (moved, ducked):
+            assert row.error.endswith("is not one word of each parameter")
 
     def test_perceptual_without_codebook(self, sample_rows):
         with pytest.raises(ConfigurationError):
@@ -148,6 +232,17 @@ class TestErrorHandling:
             EvalOptions(lwa_mode="bogus")
 
 
+def test_is_one_of_gives_the_verdict_of_in():
+    schema = build_default_schema()
+    terms = [term for ts in schema.term_sets for term in ts]
+    copies = [LinguisticTerm(t.label, t.code, t.index) for t in terms]
+    others = [LinguisticTerm("Huge", "H", 1), SimpleNamespace(label="Small", code="S", index=1),
+              None, "S", 1, (1,)]
+    for value in terms + copies + others:
+        for ts in schema.term_sets:
+            assert _is_one_of(value, ts.terms) == (value in ts.terms), (value, ts.name)
+
+
 class TestSingleStudent:
     def test_walkthrough_student_perceptual(self, codebook, schema):
         record = resolve_feedback(schema, {
@@ -162,7 +257,7 @@ class TestSingleStudent:
         assert interval.c_r == pytest.approx(5.47, abs=0.05)
 
     def test_row22_all_methods(self, codebook, schema, sample_rows):
-        record = resolve_feedback(schema, sample_rows[21].words, "22")
+        record = resolve_feedback(schema, _words(sample_rows[21]), "22")
         ep = evaluate_student(record, Method.EXTENSION_PRINCIPLE, codebook)
         assert ep.numeric.as_tuple() == (0.0, 0.25, 0.5)
         assert ep.linguistic.code == "SSBA"
@@ -177,7 +272,7 @@ class TestSingleStudent:
     def test_paper_lwa_mode_option(self, codebook, schema, sample_rows):
         options = EvalOptions(lwa_mode="paper")
         for sid, mean in ENGINE_PERCEPTUAL_PARAM_MODE.items():
-            record = resolve_feedback(schema, sample_rows[sid - 1].words, str(sid))
+            record = resolve_feedback(schema, _words(sample_rows[sid - 1]), str(sid))
             rec = evaluate_student(record, Method.PERCEPTUAL, codebook, options=options)
             assert rec.score == pytest.approx(mean, abs=2e-6)
 
@@ -249,7 +344,7 @@ class TestUniqueness:
         assert all(not groups for groups in uniqueness_report(report).values())
 
     def test_flagged_rows_excluded(self, sample_rows, codebook):
-        bad = RawFeedback("99", {**sample_rows[0].words, TIME_TAKEN: "Tiny"})
+        bad = RawFeedback("99", {**_words(sample_rows[0]), TIME_TAKEN: "Tiny"})
         report = evaluate_batch(list(sample_rows) + [bad], cb=codebook)
         for groups in uniqueness_report(report).values():
             for group in groups:

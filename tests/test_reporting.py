@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,8 +59,9 @@ def test_csv_parses_back(full_report):
     assert first["error"] == ""
 
 
-def test_csv_flags_failed_rows(sample_rows, codebook):
-    bad = RawFeedback("99", {**sample_rows[0].words, TIME_TAKEN: "Tiny"})
+def test_csv_flags_failed_rows(schema, sample_rows, codebook):
+    words = dict(zip([param.name for param in schema.parameters], sample_rows[0].codes))
+    bad = RawFeedback("99", {**words, TIME_TAKEN: "Tiny"})
     report = evaluate_batch(list(sample_rows) + [bad], cb=codebook)
     rows = list(csv.reader(io.StringIO(_text(render_csv, report))))
     last = dict(zip(rows[0], rows[-1]))
@@ -267,3 +269,28 @@ def test_each_row_is_written_as_it_is_formatted(every_vector_reports, render):
     assert max(len(write) for write in stream.writes) <= longest
     assert len(stream.writes) > len(report.rows)
 
+
+
+# sha256 of `render_json` with the uniqueness block for the 625-vector
+# report in exact mode, as the renderer that built the block whole wrote it
+EVERY_VECTOR_UNIQUENESS_JSON_SHA256 = (
+    "a3a5cf70499b6c16d418dded49380b2b26654b3d0124a786ea943ae41cdc3938")
+
+
+# The uniqueness block goes out one duplicate group at a time, so no write
+# is longer than one group's text with the separator before it.
+def test_each_uniqueness_group_is_written_alone(every_vector_reports):
+    report = every_vector_reports["exact"]
+    summary = uniqueness_report(report)
+    stream = _Recorder()
+    render_json(report, stream, uniqueness=summary)
+    text = "".join(stream.writes)
+    assert text == _render_json_reference(report, False, summary)
+    assert hashlib.sha256(text.encode()).hexdigest() == EVERY_VECTOR_UNIQUENESS_JSON_SHA256
+    groups = [{"numeric": grp.numeric, "word": grp.word, "students": list(grp.students),
+               "distinct_feedback": grp.distinct_feedback}
+              for method_groups in summary.values() for grp in method_groups]
+    longest = max(len(",\n" + textwrap.indent(json.dumps(group, indent=2), " " * 8))
+                  for group in groups)
+    assert max(len(write) for write in stream.writes) <= longest
+    assert len(stream.writes) > len(report.rows) + len(groups)

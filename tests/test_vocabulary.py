@@ -14,7 +14,8 @@ from cwwkit import (FeedbackRecord, LinguisticTerm, SchemaError, TermSet,
                     resolve_feedback)
 from cwwkit.cli import main
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
-                               SUBJECT_KNOWLEDGE, TIME_TAKEN, ParameterSchema)
+                               SUBJECT_KNOWLEDGE, TIME_TAKEN, ParameterSchema,
+                               RawFeedback)
 
 SS1_WORDS = {
     TIME_TAKEN: "Small",
@@ -126,25 +127,59 @@ def test_feedback_record_accessors(schema):
     assert record.indices == (1, 3, 2, 2)
 
 
-def test_read_sample_feedback(schema, sample_rows):
+def test_read_sample_feedback(sample_rows):
     assert len(sample_rows) == 25
     assert sample_rows[0].student_id == "1"
-    assert sample_rows[0].words[TIME_TAKEN] == "S"
-    resolved = resolve_feedback(schema, sample_rows[21].words, "22")
-    assert resolved.indices == (4, 0, 0, 0)
+    assert sample_rows[0].codes[0] == "S"
+    assert sample_rows[21].student_id == "22"
+    assert sample_rows[21].indices == (4, 0, 0, 0)
 
 
-def test_read_feedback_file_matches_csv_rows(schema, sample_rows):
+def test_read_feedback_file_matches_csv_rows():
     with default_feedback_path().open(encoding="utf-8", newline="") as handle:
         header, *rows = csv.reader(handle)
     assert tuple(header) == FEEDBACK_HEADER
     expected = [(row[0], tuple(word.strip() for word in row[1:])) for row in rows]
-    names = [param.name for param in schema.parameters]
-    got = [(raw.student_id, tuple(raw.words[name] for name in names))
-           for raw in sample_rows]
+    # read here, not taken from the session's fixture: a test that clears
+    # the schema's cache leaves a new schema behind it
+    records = read_feedback_file(default_feedback_path())
+    got = [(record.student_id, record.codes) for record in records]
     assert len(got) == 25
     assert got == expected
-    assert all(list(raw.words) == names for raw in sample_rows)
+    # every row resolves as it is read, to the schema's own terms
+    parameters = build_default_schema().parameters
+    for record in records:
+        assert isinstance(record, FeedbackRecord)
+        for param, term, code in zip(parameters, record.choices, record.codes):
+            assert term is param.find(code)
+
+
+def test_reader_resolves_padded_mixed_case_labels_and_keeps_unknown_words_raw(tmp_path):
+    path = tmp_path / "district.csv"
+    path.write_text(",".join(FEEDBACK_HEADER) + "\n"
+                    " a1 ,  sMaLL ,LARGE,moderate,  Very HIGH\n"
+                    "a2,VL,svla,Am,ph\n"
+                    "a3, Tiny ,  SL ,AM,PM\n"
+                    "a4, very little , Limited ,  HIGH,pl\n"
+                    "a5,S,SLA,AM,Nope\n")
+    rows = read_feedback_file(path)
+    assert [row.student_id for row in rows] == ["a1", "a2", "a3", "a4", "a5"]
+    time, knowledge, liking, preparation = build_default_schema().parameters
+    expected = {
+        0: (time[1], knowledge[3], liking[2], preparation[4]),
+        1: (time[0], knowledge[4], liking[2], preparation[3]),
+        3: (time[0], knowledge[1], liking[3], preparation[1]),
+    }
+    for position, choices in expected.items():
+        record = rows[position]
+        assert isinstance(record, FeedbackRecord)
+        assert all(got is want for got, want in zip(record.choices, choices))
+        assert len(record.choices) == len(choices)
+    # a row whose word does not resolve keeps its stripped words
+    assert rows[2] == RawFeedback("a3", {TIME_TAKEN: "Tiny", SUBJECT_KNOWLEDGE: "SL",
+                                         LIKING: "AM", PREPARATION: "PM"})
+    assert rows[4] == RawFeedback("a5", {TIME_TAKEN: "S", SUBJECT_KNOWLEDGE: "SLA",
+                                         LIKING: "AM", PREPARATION: "Nope"})
 
 
 def test_feedback_file_rejects_bad_header(tmp_path):
