@@ -122,7 +122,6 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
 
 
 def _load_codebook(path: str | None):
-    path = path or os.environ.get(CODEBOOK_ENV)
     if path is None:
         return default_codebook()
     if not os.path.exists(path):
@@ -149,9 +148,8 @@ def _destination(path: str | None):
 def _evaluate(args, methods):
     # an explicit codebook is validated whatever the methods; the built-in
     # one is loaded only when the perceptual method needs it
-    explicit = args.codebook or os.environ.get(CODEBOOK_ENV)
-    needed = explicit is not None or Method.PERCEPTUAL in methods
-    cb = _load_codebook(explicit) if needed else None
+    needed = args.codebook is not None or Method.PERCEPTUAL in methods
+    cb = _load_codebook(args.codebook) if needed else None
     feedback = _load_feedback(args.feedback)
     options = EvalOptions(grid=args.grid, lwa_mode=args.lwa_mode)
     return evaluate_batch(feedback, methods, cb, options=options)
@@ -210,6 +208,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # the one place the environment's codebook is read
+        args.codebook = args.codebook or os.environ.get(CODEBOOK_ENV)
         if args.command == "codebook":
             return _cmd_codebook_validate(args)
         if args.command == "evaluate":

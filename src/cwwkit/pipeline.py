@@ -237,8 +237,8 @@ def evaluate_batch(
 
     Rows may be resolved records or raw (unresolved) feedback, as
     `read_feedback_file` returns them; a word that fails to resolve flags
-    that row only, and so do a resolved record that does not hold one
-    schema word per parameter and a student id already used by an
+    that row only, and so do a record, of any shape, that does not hold
+    one schema word per parameter and a student id already used by an
     earlier row (rows count from 1 in input order). Configuration
     problems such as requesting the perceptual method without a codebook
     abort the whole batch.
@@ -267,25 +267,36 @@ def evaluate_batch(
     first_rows: dict[str, int] = {}
     rows = []
     for position, item in enumerate(feedback, start=1):
-        if isinstance(item, FeedbackRecord):
-            record, row_error = item, None
-            if len(record.choices) != len(schema.parameters) or not all(
-                    _is_one_of(term, ts.terms)
-                    for ts, term in zip(schema.parameters, record.choices)):
-                row_error = f"feedback {record.codes} is not one word of each parameter"
-        else:
+        record, codes, row_error = item, None, None
+        if not isinstance(item, FeedbackRecord):
             try:
                 record = resolve_feedback(schema, item.words, item.student_id)
-                row_error = None
             except CwwError as exc:
                 record, row_error = None, str(exc)
+        else:
+            # One comparison: tuples compare items by identity before `==`,
+            # so a record of the schema's own terms runs no `Value.__eq__`.
+            try:
+                on_schema = tuple(item.choices) == tuple([
+                    ts.terms[term.index]
+                    for ts, term in zip(schema.parameters, item.choices, strict=True)])
+            except (AttributeError, IndexError, TypeError, ValueError):
+                on_schema = False  # not terms, not one per parameter, or no tuple
+            if not on_schema:
+                try:
+                    codes = tuple([term.code for _, term in zip(
+                        schema.parameters, item.choices, strict=True)])
+                except (AttributeError, TypeError, ValueError):
+                    pass
+                record = None
+                row_error = f"feedback {codes or item.choices} is not one word of each parameter"
         first = first_rows.setdefault(item.student_id, position)
         if first != position:
             row_error = (f"duplicate student id {item.student_id!r}, "
                          f"first used by row {first}")
         if row_error is not None:
             rows.append(ReportRow(student_id=item.student_id,
-                                  codes=record.codes if record is not None else None,
+                                  codes=record.codes if record is not None else codes,
                                   cells={}, error=row_error))
             continue
         indices = record.indices
@@ -316,17 +327,6 @@ def evaluate_batch(
         "students": len(rows),
     }
     return EvaluationReport(methods=methods, rows=tuple(rows), metadata=metadata)
-
-
-def _is_one_of(term: object, terms: tuple[LinguisticTerm, ...]) -> bool:
-    """`term in terms`, checked for identity first: a resolved record holds
-    the schema's own terms, and `in` would run `Value.__eq__` on each term
-    before the one that is `term`. A plain loop: `any()` over a generator
-    costs four times as much per call."""
-    for candidate in terms:
-        if candidate is term:
-            return True
-    return term in terms
 
 
 def _cell(record: FeedbackRecord, method: Method, cb: Codebook | None,

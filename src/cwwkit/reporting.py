@@ -26,19 +26,25 @@ _UNIQUENESS_NOTE = (
 )
 
 
-def _cell_numeric(cell, method: Method, verbose: bool) -> str:
-    if cell.error is not None:
-        return "!"
-    rec = cell.recommendation
-    if verbose and method is Method.PERCEPTUAL:
-        return repr(rec.score)
-    return rec.numeric_text
-
-
-def _cell_word(cell) -> str:
-    if cell.error is not None:
-        return "failed"
-    return cell.recommendation.linguistic.code
+def _printed_rows(report: EvaluationReport, verbose: bool, unknown: str,
+                  failed: tuple[str, str]):
+    """Each row's printed cells, in column order: the student id, its four
+    codes (`unknown` for each if it has none) and, for each method, the
+    numeric text and the word (the full perceptual score under `verbose`),
+    or `failed` for a flagged row or a failed cell."""
+    no_codes = (unknown,) * len(FEEDBACK_COLUMNS)
+    for row in report.rows:
+        cells = [row.student_id, *(row.codes or no_codes)]
+        for method in report.methods:
+            cell = row.cells[method] if row.error is None else None
+            if cell is None or cell.error is not None:
+                cells += failed
+                continue
+            rec = cell.recommendation
+            numeric = (repr(rec.score) if verbose and method is Method.PERCEPTUAL
+                       else rec.numeric_text)
+            cells += (numeric, rec.linguistic.code)
+        yield cells
 
 
 def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
@@ -48,17 +54,7 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
     for method in report.methods:
         title = _METHOD_TITLES[method]
         header += [f"{title} numeric", f"{title} word"]
-    table = [header]
-    for row in report.rows:
-        cells = [row.student_id]
-        cells += list(row.codes) if row.codes else ["?"] * len(FEEDBACK_COLUMNS)
-        for method in report.methods:
-            if row.error is not None:
-                cells += ["!", "failed"]
-            else:
-                cell = row.cells[method]
-                cells += [_cell_numeric(cell, method, verbose), _cell_word(cell)]
-        table.append(cells)
+    table = [header, *_printed_rows(report, verbose, "?", ("!", "failed"))]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
@@ -84,18 +80,7 @@ def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> 
         header += [f"{method.value}_numeric", f"{method.value}_word"]
     header.append("error")
     writer.writerow(header)
-    for row in report.rows:
-        cells = [row.student_id]
-        cells += list(row.codes) if row.codes else [""] * len(FEEDBACK_COLUMNS)
-        for method in report.methods:
-            if row.error is not None:
-                cells += ["", ""]
-            else:
-                cell = row.cells[method]
-                if cell.error is not None:
-                    cells += ["", ""]
-                else:
-                    cells += [_cell_numeric(cell, method, verbose), _cell_word(cell)]
+    for row, cells in zip(report.rows, _printed_rows(report, verbose, "", ("", ""))):
         cells.append(row.error or "")
         writer.writerow(cells)
 

@@ -86,10 +86,10 @@ class TermSet(Value):
 
     def find(self, word: str) -> LinguisticTerm:
         """Resolve a word against label or code, case-insensitively."""
-        term = self._by_word.get(word.strip().lower())
-        if term is None:
-            raise WordResolutionError(self.name, word)
-        return term
+        try:
+            return self._by_word[word.strip().lower()]
+        except (AttributeError, KeyError):
+            raise WordResolutionError(self.name, word) from None
 
 
 class ParameterSchema(Value):

@@ -1,4 +1,5 @@
 import csv
+import io
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +9,7 @@ from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions,
                     default_feedback_path, evaluate_batch, evaluate_student,
                     rank_students, read_feedback_file, resolve_feedback,
                     uniqueness_report)
-from cwwkit.pipeline import _is_one_of
+from cwwkit.reporting import render_csv, render_table
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
                                SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
@@ -128,7 +129,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("case", ["index beyond g", "three choices", "five choices",
                                       "another parameter's word", "unknown label",
-                                      "a non-term with a term's fields"])
+                                      "a non-term with a term's fields", "a string choice",
+                                      "a None choice", "no choices"])
     def test_hand_built_record_off_the_schema_flags_its_row(self, schema, codebook, case):
         valid = tuple(param[2] for param in schema.parameters)
         time, knowledge = schema.parameters[:2]
@@ -140,17 +142,41 @@ class TestErrorHandling:
             "unknown label": (LinguisticTerm("Huge", "H", 1),) + valid[1:],
             "a non-term with a term's fields": (
                 SimpleNamespace(label="Small", code="S", index=1),) + valid[1:],
+            "a string choice": ("S",) + valid[1:],
+            "a None choice": valid[:2] + (None,) + valid[3:],
+            "no choices": None,
         }[case]
         # an equal copy of the schema's terms is not flagged
         copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
         batch = [FeedbackRecord("bad", choices), FeedbackRecord("ok", valid),
                  FeedbackRecord("copy", copy)]
-        bad, ok, copied = evaluate_batch(batch, cb=codebook).rows
+        report = evaluate_batch(batch, cb=codebook)
+        bad, ok, copied = report.rows
         assert bad.error.endswith("is not one word of each parameter")
         assert bad.cells == {}
+        # codes only when the row holds one code per parameter
+        if case in ("three choices", "five choices", "a string choice", "a None choice",
+                    "no choices"):
+            assert bad.codes is None
+        else:
+            assert bad.codes == tuple(choice.code for choice in choices)
         assert ok.error is None and copied.error is None
         assert copied.cells == ok.cells
         assert all(cell.error is None for cell in ok.cells.values())
+        # the flagged row prints with every column of the others
+        table, text = io.StringIO(), io.StringIO()
+        render_table(report, table)
+        render_csv(report, text)
+        assert len(table.getvalue().splitlines()) == 5
+        assert len({len(row) for row in csv.reader(io.StringIO(text.getvalue()))}) == 1
+
+    @pytest.mark.parametrize("word", [None, 5])
+    def test_raw_word_that_is_not_text_flags_its_row(self, sample_rows, codebook, word):
+        bad = RawFeedback("bad", {**_words(sample_rows[0]), LIKING: word})
+        flagged, ok = evaluate_batch([bad, sample_rows[1]], cb=codebook).rows
+        assert flagged.error == f"unknown word {word!r} for parameter {LIKING!r}"
+        assert flagged.codes is None and flagged.cells == {}
+        assert ok.error is None
 
     def test_reader_rows_evaluate_as_the_raw_rows_they_replace(self, tmp_path, codebook):
         path = tmp_path / "batch.csv"
@@ -232,15 +258,27 @@ class TestErrorHandling:
             EvalOptions(lwa_mode="bogus")
 
 
-def test_is_one_of_gives_the_verdict_of_in():
-    schema = build_default_schema()
+def test_record_flagged_exactly_when_a_choice_is_not_in_its_parameter(schema, codebook):
     terms = [term for ts in schema.term_sets for term in ts]
     copies = [LinguisticTerm(t.label, t.code, t.index) for t in terms]
     others = [LinguisticTerm("Huge", "H", 1), SimpleNamespace(label="Small", code="S", index=1),
               None, "S", 1, (1,)]
+    valid = tuple(param[2] for param in schema.parameters)
+    batch, flagged = [], []
     for value in terms + copies + others:
-        for ts in schema.term_sets:
-            assert _is_one_of(value, ts.terms) == (value in ts.terms), (value, ts.name)
+        for position, ts in enumerate(schema.parameters):
+            choices = valid[:position] + (value,) + valid[position + 1:]
+            batch.append(FeedbackRecord(str(len(batch)), choices))
+            flagged.append(value not in ts.terms)
+    report = evaluate_batch(batch, cb=codebook)
+    assert [row.error is not None for row in report.rows] == flagged
+    assert any(flagged) and not all(flagged)
+    for row, off in zip(report.rows, flagged):
+        if off:
+            assert row.error.endswith("is not one word of each parameter")
+            assert row.cells == {}
+        else:
+            assert all(cell.error is None for cell in row.cells.values())
 
 
 class TestSingleStudent:

@@ -69,6 +69,47 @@ def test_csv_flags_failed_rows(schema, sample_rows, codebook):
     assert "Tiny" in last["error"]
 
 
+def _printed_rows_report(full_report):
+    """A valid row, a flagged row without codes, a flagged row with codes
+    and a row whose perceptual cell failed."""
+    valid = full_report.rows[0]
+    failed = {**valid.cells,
+              Method.PERCEPTUAL: MethodCell(error="FOU carries no membership mass on the grid")}
+    rows = (valid,
+            ReportRow("x7", None, {}, error="unknown word 'Tiny' for parameter "
+                                            "'Time taken to solve the question'"),
+            ReportRow("1", valid.codes, {}, error="duplicate student id '1', first used by row 1"),
+            ReportRow("f", valid.codes, failed))
+    return EvaluationReport(methods=full_report.methods, rows=rows)
+
+
+# sha256 of each text format of `_printed_rows_report`, by (renderer, verbose)
+PRINTED_ROWS_SHA256 = {
+    (render_table, False): "7e4589f3bb792d6796e9cd9b48eee341903ae3de3e2b85bb083348c3f5fe50cc",
+    (render_table, True): "b455ef346739175417f48dc62d338e6144b2fe641729f14913f21249dd79d934",
+    (render_csv, False): "09e9447193c1ecaaa34737bad0f6dc8cdf3433c835f9ec1a704c7d620300654e",
+    (render_csv, True): "2ee093898154f885745ce6bd39ae3c8eb7614888a81b0010208c3d49844c8dc9",
+}
+
+
+@pytest.mark.parametrize("render, verbose", list(PRINTED_ROWS_SHA256))
+def test_flagged_rows_and_failed_cells_print_as_pinned(full_report, render, verbose):
+    text = _text(render, _printed_rows_report(full_report), verbose=verbose)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_ROWS_SHA256[render, verbose]
+    if render is render_csv and not verbose:
+        assert text.splitlines()[1:] == [
+            '1,S,SLA,AM,PM,"{0.25,0.5,0.75}",SSA,2,SSA,2,SSA,4.96,SSA,',
+            "x7,,,,,,,,,,,,,unknown word 'Tiny' for parameter "
+            "'Time taken to solve the question'",
+            '1,S,SLA,AM,PM,,,,,,,,,"duplicate student id \'1\', first used by row 1"',
+            'f,S,SLA,AM,PM,"{0.25,0.5,0.75}",SSA,2,SSA,2,SSA,,,',
+        ]
+    if render is render_table:
+        lines = text.splitlines()
+        assert lines[2].split() == ["x7"] + ["?"] * 4 + ["!", "failed"] * 4
+        assert lines[4].split()[-2:] == ["!", "failed"]
+
+
 def test_json_structure(full_report):
     data = json.loads(_text(render_json, full_report))
     assert data["metadata"]["students"] == 25

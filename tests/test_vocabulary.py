@@ -12,10 +12,8 @@ from cwwkit import (FeedbackRecord, LinguisticTerm, SchemaError, TermSet,
                     WordResolutionError, build_default_schema,
                     default_feedback_path, read_feedback_file,
                     resolve_feedback)
-from cwwkit.cli import main
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
-                               SUBJECT_KNOWLEDGE, TIME_TAKEN, ParameterSchema,
-                               RawFeedback)
+                               SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
 
 SS1_WORDS = {
     TIME_TAKEN: "Small",
@@ -39,21 +37,35 @@ def test_default_schema_deterministic(schema):
     assert build_default_schema() == schema
 
 
-def test_default_schema_is_built_once(monkeypatch, capsys):
+def test_default_schema_is_built_once(schema, sample_rows):
     assert build_default_schema() is build_default_schema()
-    builds = []
-    init = ParameterSchema.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ParameterSchema, "__init__", counting)
-    build_default_schema.cache_clear()
-    assert main(["evaluate"]) == 0
-    assert capsys.readouterr().out
+    # counted in a fresh interpreter: clearing this process's cache would
+    # leave the session fixtures holding a schema the cache no longer holds
+    code = ("import contextlib, io\n"
+            "from cwwkit.cli import main\n"
+            "from cwwkit.vocabulary import ParameterSchema, build_default_schema\n"
+            "builds, init = [], ParameterSchema.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    builds.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "ParameterSchema.__init__ = counting\n"
+            "build_default_schema.cache_clear()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    status = main(['evaluate'])\n"
+            "print(status, len(out.getvalue()) > 0, len(builds))\n")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
+    status, printed, builds = child.stdout.split()
+    assert (status, printed) == ("0", "True")
     # the feedback reader, the codebook and the batch share one schema
-    assert len(builds) <= 1
+    assert int(builds) <= 1
+    # and the session fixtures hold the cached schema's own terms
+    cached = build_default_schema()
+    assert schema is cached
+    assert all(term is ts.terms[term.index]
+               for row in sample_rows for ts, term in zip(cached.parameters, row.choices))
 
 
 def test_resolve_ss1_by_labels(schema):
