@@ -23,24 +23,29 @@ from .errors import DegenerateInputError
 _CONTAINMENT_TOL = 1e-9
 
 
-def _trapezoid(x, a: float, b: float, c: float, d: float, height: float):
-    """Trapezoid membership with plateau value `height` on [b, c].
+def _on_grid(grid: DiscretizationGrid, a: float, b: float, c: float, d: float,
+             top: float, rising, falling) -> np.ndarray:
+    """Membership on the grid with knots a <= b <= c <= d: zero outside
+    [a, d], `top` on [b, c], and `rising` and `falling` called on the
+    samples of their own edge only, so a zero-width edge is an empty slice."""
+    xs, points = grid.samples, grid.sample_list
+    start = bisect_left(points, a)
+    rise = bisect_left(points, b)
+    fall = bisect_right(points, c)
+    stop = bisect_right(points, d)
+    mu = np.zeros(len(points))
+    mu[start:rise] = rising(xs[start:rise])
+    mu[rise:fall] = top
+    mu[fall:stop] = falling(xs[fall:stop])
+    return mu
 
-    Zero-width edges (a == b or c == d) evaluate as steps; membership at
-    the knot takes the plateau value. The lower of the two ramps, clipped
-    to [0, 1], is the edge's own ramp on an edge, 1 on the plateau and 0
-    outside the support.
-    """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    # a subnormal edge width overflows a ramp to +-inf, which the clip handles
-    with np.errstate(over="ignore"):
-        rising = (arr - a) / (b - a) if b > a else np.where(arr < a, 0.0, 1.0)
-        falling = (d - arr) / (d - c) if d > c else np.where(arr > d, 0.0, 1.0)
-    out = np.minimum(rising, falling, out=rising)
-    np.minimum(out, 1.0, out=out)
-    np.maximum(out, 0.0, out=out)  # also turns an underflowed -0.0 into 0.0
-    out *= height
-    return float(out[0]) if np.ndim(x) == 0 else out
+
+def _trapezoid(grid: DiscretizationGrid, a: float, b: float, c: float, d: float,
+               height: float) -> np.ndarray:
+    """Trapezoid membership on the grid with plateau value `height` on [b, c]."""
+    return _on_grid(grid, a, b, c, d, height,
+                    lambda x: (x - a) / (b - a) * height,
+                    lambda x: (d - x) / (d - c) * height)
 
 
 def _trapezoid_at(x: float, a: float, b: float, c: float, d: float,
@@ -186,8 +191,7 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
     A sampled FOU must already lie on `grid`; it is not interpolated.
     """
     if isinstance(fou, TrapezoidIT2):
-        xs = grid.samples
-        return _trapezoid(xs, *fou.umf, 1.0), _trapezoid(xs, *fou.lmf, fou.lmf_height)
+        return _trapezoid(grid, *fou.umf, 1.0), _trapezoid(grid, *fou.lmf, fou.lmf_height)
     if isinstance(fou, SampledFOU):
         if fou.xs is grid.samples or (len(fou.xs) == grid.sample_count
                                       and np.array_equal(fou.xs, grid.samples)):
@@ -458,22 +462,14 @@ def _cuts_to_membership(grid: DiscretizationGrid, cut_set, cols: list[int],
     # take() returns a C-ordered selection; `[..., cols]` returns an
     # F-ordered one, whose `@ w` may round differently in the last bit
     lefts, rights = cuts.take(cols, axis=2) @ w
-    xs, points = grid.samples, grid.sample_list
-    start = bisect_left(points, float(lefts[0]))
-    rise = bisect_left(points, float(lefts[-1]))
-    fall = bisect_right(points, float(rights[-1]))
-    stop = bisect_right(points, float(rights[0]))
     # mu is the lower of the left-edge and right-edge interpolations, and
     # each edge reads the top level on the other's side, so only the edges
-    # are interpolated. The plateau and the outside of the support are set
-    # explicitly; zero-width edges otherwise depend on how interp resolves
-    # duplicate knots (xs is sorted)
+    # are interpolated
     top = alphas[-1]
-    mu = np.zeros(len(points))
-    mu[start:rise] = np.minimum(np.interp(xs[start:rise], lefts, alphas), top)
-    mu[rise:fall] = top
-    mu[fall:stop] = np.minimum(np.interp(xs[fall:stop], rights[::-1], reversed_alphas), top)
-    return mu
+    return _on_grid(grid, float(lefts[0]), float(lefts[-1]), float(rights[-1]),
+                    float(rights[0]), top,
+                    lambda x: np.minimum(np.interp(x, lefts, alphas), top),
+                    lambda x: np.minimum(np.interp(x, rights[::-1], reversed_alphas), top))
 
 
 def jaccard_similarity(fou_a, fou_b, grid: DiscretizationGrid = DEFAULT_GRID) -> float:

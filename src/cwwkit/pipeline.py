@@ -288,6 +288,8 @@ def evaluate_batch(
                         schema.parameters, item.choices, strict=True)])
                 except (AttributeError, TypeError, ValueError):
                     pass
+                if codes is not None and not all(isinstance(code, str) for code in codes):
+                    codes = None  # the renderers print codes as text
                 record = None
                 row_error = f"feedback {codes or item.choices} is not one word of each parameter"
         first = first_rows.setdefault(item.student_id, position)
@@ -331,7 +333,6 @@ def evaluate_batch(
 
 def _cell(record: FeedbackRecord, method: Method, cb: Codebook | None,
           options: EvalOptions) -> MethodCell:
-    # `method` goes second and by position: the benchmark's tracer reads it there
     try:
         return MethodCell(recommendation=evaluate_student(record, method, cb, options))
     except CwwError as exc:

@@ -143,11 +143,11 @@ def _closed_form_lwa(fous, grid):
 
     h_min = min(f.lmf_height for f in fous)
     e, i_ = mean(f.lmf_e for f in fous), mean(f.lmf_i for f in fous)
-    upper = _trapezoid(grid.samples, mean(f.umf_a for f in fous),
+    upper = _trapezoid(grid, mean(f.umf_a for f in fous),
                        mean(f.umf_b for f in fous), mean(f.umf_c for f in fous),
                        mean(f.umf_d for f in fous), 1.0)
     lower = _trapezoid(
-        grid.samples, e,
+        grid, e,
         e + h_min * mean((f.lmf_f - f.lmf_e) / f.lmf_height for f in fous),
         i_ - h_min * mean((f.lmf_i - f.lmf_g) / f.lmf_height for f in fous),
         i_, h_min)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from cwwkit import (CentroidInterval, DegenerateInputError, DiscretizationGrid,
                     TrapezoidIT2, centroid, centroid_brute_force,
                     jaccard_similarity, lwa_exact, lwa_paper)
 from cwwkit.it2 import (DEFAULT_GRID, MAX_SAMPLE_COUNT, SampledFOU,
-                        _trapezoid, membership_samples)
+                        _trapezoid, _trapezoid_at, membership_samples)
 from cwwkit.vocabulary import TIME_TAKEN
 from strategies import _assemble_fou, random_fou, trapezoid_it2
 
@@ -32,31 +33,37 @@ SS1_WORDS = [
 ]
 
 
+def _on_default_grid(x, *params):
+    """`_trapezoid` on the default grid, read at its sample `x`."""
+    return float(_trapezoid(DEFAULT_GRID, *params)[DEFAULT_GRID.sample_list.index(x)])
+
+
 class TestMembership:
     def test_upper_plateau_and_support(self):
-        assert _trapezoid(2.5, *SMALL.umf, 1.0) == 1.0
-        assert _trapezoid(5.0, *SMALL.umf, 1.0) == 0.0
-        assert _trapezoid(1.295, *SMALL.umf, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert _on_default_grid(2.5, *SMALL.umf, 1.0) == 1.0
+        assert _on_default_grid(5.0, *SMALL.umf, 1.0) == 0.0
+        # 1.295 lies between two samples
+        assert _trapezoid_at(1.295, *SMALL.umf, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_lower_plateau_and_edges(self):
-        assert _trapezoid(2.5, *SMALL.lmf, SMALL.lmf_height) == pytest.approx(0.59)
-        assert _trapezoid(0.0, *SMALL.lmf, SMALL.lmf_height) == 0.0
-        assert _trapezoid(2.0, *SMALL.lmf, SMALL.lmf_height) == pytest.approx(
+        assert _on_default_grid(2.5, *SMALL.lmf, SMALL.lmf_height) == pytest.approx(0.59)
+        assert _on_default_grid(0.0, *SMALL.lmf, SMALL.lmf_height) == 0.0
+        assert _on_default_grid(2.0, *SMALL.lmf, SMALL.lmf_height) == pytest.approx(
             0.59 * 0.21 / 0.71, abs=1e-12)
 
     def test_zero_width_edge_is_a_step(self):
         # left shoulder: a == b, membership at the knot takes the plateau value
-        assert _trapezoid(0.0, *VERY_LITTLE.umf, 1.0) == 1.0
-        assert _trapezoid(0.0, *VERY_LITTLE.lmf, VERY_LITTLE.lmf_height) == 1.0
+        assert _on_default_grid(0.0, *VERY_LITTLE.umf, 1.0) == 1.0
+        assert _on_default_grid(0.0, *VERY_LITTLE.lmf, VERY_LITTLE.lmf_height) == 1.0
 
     def test_vectorized_evaluation(self):
-        xs = np.array([0.0, 2.5, 5.0])
-        np.testing.assert_allclose(_trapezoid(xs, *SMALL.umf, 1.0), [0.0, 1.0, 0.0])
+        grid = DiscretizationGrid(sample_count=5)  # samples at 0, 2.5, 5, 7.5, 10
+        np.testing.assert_allclose(_trapezoid(grid, *SMALL.umf, 1.0), [0.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def _masked_trapezoid(x, a, b, c, d, height):
-    """The boolean-mask trapezoid that `_trapezoid` replaced, kept as its
-    bit-exact oracle."""
+    """The boolean-mask trapezoid, kept as the bit-exact oracle of
+    `_trapezoid` on the grid and of `_trapezoid_at` anywhere."""
     arr = np.asarray(x, dtype=float)
     out = np.zeros_like(arr)
     if b > a:
@@ -96,35 +103,56 @@ def fou_parameters(draw):
 
 
 class TestTrapezoidKernel:
-    """`_trapezoid` and the scalar knot check against the masked versions
-    they replaced: the same bits, the same accepted FOUs, the same errors,
-    and no warning (each warning raises)."""
+    """`_trapezoid` on the grid, `_trapezoid_at` at any point and the scalar
+    knot check against the masked versions: the same bits, the same
+    accepted FOUs, the same errors, and no warning (each warning raises)."""
 
     @staticmethod
-    def assert_same_bits(x, *params):
+    def assert_same_bits(grid, *params):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _trapezoid(x, *params)
-            expected = _masked_trapezoid(x, *params)
+            got = _trapezoid(grid, *params)
+            expected = _masked_trapezoid(grid.samples, *params)
         assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def assert_same_bits_at(x, *params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _trapezoid_at(x, *params)
+            expected = _masked_trapezoid(x, *params)
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
         return got
 
     @pytest.mark.parametrize("sample_count", [51, 1001])
     def test_codebook_words(self, codebook, sample_count):
-        xs = DiscretizationGrid(sample_count=sample_count).samples
+        grid = DiscretizationGrid(sample_count=sample_count)
         for entry in codebook.entries:
             fou = entry.fou
-            self.assert_same_bits(xs, *fou.umf, 1.0)
-            self.assert_same_bits(xs, *fou.lmf, fou.lmf_height)
+            self.assert_same_bits(grid, *fou.umf, 1.0)
+            self.assert_same_bits(grid, *fou.lmf, fou.lmf_height)
+
+    @pytest.mark.parametrize("sample_count", [3, 51, 1001])
+    def test_words_and_paper_aggregates(self, codebook, sample_count):
+        """Every codebook word and the `lwa_paper` aggregate of every
+        feedback vector, as `membership_samples` lays them on the grid."""
+        grid = DiscretizationGrid(sample_count=sample_count)
+        fous = [entry.fou for entry in codebook.entries]
+        fous += [lwa_paper(words) for words in itertools.product(*codebook.parameter_fous)]
+        assert len(fous) == len(codebook.entries) + 625
+        for fou in fous:
+            self.assert_same_bits(grid, *fou.umf, 1.0)
+            self.assert_same_bits(grid, *fou.lmf, fou.lmf_height)
 
     @settings(max_examples=200, deadline=None)
     @given(trapezoid_it2(), st.sampled_from([51, 1001]))
     def test_random_trapezoids(self, fou, sample_count):
-        xs = DiscretizationGrid(sample_count=sample_count).samples
-        self.assert_same_bits(xs, *fou.umf, 1.0)
-        self.assert_same_bits(xs, *fou.lmf, fou.lmf_height)
-        self.assert_same_bits(np.array(fou.umf + fou.lmf), *fou.lmf, fou.lmf_height)
+        grid = DiscretizationGrid(sample_count=sample_count)
+        self.assert_same_bits(grid, *fou.umf, 1.0)
+        self.assert_same_bits(grid, *fou.lmf, fou.lmf_height)
+        for knot in fou.umf + fou.lmf:
+            self.assert_same_bits_at(knot, *fou.lmf, fou.lmf_height)
 
     @pytest.mark.parametrize("params", [
         (0.0, 0.0, 0.18, 2.63, 1.0),  # left shoulder
@@ -139,11 +167,9 @@ class TestTrapezoidKernel:
         (-4.0, -3.0, -2.0, 0.0, 1.0),  # falling ramp underflows to -0.0 at 5e-324
     ])
     def test_zero_and_subnormal_edge_widths(self, params):
-        xs = np.concatenate([DEFAULT_GRID.samples,
-                             [-1.0, -5e-324, 0.0, 5e-324, 1e-323, 1.5e-323]])
-        self.assert_same_bits(xs, *params)
-        for x in xs[-6:]:
-            got = self.assert_same_bits(float(x), *params)
+        self.assert_same_bits(DEFAULT_GRID, *params)
+        for x in [-1.0, -5e-324, 0.0, 5e-324, 1e-323, 1.5e-323, *params[:4]]:
+            got = self.assert_same_bits_at(x, *params)
             assert math.copysign(1.0, got) == 1.0
 
     @settings(max_examples=300, deadline=None)

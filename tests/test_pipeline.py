@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,7 @@ from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions,
                     default_feedback_path, evaluate_batch, evaluate_student,
                     rank_students, read_feedback_file, resolve_feedback,
                     uniqueness_report)
-from cwwkit.reporting import render_csv, render_table
+from cwwkit.reporting import render_csv, render_json, render_table
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
                                SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
@@ -130,7 +131,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("case", ["index beyond g", "three choices", "five choices",
                                       "another parameter's word", "unknown label",
                                       "a non-term with a term's fields", "a string choice",
-                                      "a None choice", "no choices"])
+                                      "a None choice", "no choices", "a non-text code"])
     def test_hand_built_record_off_the_schema_flags_its_row(self, schema, codebook, case):
         valid = tuple(param[2] for param in schema.parameters)
         time, knowledge = schema.parameters[:2]
@@ -145,6 +146,7 @@ class TestErrorHandling:
             "a string choice": ("S",) + valid[1:],
             "a None choice": valid[:2] + (None,) + valid[3:],
             "no choices": None,
+            "a non-text code": (SimpleNamespace(label="x", code=5, index=9),) + valid[1:],
         }[case]
         # an equal copy of the schema's terms is not flagged
         copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
@@ -154,9 +156,9 @@ class TestErrorHandling:
         bad, ok, copied = report.rows
         assert bad.error.endswith("is not one word of each parameter")
         assert bad.cells == {}
-        # codes only when the row holds one code per parameter
+        # codes only when the row holds one text code per parameter
         if case in ("three choices", "five choices", "a string choice", "a None choice",
-                    "no choices"):
+                    "no choices", "a non-text code"):
             assert bad.codes is None
         else:
             assert bad.codes == tuple(choice.code for choice in choices)
@@ -164,11 +166,15 @@ class TestErrorHandling:
         assert copied.cells == ok.cells
         assert all(cell.error is None for cell in ok.cells.values())
         # the flagged row prints with every column of the others
-        table, text = io.StringIO(), io.StringIO()
+        table, text, document = io.StringIO(), io.StringIO(), io.StringIO()
         render_table(report, table)
         render_csv(report, text)
+        render_json(report, document)
         assert len(table.getvalue().splitlines()) == 5
         assert len({len(row) for row in csv.reader(io.StringIO(text.getvalue()))}) == 1
+        words = json.loads(document.getvalue())["rows"][0]["words"]
+        assert (None if words is None else list(words.values())) == (
+            None if bad.codes is None else list(bad.codes))
 
     @pytest.mark.parametrize("word", [None, 5])
     def test_raw_word_that_is_not_text_flags_its_row(self, sample_rows, codebook, word):
