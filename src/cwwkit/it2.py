@@ -241,15 +241,19 @@ def _check_support(fou) -> None:
             )
 
 
+# A switch search whose weight falls below this is left to the exhaustive scan.
+_MIN_WEIGHT = 1e-12
+
+
 def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
-              gap: np.ndarray, left: bool) -> tuple[float, int]:
+              gap: np.ndarray, left: bool) -> tuple[float, int] | None:
     """Iterative switch-point search for one end of the centroid interval.
 
     The switch k counts the samples in the leading block; for the left
     end the leading block is weighted with upper memberships, for the
     right end with lower memberships. `gap` is `upper - lower`. The
     converged value is recomputed from scratch so incremental updates
-    cannot accumulate drift.
+    cannot accumulate drift. None once the weight is below _MIN_WEIGHT.
     """
     xs, points = grid.samples, grid.sample_list
     n = len(points)
@@ -265,35 +269,15 @@ def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
     k = int(round(n / 2.4)) if left else int(round(n / 1.7))
     k = min(max(k, 1), n - 1)
     a, b = evaluate(k)
-    if b <= 0.0:
-        # leading block must carry mass; seed at the support's far edge
-        nz = np.flatnonzero(upper)
-        k = min(max(int(nz[-1]) if left else int(nz[0]), 1), n - 1)
-        a, b = evaluate(k)
     previous = -1
     for _ in range(n):
+        if b < _MIN_WEIGHT:
+            return None
         y = a / b
         # the first sample above y, clamped to [1, n - 1]
         k_new = bisect_right(points, y, 1, n - 1)
         if k_new == k:
             break
-        lo, hi = (k, k_new) if k_new > k else (k_new, k)
-        diff = gap[lo:hi]
-        moved_mass = float(add(diff))
-        moved_first = float(xs[lo:hi].dot(diff))
-        sign = 1.0 if k_new > k else -1.0
-        if not left:
-            sign = -sign
-        a_new = a + sign * moved_first
-        b_new = b + sign * moved_mass
-        if b_new <= 0.0:
-            # the proposed switch strands all mass; the optimum is here
-            break
-        if b_new < 1e-12:
-            # incremental subtraction left only rounding noise; re-anchor
-            a_new, b_new = evaluate(k_new)
-            if b_new <= 0.0:
-                break
         if k_new == previous:
             # two-cycle on an exact boundary value: keep the better switch
             num_here, den_here = evaluate(k)
@@ -303,29 +287,42 @@ def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
                 if better == left:
                     k = k_new
             break
+        lo, hi = (k, k_new) if k_new > k else (k_new, k)
+        diff = gap[lo:hi]
+        sign = 1.0 if (k_new > k) == left else -1.0
+        a += sign * float(xs[lo:hi].dot(diff))
+        b += sign * float(add(diff))
         previous, k = k, k_new
-        a, b = a_new, b_new
     num, den = evaluate(k)
     return num / den, k
 
 
 def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
-    """Centroid interval by the enhanced switch-point iteration."""
+    """Centroid interval by the enhanced switch-point iteration; where a
+    search runs out of weight (a grid too coarse for the footprint, a word
+    narrower than one sample), the exhaustive scan's interval instead."""
     _check_support(fou)
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
     gap = upper - lower
-    c_l, k_l = _ekm_side(grid, upper, lower, gap, left=True)
-    c_r, k_r = _ekm_side(grid, upper, lower, gap, left=False)
-    return CentroidInterval(c_l=c_l, c_r=c_r, switch_left=k_l, switch_right=k_r)
+    left = _ekm_side(grid, upper, lower, gap, left=True)
+    right = _ekm_side(grid, upper, lower, gap, left=False)
+    if left is None or right is None:
+        return _scan(grid, upper, lower)
+    return CentroidInterval(left[0], right[0], left[1], right[1])
 
 
 def centroid_brute_force(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Exhaustive scan over every switch position; oracle for `centroid`."""
     _check_support(fou)
-    xs = grid.samples
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
+    return _scan(grid, upper, lower)
+
+
+def _scan(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray) -> CentroidInterval:
+    """Centroid interval of sampled memberships, from every switch position."""
+    xs = grid.samples
 
     def prefix(values):
         return np.concatenate([[0.0], np.cumsum(values)])

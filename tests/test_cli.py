@@ -13,7 +13,8 @@ import cwwkit.cli
 import cwwkit.codebook
 from cwwkit.cli import CODEBOOK_ENV, main
 from cwwkit.codebook import default_feedback_path
-from cwwkit.it2 import CentroidInterval
+from cwwkit import DiscretizationGrid, lwa_exact, lwa_paper
+from cwwkit.it2 import CentroidInterval, membership_samples
 from strategies import random_fou
 
 
@@ -111,6 +112,18 @@ class TestCodebookValidate:
         code, _, err = run(capsys, "codebook", "validate", "--codebook", "/no/such.csv")
         assert code == 1
         assert "not found" in err
+
+    def test_one_sample_word_verifies(self, capsys, tmp_path, codebook_text):
+        # the Moderate time word replaced by a word whose upper support holds
+        # one grid sample, 5.0, and whose lower support holds none
+        moderate = "M,1.98,3.75,5.00,6.41,4.29,4.59,4.59,5.21,0.42,3.38,5.38,4.38"
+        assert moderate in codebook_text
+        path = tmp_path / "one_sample.csv"
+        path.write_text(codebook_text.replace(
+            moderate, "M,4.995,5.0,5.0,5.005,4.996,4.997,4.997,4.998,0.05,5.00,5.00,5.00"))
+        code, out, err = run(capsys, "codebook", "validate", "--codebook", str(path))
+        assert code == 0, err
+        assert "all entries pass" in out
 
     def test_scan_cross_check(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "codebook", "validate")
@@ -450,6 +463,31 @@ class TestCompare:
         data = json.loads(out)
         assert "uniqueness" in data
 
+
+    @pytest.mark.parametrize("lwa_mode, sample_count, fmt",
+                             [("exact", 3, "table"), ("paper", 4, "json")])
+    def test_grid_too_coarse_for_an_aggregate_flags_its_cell(self, codebook, sample_rows,
+                                                              lwa_mode, sample_count, fmt):
+        grid = DiscretizationGrid(sample_count=sample_count)
+        massless = set()
+        for record in sample_rows:
+            fous = [codebook.lookup(param.name, term.code)
+                    for param, term in zip(codebook.schema.parameters, record.choices)]
+            aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
+            if not membership_samples(aggregate, grid)[0].any():
+                massless.add(record.student_id)
+        assert massless
+        result = run_child("compare", "--grid", str(sample_count), "--lwa-mode", lwa_mode,
+                           "--format", fmt)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        if fmt == "json":
+            flagged = {row["student_id"] for row in json.loads(result.stdout)["rows"]
+                       if "error" in row["methods"]["perceptual"]}
+        else:
+            rows = result.stdout.split("\n\n")[0].splitlines()[1:]
+            flagged = {row.split()[0] for row in rows if row.split()[-2:] == ["!", "failed"]}
+        assert flagged == massless
 
     def test_invalid_paper_average_fails_one_cell(self, capsys, tmp_path, codebook_text):
         # two valid words whose parameter-wise average is not a footprint

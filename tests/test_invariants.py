@@ -10,15 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
-                    SampledFOU, centroid, centroid_brute_force, evaluate_batch,
-                    evaluate_student, lwa_exact, lwa_paper)
+from cwwkit import (DegenerateInputError, DiscretizationGrid, EvalOptions,
+                    FeedbackRecord, Method, SampledFOU, centroid,
+                    centroid_brute_force, evaluate_batch, evaluate_student,
+                    lwa_exact, lwa_paper)
 from cwwkit.it2 import _trapezoid
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES
 
 INDEX_METHODS = (Method.EXTENSION_PRINCIPLE, Method.SYMBOLIC, Method.TWO_TUPLE)
 
 SAMPLE_COUNTS = (51, 1001)
+# grids of 3 to 9 samples are too coarse for some aggregates: there a
+# switch search runs out of weight, and at 3 and 4 some carry no mass at all
+SCAN_SAMPLE_COUNTS = (3, 4, 5, 6, 7, 8, 9) + SAMPLE_COUNTS
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +41,7 @@ def _permutations(items):
     return list(itertools.permutations(items))[1:]
 
 
-@pytest.mark.parametrize("sample_count", SAMPLE_COUNTS)
+@pytest.mark.parametrize("sample_count", SCAN_SAMPLE_COUNTS)
 @pytest.mark.parametrize("lwa_mode", LWA_MODES)
 def test_ekm_equals_exhaustive_scan(codebook, vectors, lwa_mode, sample_count):
     # values only: where the bound is flat, several switch indices give it
@@ -46,9 +50,14 @@ def test_ekm_equals_exhaustive_scan(codebook, vectors, lwa_mode, sample_count):
         fous = [codebook.lookup(param.name, term.code)
                 for param, term in zip(codebook.schema.parameters, choices)]
         aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
-        ekm = centroid(aggregate, grid)
-        scan = centroid_brute_force(aggregate, grid)
         codes = [term.code for term in choices]
+        try:
+            ekm = centroid(aggregate, grid)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                centroid_brute_force(aggregate, grid)
+            continue
+        scan = centroid_brute_force(aggregate, grid)
         assert abs(ekm.c_l - scan.c_l) <= 1e-9, codes
         assert abs(ekm.c_r - scan.c_r) <= 1e-9, codes
 

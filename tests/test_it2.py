@@ -286,6 +286,28 @@ class TestCentroid:
         assert abs(ekm.c_l - scan.c_l) <= 1e-9
         assert abs(ekm.c_r - scan.c_r) <= 1e-9
 
+    @pytest.mark.parametrize("fou, expected", [
+        # upper support [4.995, 5.005] holds one sample, 5.0; the lower
+        # trapezoid holds none, so every embedded set is that one sample
+        (TrapezoidIT2(4.995, 5.0, 5.0, 5.005, 4.996, 4.997, 4.997, 4.998, 0.05), 5.0),
+        # the same at the top edge, where the switch range [1, n - 1] ends
+        (TrapezoidIT2(9.995, 10.0, 10.0, 10.0, 9.996, 9.997, 9.997, 9.998, 0.05), 10.0),
+    ])
+    def test_one_sample_word(self, fou, expected):
+        ci = centroid(fou)
+        assert (ci.c_l, ci.c_r) == (expected, expected)
+
+    @pytest.mark.parametrize("fou, first_sample", [
+        (TrapezoidIT2(0.0, 9.53, 9.58, 9.88, 8.7, 9.53, 9.54, 9.63, 1e-200), 0.01),
+        (TrapezoidIT2(4.88, 5.4, 7.59, 7.87, 7.85, 7.85, 7.85, 7.86, 1e-13), 4.89),
+    ])
+    def test_negligible_lower_mass_puts_left_end_at_first_upper_sample(self, fou,
+                                                                        first_sample):
+        # c_l weighs the samples up to the switch by upper membership and the
+        # rest by lower membership, which is negligible here: the least mean
+        # is the first sample with upper mass alone
+        assert centroid(fou).c_l == pytest.approx(first_sample, abs=1e-9)
+
 
 class TestContainment:
     @settings(max_examples=150, deadline=None)
