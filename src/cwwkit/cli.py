@@ -115,8 +115,6 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
             raise ConfigurationError(
                 f"unknown method {name!r}; valid methods: {valid}, all"
             ) from None
-        if method in methods:
-            raise ConfigurationError(f"method {name!r} is given twice")
         methods.append(method)
     return tuple(methods)
 

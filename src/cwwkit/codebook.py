@@ -19,9 +19,9 @@ import numpy as np
 
 from ._value import Value, set_field
 from .errors import CodebookError, SchemaError, WordResolutionError
-from .it2 import (DEFAULT_GRID, AlphaCutTable, CentroidInterval,
-                  DiscretizationGrid, TrapezoidIT2, _check_support, centroid,
-                  centroid_brute_force, membership_stack)
+from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
+                  TrapezoidIT2, _check_support, centroid, centroid_brute_force,
+                  membership_stack)
 from .vocabulary import LinguisticTerm, TermSet, build_default_schema, read_csv
 
 CODEBOOK_HEADER = (
@@ -123,21 +123,6 @@ class Codebook:
     def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
         """Per parameter, the word models in term-index order."""
         return tuple(self._fous[param.name] for param in self.schema.parameters)
-
-    @cached_property
-    def alpha_cuts(self) -> AlphaCutTable:
-        """The alpha-cut endpoints of every parameter word, for `lwa_exact`."""
-        return AlphaCutTable([fou for words in self.parameter_fous for fou in words])
-
-    @cached_property
-    def alpha_cut_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per parameter, its words' columns of `alpha_cuts` in term-index
-        order: parameter p's words follow those of parameters 0..p-1."""
-        columns, start = [], 0
-        for words in self.parameter_fous:
-            columns.append(tuple(range(start, start + len(words))))
-            start += len(words)
-        return tuple(columns)
 
     def recommendation_samples(self, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
         """(k, G) read-only upper and lower samples of the recommendation

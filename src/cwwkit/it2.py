@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +61,13 @@ def _trapezoid_at(x: float, a: float, b: float, c: float, d: float,
 
 
 class TrapezoidIT2(Value):
-    """Trapezoidal footprint of uncertainty on the evaluation scale."""
+    """Trapezoidal footprint of uncertainty on the evaluation scale.
+
+    A word keeps the alpha cuts `lwa_exact` averages, each built on first
+    use: its upper cuts, and one set of lower cuts per minimum height it
+    is averaged at. They are not fields, so they change no comparison,
+    hash or repr, and a pickle or copy of the word leaves them behind.
+    """
 
     _fields = ("umf_a", "umf_b", "umf_c", "umf_d",
                "lmf_e", "lmf_f", "lmf_g", "lmf_i", "lmf_height")
@@ -102,6 +108,9 @@ class TrapezoidIT2(Value):
                 f"(worst gap {worst:.3e} at x={knots[gaps.index(worst)]})"
             )
 
+    def __reduce__(self):
+        return (TrapezoidIT2, self.params)
+
     @property
     def params(self) -> tuple[float, ...]:
         """The nine parameters, in constructor and codebook-column order."""
@@ -115,6 +124,30 @@ class TrapezoidIT2(Value):
     @property
     def lmf(self) -> tuple[float, float, float, float]:
         return (self.lmf_e, self.lmf_f, self.lmf_g, self.lmf_i)
+
+    @cached_property
+    def _upper_cuts(self) -> np.ndarray:
+        """(2, L, 1) left and right ends of the upper trapezoid cut at the
+        ALPHA_LEVELS levels 0..1."""
+        a, b, c, d = self.umf
+        alphas = _levels(1.0)[0]
+        return np.array([a + alphas * (b - a), d - alphas * (d - c)])[:, :, None]
+
+    @cached_property
+    def _lower_cut_sets(self) -> dict[float, np.ndarray]:
+        return {}
+
+    def _lower_cuts(self, h_min: float) -> np.ndarray:
+        """(2, L, 1) ends of the lower trapezoid cut at the ALPHA_LEVELS
+        levels 0..h_min, absolute levels, so h_min must not exceed the
+        word's own height."""
+        cuts = self._lower_cut_sets.get(h_min)
+        if cuts is None:
+            e, f, g, i, h = self.params[4:]
+            frac = _levels(h_min)[0] / h
+            cuts = self._lower_cut_sets[h_min] = np.array(
+                [e + frac * (f - e), i - frac * (i - g)])[:, :, None]
+        return cuts
 
 
 # The evaluation scale every word model of the codebook lives on.
@@ -227,8 +260,15 @@ class CentroidInterval(Value):
         return 0.5 * (self.c_l + self.c_r)
 
 
+# The least weight, the denominator of a centroid end, that a switch
+# position needs to be a candidate: a switch search whose weight falls
+# below it is left to the exhaustive scan, and the scan skips positions
+# below it. An upper mass below it leaves no position.
+_MIN_WEIGHT = 1e-12
+
+
 def _check_mass(upper: np.ndarray) -> None:
-    if float(np.add.reduce(upper)) <= 0.0:
+    if float(np.add.reduce(upper)) < _MIN_WEIGHT:
         raise DegenerateInputError("FOU carries no membership mass on the grid")
 
 
@@ -239,10 +279,6 @@ def _check_support(fou) -> None:
                 f"FOU support [{fou.umf_a}, {fou.umf_d}] exceeds grid domain "
                 f"[{DOMAIN_MIN}, {DOMAIN_MAX}]"
             )
-
-
-# A switch search whose weight falls below this is left to the exhaustive scan.
-_MIN_WEIGHT = 1e-12
 
 
 def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
@@ -300,7 +336,11 @@ def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
 def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Centroid interval by the enhanced switch-point iteration; where a
     search runs out of weight (a grid too coarse for the footprint, a word
-    narrower than one sample), the exhaustive scan's interval instead."""
+    narrower than one sample), the exhaustive scan's interval instead.
+
+    Raises DegenerateInputError when the upper mass on the grid is below
+    _MIN_WEIGHT; otherwise both ends lie within the first and last sample
+    with upper mass."""
     _check_support(fou)
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
@@ -321,7 +361,10 @@ def centroid_brute_force(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> Centro
 
 
 def _scan(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray) -> CentroidInterval:
-    """Centroid interval of sampled memberships, from every switch position."""
+    """Centroid interval of sampled memberships, from every switch position
+    whose weight is at least _MIN_WEIGHT, the weight a switch search
+    resolves. The whole-upper positions (all samples on the upper
+    membership) always qualify, since `_check_mass` has passed."""
     xs = grid.samples
 
     def prefix(values):
@@ -338,8 +381,8 @@ def _scan(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray) -> Cen
     den_right = prefix(lower) + suffix(upper)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals_left = np.where(den_left > 0, num_left / den_left, np.inf)
-        vals_right = np.where(den_right > 0, num_right / den_right, -np.inf)
+        vals_left = np.where(den_left >= _MIN_WEIGHT, num_left / den_left, np.inf)
+        vals_right = np.where(den_right >= _MIN_WEIGHT, num_right / den_right, -np.inf)
     k_l = int(vals_left.argmin())
     k_r = int(vals_right.argmax())
     return CentroidInterval(
@@ -353,6 +396,14 @@ def _scan(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray) -> Cen
 # Both linguistic weighted averages weigh every input word the same, and
 # `lwa_exact` cuts each membership function at this many levels.
 ALPHA_LEVELS = 65
+
+
+@lru_cache(maxsize=8)
+def _levels(top: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ALPHA_LEVELS levels 0..top, and the same reversed: right
+    edges run downwards."""
+    alphas = np.linspace(0.0, top, ALPHA_LEVELS)
+    return alphas, alphas[::-1].copy()
 
 
 def lwa_paper(inputs: Sequence[TrapezoidIT2]) -> TrapezoidIT2:
@@ -378,87 +429,36 @@ def lwa_paper(inputs: Sequence[TrapezoidIT2]) -> TrapezoidIT2:
             f"the parameter-wise average is not a footprint: {exc}") from None
 
 
-class AlphaCutTable:
-    """Alpha-cut endpoints of fixed word models, one column per word, in order.
-
-    A set of cuts is its L = ALPHA_LEVELS levels, the same levels
-    reversed, and a (2, L, W) array of the left and right endpoints of
-    the W words at those levels. The upper cuts are built up front. The
-    lower cuts depend on the aggregate's minimum height, so they are
-    built for each height on first use and kept: there are at most W of
-    them. Each column depends on its word alone, so the columns
-    `lwa_exact` takes from a batch's table equal, bit for bit, those of a
-    table over its inputs alone.
-    """
-
-    def __init__(self, words: Sequence[TrapezoidIT2]):
-        params = np.array([f.params for f in words])
-        a, b, c, d = params[:, :4].T
-        alphas = np.linspace(0.0, 1.0, ALPHA_LEVELS)
-        self.upper = _cut_set(alphas, a[None, :] + alphas[:, None] * (b - a)[None, :],
-                              d[None, :] - alphas[:, None] * (d - c)[None, :])
-        self._lower_params = params[:, 4:].T
-        self._lower: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def lower_cuts(self, h_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cuts at levels 0..h_min, each word's lower trapezoid cut at
-        the same absolute level."""
-        cuts = self._lower.get(h_min)
-        if cuts is None:
-            e, f, g, i_, h = self._lower_params
-            alphas = np.linspace(0.0, h_min, ALPHA_LEVELS)
-            frac = alphas[:, None] / h[None, :]
-            cuts = self._lower[h_min] = _cut_set(alphas, e[None, :] + frac * (f - e)[None, :],
-                                                 i_[None, :] - frac * (i_ - g)[None, :])
-        return cuts
-
-
-def _cut_set(alphas: np.ndarray, lefts: np.ndarray,
-             rights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The levels, the levels reversed (right edges run downwards) and the
-    (2, L, W) endpoints."""
-    return alphas, alphas[::-1].copy(), np.array([lefts, rights])
-
-
-def lwa_exact(
-    inputs: Sequence[TrapezoidIT2],
-    *,
-    grid: DiscretizationGrid = DEFAULT_GRID,
-    table: AlphaCutTable | None = None,
-    columns: Sequence[int] | None = None,
-) -> SampledFOU:
+def lwa_exact(inputs: Sequence[TrapezoidIT2], *,
+              grid: DiscretizationGrid = DEFAULT_GRID) -> SampledFOU:
     """Alpha-cut equal-weight average, sampled on the grid.
 
     Upper cuts are averaged over levels 0..1; lower cuts over levels
     0..min(h_k), each input's lower trapezoid cut at the same absolute
     level. The resulting lower bound has the minimum input height, which
-    is where this differs from `lwa_paper`.
-
-    Without `table`, the cuts are built over `inputs`. A batch builds one
-    `table` over all its words and passes it with the inputs' `columns`
-    in it; the result is the same.
+    is where this differs from `lwa_paper`. Each input's cuts are its
+    own, built on first use and kept by the word, so a word averaged
+    again costs no cutting.
     """
     if not inputs:
         raise ValueError("cannot aggregate an empty list of FOUs")
-    if table is None and columns is None:
-        table, columns = AlphaCutTable(inputs), range(len(inputs))
-    elif table is None or columns is None or len(columns) != len(inputs):
-        raise ValueError("an alpha-cut table comes with one column per input")
     w = np.full(len(inputs), 1.0 / len(inputs))
     h_min = min([f.lmf_height for f in inputs])
-    upper = _cuts_to_membership(grid, table.upper, columns, w)
-    lower = _cuts_to_membership(grid, table.lower_cuts(h_min), columns, w)
+    upper = _cuts_to_membership(grid, _levels(1.0), [f._upper_cuts for f in inputs], w)
+    lower = _cuts_to_membership(grid, _levels(h_min),
+                                [f._lower_cuts(h_min) for f in inputs], w)
     return SampledFOU._contained(grid.samples, upper, np.minimum(lower, upper))
 
 
-def _cuts_to_membership(grid: DiscretizationGrid, cut_set, cols: list[int],
-                        w: np.ndarray) -> np.ndarray:
-    """Membership of the `w`-weighted average of the `cols` words' nested
-    cuts: mu(x) = max alpha with x inside the averaged cut."""
-    alphas, reversed_alphas, cuts = cut_set
-    # take() returns a C-ordered selection; `[..., cols]` returns an
-    # F-ordered one, whose `@ w` may round differently in the last bit
-    lefts, rights = cuts.take(cols, axis=2) @ w
+def _cuts_to_membership(grid: DiscretizationGrid, levels: tuple[np.ndarray, np.ndarray],
+                        cuts: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Membership of the `w`-weighted average of nested cuts, one (2, L, 1)
+    array of left and right ends per word: mu(x) = max alpha with x inside
+    the averaged cut."""
+    alphas, reversed_alphas = levels
+    # one C-ordered (2, L, n) array: an F-ordered one's `@ w` may round
+    # differently in the last bit
+    lefts, rights = np.concatenate(cuts, axis=2) @ w
     # mu is the lower of the left-edge and right-edge interpolations, and
     # each edge reads the top level on the other's side, so only the edges
     # are interpolated

@@ -185,11 +185,7 @@ def _evaluate_perceptual(fb: FeedbackRecord, cb: Codebook | None,
         # sampled once: the centroid and the decode read the same arrays
         aggregate = sample_fou(lwa_paper(fous), grid)
     else:
-        columns = [
-            cols[choice.index]
-            for cols, choice in zip(cb.alpha_cut_columns, fb.choices)
-        ]
-        aggregate = lwa_exact(fous, grid=grid, table=cb.alpha_cuts, columns=columns)
+        aggregate = lwa_exact(fous, grid=grid)
     interval = centroid(aggregate, grid)
     similarities = tuple(jaccard_similarities(
         aggregate.upper, aggregate.lower, *cb.recommendation_samples(grid)).tolist())
@@ -254,6 +250,9 @@ def evaluate_batch(
     methods = tuple(Method(m) for m in methods)
     if not methods:
         raise ConfigurationError("no methods selected")
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ConfigurationError(f"method {method.value!r} is given twice")
     if Method.PERCEPTUAL in methods and cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
     schema = build_default_schema()

@@ -25,6 +25,11 @@ FULL_EDGE_FOU = _assemble_fou([0.74, 2.46, 6.11, 6.46], 0.6, (0.39, 0.99), (1.0,
 FULL_PLATEAU_FOU = _assemble_fou(
     [0.0, 1.4, 5.588086090812616, 5.588086090812616], 1.0, (0.0, 1.0), (0.0, 0.0))
 
+# its lower height is the least positive double
+SUBNORMAL_LOWER_HEIGHT = TrapezoidIT2(
+    0.0, 6.601333536568484, 6.816902767932317, 7.859240502197796, 7.13620963534889,
+    7.392592287503327, 7.466982613123969, 7.729929005863498, 5e-324)
+
 SS1_WORDS = [
     SMALL,
     TrapezoidIT2(4.38, 6.50, 8.00, 9.62, 6.79, 7.38, 7.38, 8.21, 0.49),
@@ -254,6 +259,15 @@ class TestCentroid:
         with pytest.raises(DegenerateInputError):
             centroid(narrow, coarse)
 
+    def test_mass_below_the_least_weight_raises(self):
+        # one sample, 5.0, with upper membership 1.8e-13: no switch
+        # position carries the weight a switch search resolves
+        fou = TrapezoidIT2(4.999999999999999, 5.005, 5.006, 5.007,
+                           5.0055, 5.0056, 5.0057, 5.0058, 0.5)
+        for route in (centroid, centroid_brute_force):
+            with pytest.raises(DegenerateInputError, match="no membership mass"):
+                route(fou)
+
     def test_support_outside_grid_raises(self):
         # SMALL moved right by 6: its upper support ends at 10.41
         past_ten = TrapezoidIT2(6.59, 8.00, 9.00, 10.41, 7.79, 8.50, 8.50, 9.21, 0.59)
@@ -307,6 +321,41 @@ class TestCentroid:
         # rest by lower membership, which is negligible here: the least mean
         # is the first sample with upper mass alone
         assert centroid(fou).c_l == pytest.approx(first_sample, abs=1e-9)
+
+
+    def test_rounding_noise_is_no_left_end(self):
+        # the upper membership at 0.83 is rounding noise, about 1e-16, and
+        # the lower height is negligible: 0.83 alone weighs too little to
+        # be the left end, so both routes give the next sample
+        fou = TrapezoidIT2(0.83, 1.48, 4.3, 8.96, 2.47, 2.6, 6.3, 8.16, 1e-200)
+        for route in (centroid, centroid_brute_force):
+            assert route(fou).c_l == pytest.approx(0.84, abs=1e-9)
+
+    def test_subnormal_lower_height_keeps_the_right_end_on_the_upper_support(self):
+        # at 5 samples the last with upper mass is 7.5
+        grid = DiscretizationGrid(sample_count=5)
+        for route in (centroid, centroid_brute_force):
+            assert route(SUBNORMAL_LOWER_HEIGHT, grid).c_r <= 7.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(trapezoid_it2(), st.sampled_from([None, 1e-13, 1e-200, 5e-324]),
+           st.sampled_from([5, 11, 51, 1001]))
+    @example(SUBNORMAL_LOWER_HEIGHT, None, 5)
+    def test_ends_lie_within_the_samples_with_upper_mass(self, fou, lower_height,
+                                                         sample_count):
+        if lower_height is not None:
+            # a lower trapezoid scaled down stays inside the upper one
+            fou = TrapezoidIT2(*fou.params[:8], lower_height)
+        grid = DiscretizationGrid(sample_count=sample_count)
+        upper, _ = membership_samples(fou, grid)
+        with_mass = grid.samples[upper > 0.0]
+        for route in (centroid, centroid_brute_force):
+            try:
+                ci = route(fou, grid)
+            except DegenerateInputError:
+                continue
+            assert with_mass[0] - 1e-9 <= ci.c_l <= ci.c_r + 1e-12
+            assert ci.c_r <= with_mass[-1] + 1e-9
 
 
 class TestContainment:

@@ -259,6 +259,14 @@ class TestErrorHandling:
         with pytest.raises(ConfigurationError):
             evaluate_batch(sample_rows, (), cb=codebook)
 
+    @pytest.mark.parametrize("methods", [
+        ["symbolic", "symbolic"],
+        [Method.TWO_TUPLE, "symbolic", Method.SYMBOLIC],
+    ])
+    def test_repeated_method(self, sample_rows, codebook, methods):
+        with pytest.raises(ConfigurationError, match="method 'symbolic' is given twice"):
+            evaluate_batch(sample_rows, methods, cb=codebook)
+
     def test_invalid_lwa_mode(self):
         with pytest.raises(ConfigurationError):
             EvalOptions(lwa_mode="bogus")

@@ -19,8 +19,8 @@ from cwwkit import (CentroidInterval, Codebook, CodebookEntry, CwwError,
                     DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
                     TrapezoidIT2, centroid, evaluate_batch, evaluate_student,
                     jaccard_similarity, lwa_exact, lwa_paper)
-from cwwkit.it2 import (AlphaCutTable, jaccard_similarities, membership_samples,
-                        membership_stack, sample_fou)
+from cwwkit.it2 import (jaccard_similarities, membership_samples, membership_stack,
+                        sample_fou)
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell
 from cwwkit.vocabulary import RECOMMENDATION
 from strategies import trapezoid_it2
@@ -59,9 +59,7 @@ def _jaccard_oracle(fou_a, fou_b, grid):
 
 def test_codebook_keeps_its_word_data_and_one_grid_of_samples(codebook):
     cb = Codebook(codebook.entries)
-    assert cb.alpha_cuts is cb.alpha_cuts
     assert cb.parameter_fous == tuple(cb.word_fous(p.name) for p in cb.schema.parameters)
-    assert cb.alpha_cut_columns == tuple(tuple(range(5 * p, 5 * p + 5)) for p in range(4))
     words = cb.word_fous(RECOMMENDATION)
     coarse = cb.recommendation_samples(DiscretizationGrid(51))
     assert cb.recommendation_samples(DiscretizationGrid(51)) is coarse
@@ -222,7 +220,7 @@ def test_large_batch_costs_one_evaluation_per_distinct_vector(
 # interpolates only the cut edges. The engine must match them bit for bit.
 
 def _lwa_exact_per_call(fous, grid, alpha_levels=65):
-    """`lwa_exact` as it was before the alpha-cut table: the cut matrices
+    """`lwa_exact` as it was before words kept their cuts: the cut matrices
     built from the inputs alone on every call."""
     params = np.array([[f.umf_a, f.umf_b, f.umf_c, f.umf_d, f.lmf_e, f.lmf_f,
                         f.lmf_g, f.lmf_i, f.lmf_height] for f in fous])
@@ -241,13 +239,10 @@ def _lwa_exact_per_call(fous, grid, alpha_levels=65):
     return upper, np.minimum(lower, upper)
 
 
-def _words_and_columns(codebook, record):
-    """The record's word models and their columns of `codebook.alpha_cuts`,
-    as the pipeline passes them to `lwa_exact`."""
-    pairs = [(words[choice.index], cols[choice.index])
-             for words, cols, choice in zip(codebook.parameter_fous,
-                                            codebook.alpha_cut_columns, record.choices)]
-    return [word for word, _ in pairs], [col for _, col in pairs]
+def _words(codebook, record):
+    """The record's word models, as the pipeline passes them to `lwa_exact`."""
+    return [words[choice.index]
+            for words, choice in zip(codebook.parameter_fous, record.choices)]
 
 
 def _cuts_to_membership_reference(xs, alphas, lefts, rights):
@@ -333,10 +328,10 @@ def test_perceptual_path_matches_reference_bit_for_bit(codebook, all_records,
     options = EvalOptions(grid=grid, lwa_mode=lwa_mode)
     report = evaluate_batch(all_records, [Method.PERCEPTUAL], codebook, options)
     for record, row in zip(all_records, report.rows):
-        words, columns = _words_and_columns(codebook, record)
+        words = _words(codebook, record)
         if lwa_mode == "exact":
             upper, lower = _lwa_exact_per_call(words, grid)
-            got = lwa_exact(words, grid=grid, table=codebook.alpha_cuts, columns=columns)
+            got = lwa_exact(words, grid=grid)
             assert np.array_equal(got.upper, upper), record.codes
             assert np.array_equal(got.lower, lower), record.codes
         else:
@@ -364,17 +359,45 @@ def test_centroid_on_a_grid_sample_matches_reference(sample_count):
 
 
 @pytest.mark.parametrize("sample_count", [1001, 51])
-def test_alpha_cut_table_changes_no_bit(codebook, all_records, sample_count):
+def test_kept_cuts_change_no_bit(codebook, all_records, sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
-    table = codebook.alpha_cuts
+    # a full batch first, so the codebook's words hold every cut it uses
+    evaluate_batch(all_records, [Method.PERCEPTUAL], codebook, EvalOptions(grid=grid))
     for record in all_records:
-        words, columns = _words_and_columns(codebook, record)
+        words = _words(codebook, record)
+        fresh = [TrapezoidIT2(*word.params) for word in words]
         upper, lower = _lwa_exact_per_call(words, grid)
-        for got in (lwa_exact(words, grid=grid),
-                    lwa_exact(words, grid=grid, table=table, columns=columns)):
+        for got in (lwa_exact(fresh, grid=grid), lwa_exact(words, grid=grid)):
             for samples, expected in ((got.upper, upper), (got.lower, lower)):
                 assert np.array_equal(samples, expected), record.codes
                 assert samples.tobytes() == expected.tobytes(), record.codes
+
+
+def test_words_keep_their_cuts(codebook, all_records):
+    cb = Codebook(CodebookEntry(entry.parameter, entry.term,
+                                TrapezoidIT2(*entry.fou.params), entry.stored)
+                  for entry in codebook.entries)
+    words = [word for parameter in cb.parameter_fous for word in parameter]
+    assert not any("_upper_cuts" in vars(word) or "_lower_cut_sets" in vars(word)
+                   for word in words)
+    evaluate_batch(all_records, [Method.PERCEPTUAL], cb, EvalOptions(grid=DiscretizationGrid(51)))
+    assert len({word.lmf_height for word in words}) == 6
+    # the minimum heights each word is averaged at
+    averaged_at = collections.defaultdict(set)
+    for vector in itertools.product(*cb.parameter_fous):
+        for word in vector:
+            averaged_at[id(word)].add(min([w.lmf_height for w in vector]))
+    for word in words:
+        assert word._upper_cuts is word._upper_cuts
+        assert word._upper_cuts.shape == (2, 65, 1)
+        # one lower set per minimum height the word was averaged at
+        sets = dict(word._lower_cut_sets)
+        assert 1 <= len(sets) <= 6
+        assert set(sets) == averaged_at[id(word)]
+        for h_min, cuts in sets.items():
+            assert word._lower_cuts(h_min) is cuts
+            assert cuts.shape == (2, 65, 1)
+        assert len(word._lower_cut_sets) == len(sets)
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,19 +409,6 @@ def test_lwa_exact_matches_reference_on_any_words(words, sample_count):
     got = lwa_exact(words, grid=grid)
     assert np.array_equal(got.upper, upper)
     assert np.array_equal(got.lower, lower)
-
-
-def test_lwa_exact_takes_a_table_only_with_one_column_per_input(codebook):
-    words = codebook.word_fous(RECOMMENDATION)
-    table = AlphaCutTable(words)
-    expected = lwa_exact(words[1:4])
-    got = lwa_exact(words[1:4], table=table, columns=[1, 2, 3])
-    assert np.array_equal(got.upper, expected.upper)
-    assert np.array_equal(got.lower, expected.lower)
-    for misuse in ({"table": table}, {"columns": [1, 2, 3]},
-                   {"table": table, "columns": [1, 2]}):
-        with pytest.raises(ValueError, match="one column per input"):
-            lwa_exact(words[1:4], **misuse)
 
 
 def test_index_methods_cost_one_evaluation_per_index_multiset(

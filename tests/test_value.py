@@ -14,7 +14,7 @@ from cwwkit import (CentroidInterval, CodebookEntry, DiscretizationGrid,
                     EvalOptions, EvaluationReport, FeedbackRecord,
                     LinguisticTerm, Method, ParameterSchema, RawFeedback,
                     SampledFOU, StoredCentroid, TermSet, TrapezoidIT2, TriTuple,
-                    TwoTuple)
+                    TwoTuple, lwa_exact)
 from cwwkit._value import Value
 from cwwkit.codebook import CentroidCheck, CentroidVerification
 from cwwkit.pipeline import DuplicateGroup, MethodCell, Recommendation, ReportRow
@@ -181,6 +181,26 @@ def test_copies_equal_the_original(spec, round_trip):
     if cls is not SampledFOU:
         assert copied == value
         assert _hash_or_error(copied) == _hash_or_error(value)
+
+
+def test_kept_cuts_change_no_value_behaviour():
+    kept, fresh = TrapezoidIT2(*WORD.params), TrapezoidIT2(*WORD.params)
+    lower = TrapezoidIT2(1.0, 2.0, 3.0, 4.0, 1.5, 2.5, 2.5, 3.5, 0.25)
+    expected = lwa_exact([fresh, lower])
+    lwa_exact([kept])
+    lwa_exact([kept, lower])
+    assert len(kept._lower_cut_sets) == 2 and "_upper_cuts" in vars(kept)
+    never_cut = TrapezoidIT2(*WORD.params)
+    assert pickle.dumps(kept) == pickle.dumps(never_cut)
+    for copied in (kept, pickle.loads(pickle.dumps(kept)), copy.deepcopy(kept), copy.copy(kept)):
+        if copied is not kept:
+            assert vars(copied) == vars(never_cut)
+        assert copied == fresh and fresh == copied
+        assert hash(copied) == hash(fresh)
+        assert repr(copied) == repr(fresh)
+        got = lwa_exact([copied, lower])
+        assert got.upper.tobytes() == expected.upper.tobytes()
+        assert got.lower.tobytes() == expected.lower.tobytes()
 
 
 def test_linguistic_term_hashes_its_fields_and_survives_pickling():
