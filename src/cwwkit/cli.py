@@ -42,14 +42,22 @@ class _Parser(argparse.ArgumentParser):
 def _grid(text: str) -> DiscretizationGrid:
     """argparse type for --grid: a sample count, checked by the grid itself."""
     try:
-        return DiscretizationGrid(sample_count=int(text))
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"grid must be a whole number of samples, got {text!r}") from None
+    try:
+        return DiscretizationGrid(sample_count=count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tolerance(text: str) -> float:
     """argparse type for --tolerance: a finite number >= 0."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: the message below
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite number >= 0, got {text!r}")

@@ -18,10 +18,9 @@ from typing import Iterable
 import numpy as np
 
 from ._value import Value, set_field
-from .errors import CodebookError, SchemaError, WordResolutionError
+from .errors import CodebookError, DegenerateInputError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
-                  TrapezoidIT2, _check_support, centroid, centroid_brute_force,
-                  membership_stack)
+                  TrapezoidIT2, centroid, centroid_brute_force, membership_stack)
 from .vocabulary import LinguisticTerm, TermSet, build_default_schema, read_csv
 
 CODEBOOK_HEADER = (
@@ -69,8 +68,8 @@ class CodebookEntry(Value):
 
 class Codebook:
     """Immutable word-to-FOU map covering every word of the default schema,
-    each word on the evaluation scale. The word-level data the perceptual
-    method reads is built on first use and kept for the codebook's lifetime."""
+    each a `TrapezoidIT2`, so on the evaluation scale. The word-level data the
+    perceptual method reads is built on first use and kept for its lifetime."""
 
     def __init__(self, entries: Iterable[CodebookEntry]):
         self.schema = schema = build_default_schema()
@@ -85,11 +84,6 @@ class Codebook:
                     f"entry ({name!r}, {term.code!r}) is not a word of the schema")
             if fous[key] is not None:
                 raise CodebookError(f"duplicate entry for ({name!r}, {term.code!r})")
-            try:
-                _check_support(entry.fou)
-            except ValueError as exc:
-                raise CodebookError(
-                    f"word {term.label!r} ({term.code}) of {name!r}: {exc}") from None
             fous[key] = entry.fou
         for (name, term), fou in fous.items():
             if fou is None:
@@ -287,7 +281,11 @@ def verify_stored_centroids(cb: Codebook, grid: DiscretizationGrid = DEFAULT_GRI
     checks = []
     scan_delta = 0.0
     for entry in cb.entries:
-        recomputed = centroid(entry.fou, grid)
+        try:
+            recomputed = centroid(entry.fou, grid)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"word {entry.term.label!r} ({entry.term.code}) "
+                                       f"of {entry.parameter!r}: {exc}") from None
         scan = centroid_brute_force(entry.fou, grid)
         scan_delta = max(scan_delta, abs(recomputed.c_l - scan.c_l),
                          abs(recomputed.c_r - scan.c_r))

@@ -22,6 +22,9 @@ from .errors import DegenerateInputError
 
 _CONTAINMENT_TOL = 1e-9
 
+# The evaluation scale: every word model lies on it and every grid samples it.
+DOMAIN_MIN, DOMAIN_MAX = 0.0, 10.0
+
 
 def _on_grid(grid: DiscretizationGrid, a: float, b: float, c: float, d: float,
              top: float, rising, falling) -> np.ndarray:
@@ -61,7 +64,8 @@ def _trapezoid_at(x: float, a: float, b: float, c: float, d: float,
 
 
 class TrapezoidIT2(Value):
-    """Trapezoidal footprint of uncertainty on the evaluation scale.
+    """Trapezoidal footprint of uncertainty on the evaluation scale: its
+    support [a, d] must lie on [DOMAIN_MIN, DOMAIN_MAX], within 1e-9.
 
     A word keeps the alpha cuts `lwa_exact` averages, each built on first
     use: its upper cuts, and one set of lower cuts per minimum height it
@@ -94,6 +98,11 @@ class TrapezoidIT2(Value):
         if not 0.0 < self.lmf_height <= 1.0:
             raise ValueError(
                 f"lower-bound height exceeds 1 or is not positive: {self.lmf_height}"
+            )
+        if self.umf_a < DOMAIN_MIN - _CONTAINMENT_TOL or self.umf_d > DOMAIN_MAX + _CONTAINMENT_TOL:
+            raise ValueError(
+                f"FOU support [{self.umf_a}, {self.umf_d}] exceeds grid domain "
+                f"[{DOMAIN_MIN}, {DOMAIN_MAX}]"
             )
         if self.lmf_e < self.umf_a - _CONTAINMENT_TOL or self.lmf_i > self.umf_d + _CONTAINMENT_TOL:
             raise ValueError("lower support must lie inside the upper support")
@@ -149,9 +158,6 @@ class TrapezoidIT2(Value):
                 [e + frac * (f - e), i - frac * (i - g)])[:, :, None]
         return cuts
 
-
-# The evaluation scale every word model of the codebook lives on.
-DOMAIN_MIN, DOMAIN_MAX = 0.0, 10.0
 
 # Largest accepted grid: 100x the default resolution. Every sampled
 # array (and the exhaustive centroid scan's prefix sums) grows with it.
@@ -237,9 +243,7 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
 
 
 def sample_fou(fou: TrapezoidIT2, grid: DiscretizationGrid) -> SampledFOU:
-    """`fou` sampled once on `grid`, for a caller that type-reduces and
-    decodes it; its support must lie on the grid, as `centroid` requires."""
-    _check_support(fou)
+    """`fou` sampled once on `grid`, for a caller that type-reduces and decodes it."""
     upper, lower = membership_samples(fou, grid)
     return SampledFOU(xs=grid.samples, upper=upper, lower=lower)
 
@@ -270,15 +274,6 @@ _MIN_WEIGHT = 1e-12
 def _check_mass(upper: np.ndarray) -> None:
     if float(np.add.reduce(upper)) < _MIN_WEIGHT:
         raise DegenerateInputError("FOU carries no membership mass on the grid")
-
-
-def _check_support(fou) -> None:
-    if isinstance(fou, TrapezoidIT2):
-        if fou.umf_a < DOMAIN_MIN - _CONTAINMENT_TOL or fou.umf_d > DOMAIN_MAX + _CONTAINMENT_TOL:
-            raise ValueError(
-                f"FOU support [{fou.umf_a}, {fou.umf_d}] exceeds grid domain "
-                f"[{DOMAIN_MIN}, {DOMAIN_MAX}]"
-            )
 
 
 def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
@@ -341,7 +336,6 @@ def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     Raises DegenerateInputError when the upper mass on the grid is below
     _MIN_WEIGHT; otherwise both ends lie within the first and last sample
     with upper mass."""
-    _check_support(fou)
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
     gap = upper - lower
@@ -354,7 +348,6 @@ def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
 
 def centroid_brute_force(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Exhaustive scan over every switch position; oracle for `centroid`."""
-    _check_support(fou)
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
     return _scan(grid, upper, lower)

@@ -69,8 +69,9 @@ def test_word_off_the_scale_fails_at_load(tmp_path, codebook_text, command):
     result = run_child(*command, "--codebook", str(path))
     assert result.returncode == 2
     assert result.stdout == ""
+    # the word's own row fails, as every other malformed row does
     assert result.stderr == (
-        "cwwkit: error: word 'Very Large' (VLA) of 'Time taken to solve the question': "
+        f"cwwkit: error: {path}:6: word 'Very Large': "
         "FOU support [6.05, 50.0] exceeds grid domain [0.0, 10.0]\n")
 
 
@@ -153,12 +154,26 @@ class TestCodebookValidate:
     @pytest.mark.parametrize("argv", [
         ("--grid", "2"), ("--grid", "1000000000"), ("--grid", "many"),
         ("--tolerance", "nan"), ("--tolerance", "-0.1"), ("--tolerance", "inf"),
+        ("--tolerance", "abc"), ("--grid", "2.5"),
     ])
     def test_bad_value_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "codebook", "validate", *argv)
         assert code == 1
         assert out == ""
         assert argv[0] in err
+        # the message is the option's own, not a parser function's
+        assert not any(name in err for name in ("_tolerance", "_grid", "int()"))
+
+    @pytest.mark.parametrize("sample_count, word", [
+        (4, "word 'Average' (SSA) of 'Strategy of student'"),
+        # the first of the five words without mass at 3 samples
+        (3, "word 'Small' (S) of 'Time taken to solve the question'"),
+    ])
+    def test_word_without_mass_on_a_coarse_grid_is_named(self, capsys, sample_count, word):
+        code, out, err = run(capsys, "codebook", "validate", "--grid", str(sample_count))
+        assert code == 2
+        assert out == ""
+        assert err == f"cwwkit: error: {word}: FOU carries no membership mass on the grid\n"
 
 
 class TestEvaluate:
@@ -447,6 +462,14 @@ class TestRank:
                            "--method", "bogus")
         assert code == 1
         assert "unknown method" in err
+
+    @pytest.mark.parametrize("methods", ["symbolic,two_tuple", "symbolic,symbolic"])
+    def test_more_than_one_method(self, capsys, sample_feedback, methods):
+        code, out, err = run(capsys, "rank", "--feedback", sample_feedback,
+                             "--method", methods)
+        assert code == 1
+        assert out == ""
+        assert err == "cwwkit: error: rank takes exactly one method\n"
 
 
 class TestCompare:

@@ -148,6 +148,12 @@ def test_rejects_unknown_word_row(lines):
         loads_codebook("\n".join(lines) + "\n")
 
 
+def test_rejects_unknown_parameter_row(lines):
+    lines.insert(3, "Shoe size,Large,L,1,2,3,4,1.5,2,3,3.5,1,,,")
+    with pytest.raises(CodebookError, match=r"^<string>:4: unknown parameter 'Shoe size'$"):
+        loads_codebook("\n".join(lines) + "\n")
+
+
 def test_rejects_duplicate_word_row(lines):
     lines.append(lines[2])
     with pytest.raises(CodebookError, match="duplicate"):
@@ -185,16 +191,13 @@ def _vla_ending_at(lines, d):
 
 
 def test_rejects_word_off_the_scale(lines, codebook):
-    message = (r"word 'Very Large' \(VLA\) of 'Time taken to solve the question': "
-               r"FOU support \[6.05, 50.0\] exceeds grid domain \[0.0, 10.0\]")
-    with pytest.raises(CodebookError, match=message):
+    message = r"FOU support \[6.05, 50.0\] exceeds grid domain \[0.0, 10.0\]"
+    with pytest.raises(CodebookError, match=r"^<string>:6: word 'Very Large': " + message):
         loads_codebook(_vla_ending_at(lines, "50"))
+    # a hand-built word off the scale cannot be built, so no codebook holds one
     vla = codebook.lookup(TIME_TAKEN, "VLA")
-    wide = TrapezoidIT2(*vla.umf[:3], 50.0, *vla.params[4:])
-    entries = [CodebookEntry(e.parameter, e.term, wide if e.fou is vla else e.fou, e.stored)
-               for e in codebook.entries]
-    with pytest.raises(CodebookError, match=message):
-        Codebook(entries)
+    with pytest.raises(ValueError, match=message):
+        TrapezoidIT2(*vla.umf[:3], 50.0, *vla.params[4:])
 
 
 def test_word_within_the_tolerance_of_the_scale_loads(lines):
@@ -213,6 +216,7 @@ def test_missing_stored_centroid_is_allowed(codebook):
     cb = Codebook(entries)
     report = verify_stored_centroids(cb, tolerance=0.0)
     assert report.passed
+    assert all(check.delta_c_l is None and check.delta_c_r is None for check in report.checks)
     assert "no stored centroid" in report.format_text()
 
 

@@ -198,6 +198,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrapezoidIT2(1, 0.5, 2, 3, 1, 1.5, 1.5, 2, 0.5)
 
+    def test_rejects_unordered_lower(self):
+        with pytest.raises(ValueError, match="lower trapezoid must satisfy e <= f <= g <= i"):
+            TrapezoidIT2(0, 1, 2, 3, 1, 1.5, 1.4, 2, 0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameter(self, value):
+        with pytest.raises(ValueError, match="non-finite FOU parameter"):
+            TrapezoidIT2(0, 1, 2, 3, 1, 1.5, 1.5, 2, value)
+
     def test_rejects_height_above_one(self):
         with pytest.raises(ValueError, match="height exceeds 1"):
             TrapezoidIT2(0, 1, 2, 3, 0.5, 1, 2, 2.5, 1.5)
@@ -270,9 +279,12 @@ class TestCentroid:
 
     def test_support_outside_grid_raises(self):
         # SMALL moved right by 6: its upper support ends at 10.41
-        past_ten = TrapezoidIT2(6.59, 8.00, 9.00, 10.41, 7.79, 8.50, 8.50, 9.21, 0.59)
-        with pytest.raises(ValueError, match="exceeds grid domain"):
-            centroid(past_ten)
+        with pytest.raises(ValueError, match=r"FOU support \[6.59, 10.41\] exceeds grid domain"):
+            TrapezoidIT2(6.59, 8.00, 9.00, 10.41, 7.79, 8.50, 8.50, 9.21, 0.59)
+        # the same below 0, where 1e-9 is forgiven as above 10
+        with pytest.raises(ValueError, match=r"FOU support \[-0.01, 10.0\] exceeds grid domain"):
+            TrapezoidIT2(-0.01, 0.0, 10.0, 10.0, 0.0, 0.0, 10.0, 10.0)
+        assert TrapezoidIT2(-1e-10, 0.0, 10.0, 10.0, 0.0, 0.0, 10.0, 10.0).umf_a == -1e-10
 
     def test_brute_force_matches_iterative_on_words(self):
         for fou in SS1_WORDS + [VERY_LITTLE]:
@@ -412,6 +424,21 @@ class TestLwaExact:
         assert sampled.lower.max() <= 0.49 + 1e-9
         # differs by design from the averaged height
         assert lwa_paper(SS1_WORDS).lmf_height == pytest.approx(0.77)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            lwa_exact([])
+
+    def test_sampled_fou_on_an_equal_grid_object_is_its_own_samples(self):
+        sampled = lwa_exact([SMALL])
+        equal = DiscretizationGrid(sample_count=DEFAULT_GRID.sample_count)
+        assert equal.samples is not sampled.xs
+        upper, lower = membership_samples(sampled, equal)
+        assert upper is sampled.upper and lower is sampled.lower
+
+    def test_unsupported_fou_type_raises(self):
+        with pytest.raises(TypeError, match="unsupported FOU type tuple"):
+            membership_samples(SMALL.params, DEFAULT_GRID)
 
     def test_sampled_fou_on_another_grid_raises(self):
         sampled = lwa_exact([SMALL])

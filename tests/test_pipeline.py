@@ -250,6 +250,9 @@ class TestErrorHandling:
     def test_perceptual_without_codebook(self, sample_rows):
         with pytest.raises(ConfigurationError):
             evaluate_batch(sample_rows, (Method.PERCEPTUAL,), cb=None)
+        assert isinstance(sample_rows[0], FeedbackRecord)
+        with pytest.raises(ConfigurationError, match="needs a loaded codebook"):
+            evaluate_student(sample_rows[0], Method.PERCEPTUAL)
 
     def test_empty_batch(self, codebook):
         with pytest.raises(ValueError):

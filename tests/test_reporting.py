@@ -251,6 +251,15 @@ def test_json_equals_json_dumps_of_the_document(full_report, data, verbose):
             == _render_json_reference(report, verbose, uniqueness))
 
 
+def test_json_rejects_what_json_dumps_rejects():
+    value = {"tags": {1, 2}}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value)
+    report = EvaluationReport(methods=(), rows=(), metadata=value)
+    with pytest.raises(TypeError, match=f"^{expected.value}$"):
+        _text(render_json, report)
+
+
 @pytest.fixture(scope="module")
 def every_vector_reports(codebook, schema):
     """The report of all 625 feedback vectors in each LWA mode."""
