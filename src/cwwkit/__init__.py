@@ -20,7 +20,7 @@ from .it2 import (CentroidInterval, DiscretizationGrid, SampledFOU,
 from .pipeline import (EvalOptions, EvaluationReport, Method, Recommendation,
                        evaluate_batch, evaluate_student, rank_students,
                        uniqueness_report)
-from .symbolic import sm2, sm_aggregate, sort_terms_descending
+from .symbolic import sm2, sm_aggregate
 from .two_tuple import TwoTuple, aggregate_beta, to_two_tuple
 from .vocabulary import (FeedbackRecord, LinguisticTerm, ParameterSchema,
                          RawFeedback, TermSet, build_default_schema,
@@ -42,7 +42,7 @@ __all__ = [
     "lwa_exact", "lwa_paper",
     "EvalOptions", "EvaluationReport", "Method",
     "evaluate_batch", "evaluate_student", "rank_students", "uniqueness_report",
-    "sm2", "sm_aggregate", "sort_terms_descending",
+    "sm2", "sm_aggregate",
     "TwoTuple", "aggregate_beta", "to_two_tuple",
     "FeedbackRecord", "LinguisticTerm", "ParameterSchema", "RawFeedback",
     "Recommendation", "TermSet", "build_default_schema", "read_feedback_file",

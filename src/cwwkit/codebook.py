@@ -21,7 +21,7 @@ from ._value import Value, set_field
 from .errors import CodebookError, DegenerateInputError, SchemaError, WordResolutionError
 from .it2 import (DEFAULT_GRID, CentroidInterval, DiscretizationGrid,
                   TrapezoidIT2, centroid, centroid_brute_force, membership_stack)
-from .vocabulary import LinguisticTerm, TermSet, build_default_schema, read_csv
+from .vocabulary import LinguisticTerm, build_default_schema, read_csv
 
 CODEBOOK_HEADER = (
     "parameter", "label", "code",
@@ -93,14 +93,11 @@ class Codebook:
                       for ts in schema.term_sets}
         self._samples = None  # (grid, recommendation samples) of the last grid
 
-    def _term_set(self, parameter: str) -> TermSet:
+    def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
         try:
-            return self.schema.term_set(parameter)
+            ts = self.schema.term_set(parameter)
         except SchemaError as exc:
             raise CodebookError(str(exc)) from None
-
-    def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
-        ts = self._term_set(parameter)
         try:
             term = ts.find(word)
         except WordResolutionError:
@@ -108,10 +105,6 @@ class Codebook:
                 f"no codebook entry for word {word!r} under {parameter!r}"
             ) from None
         return self._fous[ts.name][term.index]
-
-    def word_fous(self, parameter: str) -> tuple[TrapezoidIT2, ...]:
-        """Word models of one term set, in term-index order."""
-        return self._fous[self._term_set(parameter).name]
 
     @cached_property
     def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:

@@ -45,6 +45,8 @@ class EvalOptions(Value):
     _fields = ("grid", "lwa_mode")
 
     def __init__(self, grid: DiscretizationGrid = DEFAULT_GRID, lwa_mode: str = "exact"):
+        if not isinstance(grid, DiscretizationGrid):
+            raise ConfigurationError(f"grid must be a DiscretizationGrid, got {grid!r}")
         if lwa_mode not in LWA_MODES:
             raise ConfigurationError(
                 f"lwa_mode must be one of {LWA_MODES}, got {lwa_mode!r}"
@@ -148,8 +150,7 @@ def _evaluate_extension(fb: FeedbackRecord, cb: Codebook | None,
 def _evaluate_symbolic(fb: FeedbackRecord, cb: Codebook | None,
                        options: EvalOptions) -> Recommendation:
     recommendation = build_default_schema().recommendation
-    indices = symbolic.sort_terms_descending(fb.indices)
-    index = symbolic.sm_aggregate(indices, recommendation.g)
+    index = symbolic.sm_aggregate(fb.indices, recommendation.g)
     return Recommendation(
         method=Method.SYMBOLIC,
         numeric=index,
@@ -232,10 +233,10 @@ def evaluate_batch(
     """Evaluate a batch; per-row failures are recorded, not raised.
 
     Rows may be resolved records or raw (unresolved) feedback, as
-    `read_feedback_file` returns them; a word that fails to resolve flags
-    that row only, and so do a record, of any shape, that does not hold
-    one schema word per parameter and a student id already used by an
-    earlier row (rows count from 1 in input order). Configuration
+    `read_feedback_file` returns them. A row is flagged for one of two
+    causes: a raw word that fails to resolve, or a student id already
+    used by an earlier row (rows count from 1 in input order). A record
+    holds one schema word per parameter by construction. Configuration
     problems such as requesting the perceptual method without a codebook
     abort the whole batch.
 
@@ -266,38 +267,19 @@ def evaluate_batch(
     first_rows: dict[str, int] = {}
     rows = []
     for position, item in enumerate(feedback, start=1):
-        record, codes, row_error = item, None, None
+        record, row_error = item, None
         if not isinstance(item, FeedbackRecord):
             try:
                 record = resolve_feedback(schema, item.words, item.student_id)
             except CwwError as exc:
                 record, row_error = None, str(exc)
-        else:
-            # One comparison: tuples compare items by identity before `==`,
-            # so a record of the schema's own terms runs no `Value.__eq__`.
-            try:
-                on_schema = tuple(item.choices) == tuple([
-                    ts.terms[term.index]
-                    for ts, term in zip(schema.parameters, item.choices, strict=True)])
-            except (AttributeError, IndexError, TypeError, ValueError):
-                on_schema = False  # not terms, not one per parameter, or no tuple
-            if not on_schema:
-                try:
-                    codes = tuple([term.code for _, term in zip(
-                        schema.parameters, item.choices, strict=True)])
-                except (AttributeError, TypeError, ValueError):
-                    pass
-                if codes is not None and not all(isinstance(code, str) for code in codes):
-                    codes = None  # the renderers print codes as text
-                record = None
-                row_error = f"feedback {codes or item.choices} is not one word of each parameter"
         first = first_rows.setdefault(item.student_id, position)
         if first != position:
             row_error = (f"duplicate student id {item.student_id!r}, "
                          f"first used by row {first}")
         if row_error is not None:
             rows.append(ReportRow(student_id=item.student_id,
-                                  codes=record.codes if record is not None else codes,
+                                  codes=record.codes if record is not None else None,
                                   cells={}, error=row_error))
             continue
         indices = record.indices

@@ -4,8 +4,9 @@ The one schema, `build_default_schema()`, covers the four assessment
 parameters (time taken, subject knowledge, liking, perceived preparation)
 plus the recommendation set, each with five ordered terms. Its invariants
 (indices 0..g, unique words and names) are tested, not checked by the
-constructors. All values are immutable after construction and safe to
-share across concurrent evaluations.
+constructors; a `FeedbackRecord` is checked against it when it is built.
+All values are immutable after construction and safe to share across
+concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -134,11 +135,24 @@ class RawFeedback(Value):
 
 
 class FeedbackRecord(Value):
-    """Feedback resolved against a schema: one term per parameter, in order."""
+    """Feedback resolved against the default schema: one term of each
+    parameter, in order. Other choices raise SchemaError when the record
+    is built, so every record can be scored; equal copies of the schema's
+    terms are accepted."""
 
     _fields = ("student_id", "choices")
 
     def __init__(self, student_id: str, choices: tuple[LinguisticTerm, ...]):
+        # One comparison: tuples compare items by identity before `==`, so
+        # a record of the schema's own terms runs no `Value.__eq__`.
+        try:
+            on_schema = tuple(choices) == tuple([
+                ts.terms[term.index] for ts, term in zip(
+                    build_default_schema().parameters, choices, strict=True)])
+        except (AttributeError, IndexError, TypeError, ValueError):
+            on_schema = False  # not terms, not one per parameter, or no tuple
+        if not on_schema:
+            raise SchemaError(f"feedback {choices!r} is not one word of each parameter")
         set_field(self, "student_id", student_id)
         set_field(self, "choices", choices)
 
@@ -214,7 +228,8 @@ def resolve_feedback(
 ) -> FeedbackRecord:
     """Resolve one word per parameter, matching labels or codes.
 
-    Raises SchemaError for missing or unknown parameter names and
+    `schema` is the one default schema, `build_default_schema()`. Raises
+    SchemaError for missing or unknown parameter names and
     WordResolutionError for words not present in the term set.
     """
     known = schema.parameters_by_name

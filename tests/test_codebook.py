@@ -45,19 +45,20 @@ def test_lookup_unknown_word(codebook):
 
 
 def test_recommendation_fous_in_index_order(codebook, schema):
-    fous = codebook.word_fous(RECOMMENDATION)
+    by_word = {(e.parameter, e.term.code): e.fou for e in codebook.entries}
+    fous = [codebook.lookup(RECOMMENDATION, term.label) for term in schema.recommendation]
     assert len(fous) == 5
+    assert fous == [by_word[RECOMMENDATION, term.code] for term in schema.recommendation]
     assert fous[4] == codebook.lookup(RECOMMENDATION, "SSVG")
 
 
-def test_word_fous_follow_term_index_order(codebook, schema):
+def test_parameter_fous_follow_term_index_order(codebook, schema):
     by_word = {(e.parameter, e.term.code): e.fou for e in codebook.entries}
+    assert codebook.parameter_fous == tuple(
+        tuple(by_word[(ts.name, term.code)] for term in ts) for ts in schema.parameters)
     for ts in schema.term_sets:
-        expected = tuple(by_word[(ts.name, term.code)] for term in ts)
-        assert codebook.word_fous(ts.name) == expected
-        assert codebook.word_fous(ts.name.upper()) == expected
-    with pytest.raises(CodebookError):
-        codebook.word_fous("No such parameter")
+        for term in ts:
+            assert codebook.lookup(ts.name.upper(), term.code) is by_word[ts.name, term.code]
 
 
 def test_entry_outside_schema_rejected(codebook):

@@ -1,16 +1,13 @@
 import csv
-import io
-import json
 from types import SimpleNamespace
 
 import pytest
 
 from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions,
-                    FeedbackRecord, LinguisticTerm, Method, build_default_schema,
-                    default_feedback_path, evaluate_batch, evaluate_student,
-                    rank_students, read_feedback_file, resolve_feedback,
-                    uniqueness_report)
-from cwwkit.reporting import render_csv, render_json, render_table
+                    FeedbackRecord, LinguisticTerm, Method, SchemaError,
+                    build_default_schema, default_feedback_path, evaluate_batch,
+                    evaluate_student, rank_students, read_feedback_file,
+                    resolve_feedback, uniqueness_report)
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
                                SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
@@ -133,6 +130,8 @@ class TestErrorHandling:
                                       "a non-term with a term's fields", "a string choice",
                                       "a None choice", "no choices", "a non-text code"])
     def test_hand_built_record_off_the_schema_flags_its_row(self, schema, codebook, case):
+        # The record refuses such a row when it is built, so neither a batch
+        # nor evaluate_student can receive it.
         valid = tuple(param[2] for param in schema.parameters)
         time, knowledge = schema.parameters[:2]
         choices = {
@@ -148,33 +147,15 @@ class TestErrorHandling:
             "no choices": None,
             "a non-text code": (SimpleNamespace(label="x", code=5, index=9),) + valid[1:],
         }[case]
-        # an equal copy of the schema's terms is not flagged
+        with pytest.raises(SchemaError, match="is not one word of each parameter$"):
+            FeedbackRecord("bad", choices)
+        # an equal copy of the schema's terms builds and evaluates as they do
         copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
-        batch = [FeedbackRecord("bad", choices), FeedbackRecord("ok", valid),
-                 FeedbackRecord("copy", copy)]
-        report = evaluate_batch(batch, cb=codebook)
-        bad, ok, copied = report.rows
-        assert bad.error.endswith("is not one word of each parameter")
-        assert bad.cells == {}
-        # codes only when the row holds one text code per parameter
-        if case in ("three choices", "five choices", "a string choice", "a None choice",
-                    "no choices", "a non-text code"):
-            assert bad.codes is None
-        else:
-            assert bad.codes == tuple(choice.code for choice in choices)
+        ok, copied = evaluate_batch([FeedbackRecord("ok", valid),
+                                     FeedbackRecord("copy", copy)], cb=codebook).rows
         assert ok.error is None and copied.error is None
         assert copied.cells == ok.cells
         assert all(cell.error is None for cell in ok.cells.values())
-        # the flagged row prints with every column of the others
-        table, text, document = io.StringIO(), io.StringIO(), io.StringIO()
-        render_table(report, table)
-        render_csv(report, text)
-        render_json(report, document)
-        assert len(table.getvalue().splitlines()) == 5
-        assert len({len(row) for row in csv.reader(io.StringIO(text.getvalue()))}) == 1
-        words = json.loads(document.getvalue())["rows"][0]["words"]
-        assert (None if words is None else list(words.values())) == (
-            None if bad.codes is None else list(bad.codes))
 
     @pytest.mark.parametrize("word", [None, 5])
     def test_raw_word_that_is_not_text_flags_its_row(self, sample_rows, codebook, word):
@@ -220,8 +201,7 @@ class TestErrorHandling:
     def test_records_of_schema_terms_compare_no_terms(self, monkeypatch, codebook):
         # read here, not taken from the session's fixture: a test that
         # clears the schema's cache leaves a new schema behind it
-        rows = read_feedback_file(default_feedback_path())
-        expected = evaluate_batch(rows, cb=codebook)
+        expected = evaluate_batch(read_feedback_file(default_feedback_path()), cb=codebook)
         calls = []
         equal = LinguisticTerm.__eq__
 
@@ -230,22 +210,23 @@ class TestErrorHandling:
             return equal(self, other)
 
         monkeypatch.setattr(LinguisticTerm, "__eq__", counting)
+        # the reader builds each record from the schema's own terms
+        rows = read_feedback_file(default_feedback_path())
         report = evaluate_batch(rows, cb=codebook)
         assert calls == []
         assert report == expected
-        # an equal copy still evaluates, by equality; another parameter's
-        # term and a non-term are still flagged
+        # an equal copy still builds, by equality, and evaluates; another
+        # parameter's term and a non-term are still refused
         valid = rows[0].choices
         copy = tuple(LinguisticTerm(t.label, t.code, t.index) for t in valid)
-        other = (build_default_schema().parameters[1][1],) + valid[1:]
-        duck = (SimpleNamespace(label="Small", code="S", index=1),) + valid[1:]
-        copied, moved, ducked = evaluate_batch(
-            [FeedbackRecord("copy", copy), FeedbackRecord("other", other),
-             FeedbackRecord("duck", duck)], cb=codebook).rows
+        copied, = evaluate_batch([FeedbackRecord("copy", copy)], cb=codebook).rows
         assert calls
         assert copied.error is None and copied.cells == expected.rows[0].cells
-        for row in (moved, ducked):
-            assert row.error.endswith("is not one word of each parameter")
+        other = (build_default_schema().parameters[1][1],) + valid[1:]
+        duck = (SimpleNamespace(label="Small", code="S", index=1),) + valid[1:]
+        for choices in (other, duck):
+            with pytest.raises(SchemaError, match="is not one word of each parameter$"):
+                FeedbackRecord("bad", choices)
 
     def test_perceptual_without_codebook(self, sample_rows):
         with pytest.raises(ConfigurationError):
@@ -274,8 +255,16 @@ class TestErrorHandling:
         with pytest.raises(ConfigurationError):
             EvalOptions(lwa_mode="bogus")
 
+    @pytest.mark.parametrize("grid", [51, None, "1001"])
+    def test_grid_that_is_not_a_grid(self, grid):
+        # refused when the options are built, before a batch reads the grid
+        with pytest.raises(ConfigurationError,
+                           match=f"grid must be a DiscretizationGrid, got {grid!r}"):
+            EvalOptions(grid=grid)
+
 
 def test_record_flagged_exactly_when_a_choice_is_not_in_its_parameter(schema, codebook):
+    # a choice outside its parameter refuses the record when it is built
     terms = [term for ts in schema.term_sets for term in ts]
     copies = [LinguisticTerm(t.label, t.code, t.index) for t in terms]
     others = [LinguisticTerm("Huge", "H", 1), SimpleNamespace(label="Small", code="S", index=1),
@@ -285,17 +274,19 @@ def test_record_flagged_exactly_when_a_choice_is_not_in_its_parameter(schema, co
     for value in terms + copies + others:
         for position, ts in enumerate(schema.parameters):
             choices = valid[:position] + (value,) + valid[position + 1:]
-            batch.append(FeedbackRecord(str(len(batch)), choices))
-            flagged.append(value not in ts.terms)
-    report = evaluate_batch(batch, cb=codebook)
-    assert [row.error is not None for row in report.rows] == flagged
+            off = value not in ts.terms
+            flagged.append(off)
+            if off:
+                with pytest.raises(SchemaError, match="is not one word of each parameter$"):
+                    FeedbackRecord("bad", choices)
+            else:
+                batch.append(FeedbackRecord(str(len(batch)), choices))
     assert any(flagged) and not all(flagged)
-    for row, off in zip(report.rows, flagged):
-        if off:
-            assert row.error.endswith("is not one word of each parameter")
-            assert row.cells == {}
-        else:
-            assert all(cell.error is None for cell in row.cells.values())
+    report = evaluate_batch(batch, cb=codebook)
+    assert len(report.rows) == flagged.count(False)
+    for row in report.rows:
+        assert row.error is None
+        assert all(cell.error is None for cell in row.cells.values())
 
 
 class TestSingleStudent:

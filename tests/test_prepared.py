@@ -57,10 +57,16 @@ def _jaccard_oracle(fou_a, fou_b, grid):
     return numerator / denominator
 
 
+def _recommendation_words(cb):
+    """The recommendation word models, in term-index order."""
+    return [cb.lookup(RECOMMENDATION, term.code) for term in cb.schema.recommendation]
+
+
 def test_codebook_keeps_its_word_data_and_one_grid_of_samples(codebook):
     cb = Codebook(codebook.entries)
-    assert cb.parameter_fous == tuple(cb.word_fous(p.name) for p in cb.schema.parameters)
-    words = cb.word_fous(RECOMMENDATION)
+    assert cb.parameter_fous == tuple(tuple(cb.lookup(p.name, term.code) for term in p)
+                                      for p in cb.schema.parameters)
+    words = _recommendation_words(cb)
     coarse = cb.recommendation_samples(DiscretizationGrid(51))
     assert cb.recommendation_samples(DiscretizationGrid(51)) is coarse
     for sample_count in (1001, 51):
@@ -97,7 +103,7 @@ def test_samples_are_read_as_one_grid_and_samples_pair(codebook):
 def test_vectorized_jaccard_equals_pairwise(codebook, all_records, lwa_mode,
                                             sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
-    words = codebook.word_fous(RECOMMENDATION)
+    words = _recommendation_words(codebook)
     upper, lower = membership_stack(words, grid)
     for record in all_records:
         fous = [codebook.lookup(param.name, choice.code)

@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cwwkit import sm2, sm_aggregate, sort_terms_descending
+from cwwkit import sm2, sm_aggregate
 from cwwkit.rounding import round_half_away
 
 
@@ -16,12 +16,6 @@ def test_round_half_away():
     assert round_half_away(2.4) == 2
     assert round_half_away(-0.5) == -1
     assert round_half_away(0.0) == 0
-
-
-def test_sort_descending():
-    assert sort_terms_descending([1, 3, 2, 2]) == [3, 2, 2, 1]
-    assert sort_terms_descending([2, 2, 2]) == [2, 2, 2]
-    assert sort_terms_descending([3, 4, 2, 1]) == [4, 3, 2, 1]
 
 
 def test_sm2_walkthrough_steps():
@@ -73,9 +67,11 @@ def test_aggregate_singleton():
     assert sm_aggregate([3], g=4) == 3
 
 
-def test_aggregate_requires_sorted_input():
-    with pytest.raises(ValueError):
-        sm_aggregate([1, 3, 2, 2], g=4)
+def test_aggregate_ignores_the_order_of_its_input():
+    # the walkthrough student's indices, sorted inside the aggregate
+    for order in permutations([1, 3, 2, 2]):
+        assert sm_aggregate(order, g=4) == 2
+    assert sm_aggregate((1, 3, 2, 2), g=4) == sm_aggregate([3, 2, 2, 1], g=4)
 
 
 def test_aggregate_rejects_out_of_range_index():

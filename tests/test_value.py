@@ -14,7 +14,7 @@ from cwwkit import (CentroidInterval, CodebookEntry, DiscretizationGrid,
                     EvalOptions, EvaluationReport, FeedbackRecord,
                     LinguisticTerm, Method, ParameterSchema, RawFeedback,
                     SampledFOU, StoredCentroid, TermSet, TrapezoidIT2, TriTuple,
-                    TwoTuple, lwa_exact)
+                    TwoTuple, build_default_schema, lwa_exact)
 from cwwkit._value import Value
 from cwwkit.codebook import CentroidCheck, CentroidVerification
 from cwwkit.pipeline import DuplicateGroup, MethodCell, Recommendation, ReportRow
@@ -31,6 +31,9 @@ XS = np.array([0.0, 5.0, 10.0])
 UPPER = np.array([0.0, 1.0, 0.0])
 LOWER = np.array([0.0, 0.5, 0.0])
 ROW = ReportRow("7", ("S",), {Method.SYMBOLIC: MethodCell(error="boom")})
+# two feedback vectors of the default schema that differ in the first word
+CHOICES = tuple(param[2] for param in build_default_schema().parameters)
+OTHER_CHOICES = (build_default_schema().parameters[0][1],) + CHOICES[1:]
 
 
 def _no_default(name):
@@ -69,7 +72,7 @@ TYPES = [
     (RawFeedback, list(map(_no_default, ("student_id", "words"))), True,
      ("7", {"Size": "small"}), ("8", {"Size": "small"})),
     (FeedbackRecord, list(map(_no_default, ("student_id", "choices"))), True,
-     ("7", (SMALL,)), ("7", (LARGE,))),
+     ("7", CHOICES), ("7", OTHER_CHOICES)),
     (StoredCentroid, list(map(_no_default, ("c_l", "c_r", "mean"))), True,
      (2.0, 3.0, 2.5), (2.0, 3.0, 2.505)),
     (CodebookEntry, [*map(_no_default, ("parameter", "term", "fou")), _default("stored", None)],
