@@ -164,7 +164,7 @@ def _evaluate(args, methods):
 def _exit_status(report) -> int:
     """EXIT_DATA if any row or cell of the report was flagged."""
     flagged = any(
-        row.error is not None or any(cell.error for cell in row.cells.values())
+        row.error is not None or any(cell.error is not None for cell in row.cells.values())
         for row in report.rows
     )
     return EXIT_DATA if flagged else EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
@@ -68,15 +68,15 @@ class CodebookEntry(Value):
 
 class Codebook:
     """Immutable word-to-FOU map covering every word of the default schema,
-    each a `TrapezoidIT2`, so on the evaluation scale. The word-level data the
-    perceptual method reads is built on first use and kept for its lifetime."""
+    each a `TrapezoidIT2`, so on the evaluation scale, held in schema order.
+    The recommendation words' samples are built on first use of a grid."""
 
     def __init__(self, entries: Iterable[CodebookEntry]):
-        self.schema = schema = build_default_schema()
+        term_sets = build_default_schema().term_sets
         self.entries = tuple(entries)
         # (term-set name, term) -> word model; an entry names both exactly
-        # as `_codebook_entries` builds them
-        fous = {(ts.name, term): None for ts in schema.term_sets for term in ts}
+        # as `_parse_codebook` builds them
+        fous = {(ts.name, term): None for ts in term_sets for term in ts}
         for entry in self.entries:
             key = name, term = entry.parameter, entry.term
             if key not in fous:
@@ -89,13 +89,15 @@ class Codebook:
             if fou is None:
                 raise CodebookError(
                     f"codebook is missing word {term.label!r} ({term.code}) of {name!r}")
-        self._fous = {ts.name: tuple(fous[ts.name, term] for term in ts)
-                      for ts in schema.term_sets}
+        # per term set in schema order, so the recommendation words come last
+        self._fous = tuple(tuple(fous[ts.name, term] for term in ts) for ts in term_sets)
+        self.parameter_fous = self._fous[:-1]
         self._samples = None  # (grid, recommendation samples) of the last grid
 
     def lookup(self, parameter: str, word: str) -> TrapezoidIT2:
+        schema = build_default_schema()
         try:
-            ts = self.schema.term_set(parameter)
+            ts = schema.term_set(parameter)
         except SchemaError as exc:
             raise CodebookError(str(exc)) from None
         try:
@@ -104,12 +106,7 @@ class Codebook:
             raise CodebookError(
                 f"no codebook entry for word {word!r} under {parameter!r}"
             ) from None
-        return self._fous[ts.name][term.index]
-
-    @cached_property
-    def parameter_fous(self) -> tuple[tuple[TrapezoidIT2, ...], ...]:
-        """Per parameter, the word models in term-index order."""
-        return tuple(self._fous[param.name] for param in self.schema.parameters)
+        return self._fous[schema.term_sets.index(ts)][term.index]
 
     def recommendation_samples(self, grid: DiscretizationGrid) -> tuple[np.ndarray, np.ndarray]:
         """(k, G) read-only upper and lower samples of the recommendation
@@ -117,8 +114,7 @@ class Codebook:
         replaced whole, so no reader pairs a grid with another's samples."""
         last = self._samples
         if last is None or (last[0] is not grid and last[0] != grid):
-            words = self._fous[self.schema.recommendation.name]
-            last = self._samples = (grid, membership_stack(words, grid))
+            last = self._samples = (grid, membership_stack(self._fous[-1], grid))
         return last[1]
 
 

@@ -100,12 +100,14 @@ class Recommendation(Value):
 
 
 class MethodCell(Value):
-    """One report cell: a recommendation or the reason it failed."""
+    """One report cell: either a recommendation or the reason it failed."""
 
     _fields = ("recommendation", "error")
 
     def __init__(self, recommendation: Recommendation | None = None,
                  error: str | None = None):
+        if (recommendation is None) == (error is None):
+            raise ValueError("a cell holds exactly one of a recommendation and an error")
         set_field(self, "recommendation", recommendation)
         set_field(self, "error", error)
 
@@ -195,7 +197,7 @@ def _evaluate_perceptual(fb: FeedbackRecord, cb: Codebook | None,
     return Recommendation(
         method=Method.PERCEPTUAL,
         numeric=round(score, 2),
-        linguistic=cb.schema.recommendation[index],
+        linguistic=build_default_schema().recommendation[index],
         score=score,
         centroid=interval,
         similarities=similarities,
@@ -366,7 +368,7 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
             if row.error is not None:
                 continue
             cell = row.cells[method]
-            if cell.error is not None or cell.recommendation is None:
+            if cell.error is not None:
                 continue
             rec = cell.recommendation
             key = (rec.numeric_text, rec.linguistic.code)

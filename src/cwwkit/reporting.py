@@ -68,7 +68,7 @@ def render_flags(report: EvaluationReport, out: TextIO, method: Method | None = 
         reason = row.error
         if reason is None and method is not None:
             reason = row.cells[method].error
-        if reason:
+        if reason is not None:
             out.write(f"# {row.student_id}: {reason}\n")
 
 

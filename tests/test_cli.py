@@ -13,7 +13,7 @@ import cwwkit.cli
 import cwwkit.codebook
 from cwwkit.cli import CODEBOOK_ENV, main
 from cwwkit.codebook import default_feedback_path
-from cwwkit import DiscretizationGrid, lwa_exact, lwa_paper
+from cwwkit import DiscretizationGrid, build_default_schema, lwa_exact, lwa_paper
 from cwwkit.it2 import CentroidInterval, membership_samples
 from strategies import random_fou
 
@@ -495,7 +495,7 @@ class TestCompare:
         massless = set()
         for record in sample_rows:
             fous = [codebook.lookup(param.name, term.code)
-                    for param, term in zip(codebook.schema.parameters, record.choices)]
+                    for param, term in zip(build_default_schema().parameters, record.choices)]
             aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
             if not membership_samples(aggregate, grid)[0].any():
                 massless.add(record.student_id)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from cwwkit import (DegenerateInputError, DiscretizationGrid, EvalOptions,
-                    FeedbackRecord, Method, SampledFOU, centroid,
-                    centroid_brute_force, evaluate_batch, evaluate_student,
-                    lwa_exact, lwa_paper)
+                    FeedbackRecord, Method, SampledFOU, build_default_schema,
+                    centroid, centroid_brute_force, evaluate_batch,
+                    evaluate_student, lwa_exact, lwa_paper)
 from cwwkit.it2 import _trapezoid
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES
 
@@ -21,8 +21,9 @@ INDEX_METHODS = (Method.EXTENSION_PRINCIPLE, Method.SYMBOLIC, Method.TWO_TUPLE)
 
 SAMPLE_COUNTS = (51, 1001)
 # grids of 3 to 9 samples are too coarse for some aggregates: there a
-# switch search runs out of weight, and at 3 and 4 some carry no mass at all
-SCAN_SAMPLE_COUNTS = (3, 4, 5, 6, 7, 8, 9) + SAMPLE_COUNTS
+# switch search runs out of weight, and at 3 and 4 some carry no mass at all;
+# 10 to 31 are the coarse grids of the monotonicity sweep below
+SCAN_SAMPLE_COUNTS = (3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 17, 23, 31) + SAMPLE_COUNTS
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def vectors(schema):
 
 def _words(codebook, choices):
     return [codebook.lookup(param.name, term.code)
-            for param, term in zip(codebook.schema.parameters, choices)]
+            for param, term in zip(build_default_schema().parameters, choices)]
 
 
 def _permutations(items):
@@ -48,7 +49,7 @@ def test_ekm_equals_exhaustive_scan(codebook, vectors, lwa_mode, sample_count):
     grid = DiscretizationGrid(sample_count=sample_count)
     for choices in vectors:
         fous = [codebook.lookup(param.name, term.code)
-                for param, term in zip(codebook.schema.parameters, choices)]
+                for param, term in zip(build_default_schema().parameters, choices)]
         aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
         codes = [term.code for term in choices]
         try:
@@ -62,16 +63,32 @@ def test_ekm_equals_exhaustive_scan(codebook, vectors, lwa_mode, sample_count):
         assert abs(ekm.c_r - scan.c_r) <= 1e-9, codes
 
 
-def _lowered_by_a_raised_word(codebook, schema, vectors, lwa_mode, sample_count):
-    """Every raise of one word by one step that lowers a method's score or
-    word, as (method, codes, raised word, score before, score after), the
-    scores to 4 decimals."""
+@pytest.mark.parametrize("sample_count", SCAN_SAMPLE_COUNTS)
+@pytest.mark.parametrize("lwa_mode", LWA_MODES)
+def test_perceptual_cells_only_fail_for_lack_of_mass(codebook, vectors, lwa_mode,
+                                                     sample_count):
+    # the whole perceptual path, decode included, at every swept grid
+    options = EvalOptions(grid=DiscretizationGrid(sample_count=sample_count),
+                          lwa_mode=lwa_mode)
+    for choices in vectors:
+        try:
+            evaluate_student(FeedbackRecord("v", choices), Method.PERCEPTUAL, codebook,
+                             options)
+        except DegenerateInputError:
+            pass
+
+
+def _raises(codebook, schema, vectors, lwa_mode, sample_count):
+    """The failed cells of all vectors, and every raise of one word by one
+    step whose two cells both evaluate, as (method, choices, raised word,
+    recommendation before, recommendation after)."""
     options = EvalOptions(grid=DiscretizationGrid(sample_count=sample_count),
                           lwa_mode=lwa_mode)
     records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
     report = evaluate_batch(records, ALL_METHODS, codebook, options=options)
     cells = {choices: row.cells for choices, row in zip(vectors, report.rows)}
-    counterexamples = []
+    failed = sum(cell.error is not None for row in report.rows for cell in row.cells.values())
+    raises = []
     for choices in vectors:
         for position, param in enumerate(schema.parameters):
             step = choices[position].index + 1
@@ -79,13 +96,22 @@ def _lowered_by_a_raised_word(codebook, schema, vectors, lwa_mode, sample_count)
                 continue
             raised = choices[:position] + (param.terms[step],) + choices[position + 1:]
             for method in ALL_METHODS:
-                low = cells[choices][method].recommendation
-                high = cells[raised][method].recommendation
-                if high.score < low.score or high.linguistic.index < low.linguistic.index:
-                    counterexamples.append(
-                        (method.value, ",".join(t.code for t in choices),
-                         raised[position].code, round(low.score, 4), round(high.score, 4)))
-    return counterexamples
+                low, high = cells[choices][method], cells[raised][method]
+                if low.error is None and high.error is None:
+                    raises.append((method, choices, raised[position],
+                                   low.recommendation, high.recommendation))
+    return failed, raises
+
+
+def _lowered_by_a_raised_word(codebook, schema, vectors, lwa_mode, sample_count):
+    """Every raise of one word by one step that lowers a method's score or
+    word, as (method, codes, raised word, score before, score after), the
+    scores to 4 decimals. Raises where either cell failed are skipped."""
+    _, raises = _raises(codebook, schema, vectors, lwa_mode, sample_count)
+    return [(method.value, ",".join(t.code for t in choices), raised.code,
+             round(low.score, 4), round(high.score, 4))
+            for method, choices, raised, low, high in raises
+            if high.score < low.score or high.linguistic.index < low.linguistic.index]
 
 
 # From 10 samples up the perceptual score is monotone in each word; 51
@@ -94,9 +120,7 @@ def _lowered_by_a_raised_word(codebook, schema, vectors, lwa_mode, sample_count)
 MONOTONE_SAMPLE_COUNTS = (10, 11, 13, 17, 23, 31, 51, 201, 1001)
 
 # Below 10 samples it is not: the drops measured at grids 7 and 9, all
-# perceptual, none of which changes the word. (At grids 4 to 6 scores drop
-# only in the last bit, but at 4 and 5 in paper mode 4 and 3 raised words
-# print a lower word, and at grid 3 160 or more do, in both modes.)
+# perceptual, none of which changes the word.
 COARSE_GRID_DROPS = {
     (7, "exact"): [],
     (7, "paper"): [("perceptual", "VL,SVL,AL,PVL", "SL", 1.8322, 1.8295)],
@@ -104,6 +128,22 @@ COARSE_GRID_DROPS = {
                    ("perceptual", "VLA,SVLA,AH,PL", "AVH", 7.2845, 7.2802)],
     (9, "paper"): [("perceptual", "VL,SVL,AL,PM", "PH", 2.7244, 2.7158),
                    ("perceptual", "VLA,SVLA,AH,PL", "AVH", 7.2845, 7.2802)],
+}
+
+# At grids 3 to 6, all perceptual, with the raises where either cell failed
+# skipped: (cells that fail for lack of mass, raises that lower the score,
+# raises that lower the word, vectors those start from). Every score drop
+# is in the last bits, so none lowers the printed score; only at grid 3 do
+# raises lower the word.
+COARSEST_GRID_RAISES = {
+    (3, "exact"): (100, 16, 160, 47),
+    (3, "paper"): (100, 40, 160, 47),
+    (4, "exact"): (11, 219, 0, 0),
+    (4, "paper"): (11, 230, 0, 0),
+    (5, "exact"): (0, 12, 0, 0),
+    (5, "paper"): (0, 15, 0, 0),
+    (6, "exact"): (0, 2, 0, 0),
+    (6, "paper"): (0, 0, 0, 0),
 }
 
 
@@ -121,6 +161,26 @@ def test_raising_one_word_lowers_the_score_on_coarse_grids(codebook, schema, vec
     assert _lowered_by_a_raised_word(codebook, schema, vectors, lwa_mode, sample_count) \
         == COARSE_GRID_DROPS[sample_count, lwa_mode]
 
+
+
+@pytest.mark.parametrize("sample_count, lwa_mode", sorted(COARSEST_GRID_RAISES))
+def test_raising_one_word_on_the_coarsest_grids(codebook, schema, vectors, sample_count,
+                                                lwa_mode):
+    failed, raises = _raises(codebook, schema, vectors, lwa_mode, sample_count)
+    drops, words = [], []
+    for method, choices, _, low, high in raises:
+        dropped = high.score < low.score
+        lowered = high.linguistic.index < low.linguistic.index
+        if dropped or lowered:
+            # all perceptual, and the printed score, to 2 decimals, never drops
+            assert method is Method.PERCEPTUAL and high.numeric >= low.numeric
+        if dropped:
+            drops.append(low.score - high.score)
+        if lowered:
+            words.append(choices)
+    assert (failed, len(drops), len(words), len(set(words))) \
+        == COARSEST_GRID_RAISES[sample_count, lwa_mode]
+    assert max(drops, default=0.0) <= 1.8e-15
 
 @pytest.mark.parametrize("method", INDEX_METHODS)
 def test_index_methods_are_permutation_invariant(codebook, schema, vectors, method):

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from cwwkit import DiscretizationGrid, EvalOptions, FeedbackRecord, evaluate_batch
+from cwwkit import (DiscretizationGrid, EvalOptions, FeedbackRecord, build_default_schema,
+                    evaluate_batch)
 from cwwkit.cli import main
 from cwwkit.pipeline import LWA_MODES
 
@@ -110,7 +111,7 @@ def test_recommendation_fields_digest(codebook):
     """Every field of every cell, by `repr`, for all 625 vectors x both
     LWA modes x grid {51, 1001}: catches a change in the last bit or in
     the type of any number, printed or not."""
-    vectors = itertools.product(*(param.terms for param in codebook.schema.parameters))
+    vectors = itertools.product(*(param.terms for param in build_default_schema().parameters))
     records = [FeedbackRecord(str(i), choices) for i, choices in enumerate(vectors)]
     lines = []
     for lwa_mode in LWA_MODES:

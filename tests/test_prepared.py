@@ -17,8 +17,8 @@ import cwwkit.it2
 import cwwkit.pipeline
 from cwwkit import (CentroidInterval, Codebook, CodebookEntry, CwwError,
                     DiscretizationGrid, EvalOptions, FeedbackRecord, Method,
-                    TrapezoidIT2, centroid, evaluate_batch, evaluate_student,
-                    jaccard_similarity, lwa_exact, lwa_paper)
+                    TrapezoidIT2, build_default_schema, centroid, evaluate_batch,
+                    evaluate_student, jaccard_similarity, lwa_exact, lwa_paper)
 from cwwkit.it2 import (jaccard_similarities, membership_samples, membership_stack,
                         sample_fou)
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES, MethodCell
@@ -59,13 +59,13 @@ def _jaccard_oracle(fou_a, fou_b, grid):
 
 def _recommendation_words(cb):
     """The recommendation word models, in term-index order."""
-    return [cb.lookup(RECOMMENDATION, term.code) for term in cb.schema.recommendation]
+    return [cb.lookup(RECOMMENDATION, term.code) for term in build_default_schema().recommendation]
 
 
 def test_codebook_keeps_its_word_data_and_one_grid_of_samples(codebook):
     cb = Codebook(codebook.entries)
     assert cb.parameter_fous == tuple(tuple(cb.lookup(p.name, term.code) for term in p)
-                                      for p in cb.schema.parameters)
+                                      for p in build_default_schema().parameters)
     words = _recommendation_words(cb)
     coarse = cb.recommendation_samples(DiscretizationGrid(51))
     assert cb.recommendation_samples(DiscretizationGrid(51)) is coarse
@@ -107,7 +107,7 @@ def test_vectorized_jaccard_equals_pairwise(codebook, all_records, lwa_mode,
     upper, lower = membership_stack(words, grid)
     for record in all_records:
         fous = [codebook.lookup(param.name, choice.code)
-                for param, choice in zip(codebook.schema.parameters, record.choices)]
+                for param, choice in zip(build_default_schema().parameters, record.choices)]
         aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
         vectorized = jaccard_similarities(
             *membership_samples(aggregate, grid), upper, lower).tolist()
@@ -175,7 +175,7 @@ def test_invalid_paper_average_fails_only_its_cell(codebook, all_records):
         lwa_paper(PAPER_AVERAGE_FAILS)
     # the first word of each of the first two parameters
     replaced = {(param.name, 0): word
-                for param, word in zip(codebook.schema.parameters, PAPER_AVERAGE_FAILS)}
+                for param, word in zip(build_default_schema().parameters, PAPER_AVERAGE_FAILS)}
     cb = Codebook(CodebookEntry(entry.parameter, entry.term, replaced[key])
                   if (key := (entry.parameter, entry.term.index)) in replaced else entry
                   for entry in codebook.entries)

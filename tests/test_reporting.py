@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwwkit import EvalOptions, FeedbackRecord, Method, evaluate_batch, uniqueness_report
-from cwwkit.reporting import (_UNIQUENESS_NOTE, render_csv, render_json,
+from cwwkit.cli import EXIT_DATA, _exit_status
+from cwwkit.reporting import (_UNIQUENESS_NOTE, render_csv, render_flags, render_json,
                               render_ranking, render_table, render_uniqueness)
 from cwwkit.pipeline import (ALL_METHODS, LWA_MODES, EvaluationReport,
                              MethodCell, ReportRow, rank_students)
@@ -82,6 +83,28 @@ def _printed_rows_report(full_report):
             ReportRow("f", valid.codes, failed))
     return EvaluationReport(methods=full_report.methods, rows=rows)
 
+
+
+def test_a_cell_holds_exactly_one_of_a_recommendation_and_an_error(full_report):
+    recommendation = full_report.rows[0].cells[Method.SYMBOLIC].recommendation
+    for args in ((), (None, None), (recommendation, "boom")):
+        with pytest.raises(ValueError, match="exactly one"):
+            MethodCell(*args)
+
+
+def test_an_empty_error_still_flags_its_cell(full_report):
+    # every reader tests `error is not None`, so an empty reason is a failure
+    valid = full_report.rows[0]
+    cells = {**valid.cells, Method.SYMBOLIC: MethodCell(error="")}
+    report = EvaluationReport(methods=full_report.methods,
+                              rows=(ReportRow("e", valid.codes, cells),))
+    flags = io.StringIO()
+    render_flags(report, flags, Method.SYMBOLIC)
+    assert flags.getvalue() == "# e: \n"
+    assert _exit_status(report) == EXIT_DATA
+    assert _text(render_table, report).splitlines()[1].split()[7:9] == ["!", "failed"]
+    assert rank_students(report, Method.SYMBOLIC) == []
+    assert uniqueness_report(report)[Method.SYMBOLIC] == ()
 
 # sha256 of each text format of `_printed_rows_report`, by (renderer, verbose)
 PRINTED_ROWS_SHA256 = {

@@ -85,7 +85,7 @@ TYPES = [
     (EvalOptions, [_default("grid", DiscretizationGrid()), _default("lwa_mode", "exact")],
      True, (DiscretizationGrid(51), "paper"), ()),
     (MethodCell, [_default("recommendation", None), _default("error", None)], True,
-     (None, "boom"), ()),
+     (None, "boom"), (None, "other")),
     (ReportRow, [*map(_no_default, ("student_id", "codes")), _factory("cells", dict),
                  _default("error", None)], True,
      ("7", ("S",), {}, "bad word"), ("7", ("S",))),
