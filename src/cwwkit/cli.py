@@ -162,11 +162,8 @@ def _evaluate(args, methods):
 
 
 def _exit_status(report) -> int:
-    """EXIT_DATA if any row or cell of the report was flagged."""
-    flagged = any(
-        row.error is not None or any(cell.error is not None for cell in row.cells.values())
-        for row in report.rows
-    )
+    """EXIT_DATA if any row of the report was flagged or has a failed cell."""
+    flagged = any(row.reasons(report.methods) for row in report.rows)
     return EXIT_DATA if flagged else EXIT_OK
 
 
@@ -206,7 +203,7 @@ def _cmd_rank(args) -> int:
     with _destination(args.out) as out:
         render_ranking(ranking, methods[0], out)
         # the rows left out of the ranking, and why
-        render_flags(report, out, methods[0])
+        render_flags(report, out)
     return _exit_status(report)
 
 

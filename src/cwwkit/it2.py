@@ -284,8 +284,8 @@ def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
     end the leading block is weighted with upper memberships, for the
     right end with lower memberships. `gap` is `upper - lower`. The
     converged value is recomputed from scratch so incremental updates
-    cannot accumulate drift. None once the weight is below _MIN_WEIGHT.
-    """
+    cannot accumulate drift. None if the weight falls below _MIN_WEIGHT
+    or the search cycles."""
     xs, points = grid.samples, grid.sample_list
     n = len(points)
     head, tail = (upper, lower) if left else (lower, upper)
@@ -310,14 +310,7 @@ def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
         if k_new == k:
             break
         if k_new == previous:
-            # two-cycle on an exact boundary value: keep the better switch
-            num_here, den_here = evaluate(k)
-            num_there, den_there = evaluate(k_new)
-            if den_here > 0.0 and den_there > 0.0:
-                better = num_there / den_there < num_here / den_here
-                if better == left:
-                    k = k_new
-            break
+            return None  # a two-cycle on an exact boundary value
         lo, hi = (k, k_new) if k_new > k else (k_new, k)
         diff = gap[lo:hi]
         sign = 1.0 if (k_new > k) == left else -1.0
@@ -331,7 +324,7 @@ def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
 def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
     """Centroid interval by the enhanced switch-point iteration; where a
     search runs out of weight (a grid too coarse for the footprint, a word
-    narrower than one sample), the exhaustive scan's interval instead.
+    narrower than one sample) or cycles, the exhaustive scan's interval.
 
     Raises DegenerateInputError when the upper mass on the grid is below
     _MIN_WEIGHT; otherwise both ends lie within the first and last sample

@@ -123,6 +123,18 @@ class ReportRow(Value):
         set_field(self, "cells", {} if cells is None else cells)
         set_field(self, "error", error)
 
+    def recommendation(self, method: Method) -> Recommendation | None:
+        """`method`'s recommendation; None if the row is flagged or the cell failed."""
+        return None if self.error is not None else self.cells[method].recommendation
+
+    def reasons(self, methods: Sequence[Method]) -> list[str]:
+        """`[error]` for a flagged row, else one `"<method>: <error>"` per
+        failed cell, in `methods` order."""
+        if self.error is not None:
+            return [self.error]
+        return [f"{m.value}: {self.cells[m].error}" for m in methods
+                if self.cells[m].recommendation is None]
+
 
 class EvaluationReport(Value):
     _fields = ("methods", "rows", "metadata")
@@ -332,9 +344,9 @@ def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, f
     if method not in report.methods:
         raise ValueError(f"report does not contain method {method.value!r}")
     scored = [
-        (row.student_id, row.cells[method].recommendation.score)
+        (row.student_id, rec.score)
         for row in report.rows
-        if row.error is None and row.cells[method].error is None
+        if (rec := row.recommendation(method)) is not None
     ]
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
@@ -365,12 +377,9 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
     for method in report.methods:
         buckets: dict[tuple[str, str], list[ReportRow]] = {}
         for row in report.rows:
-            if row.error is not None:
+            rec = row.recommendation(method)
+            if rec is None:
                 continue
-            cell = row.cells[method]
-            if cell.error is not None:
-                continue
-            rec = cell.recommendation
             key = (rec.numeric_text, rec.linguistic.code)
             buckets.setdefault(key, []).append(row)
         found = []

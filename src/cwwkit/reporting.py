@@ -36,11 +36,10 @@ def _printed_rows(report: EvaluationReport, verbose: bool, unknown: str,
     for row in report.rows:
         cells = [row.student_id, *(row.codes or no_codes)]
         for method in report.methods:
-            cell = row.cells[method] if row.error is None else None
-            if cell is None or cell.error is not None:
+            rec = row.recommendation(method)
+            if rec is None:
                 cells += failed
                 continue
-            rec = cell.recommendation
             numeric = (repr(rec.score) if verbose and method is Method.PERCEPTUAL
                        else rec.numeric_text)
             cells += (numeric, rec.linguistic.code)
@@ -49,7 +48,7 @@ def _printed_rows(report: EvaluationReport, verbose: bool, unknown: str,
 
 def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
     """Fixed-width table: one row per student, two columns per method,
-    then one `# <id>: <reason>` line per flagged row; one write per line."""
+    then the `render_flags` lines; one write per line."""
     header = ["student"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         title = _METHOD_TITLES[method]
@@ -61,19 +60,17 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
     render_flags(report, out)
 
 
-def render_flags(report: EvaluationReport, out: TextIO, method: Method | None = None) -> None:
-    """One `# <id>: <reason>` line per flagged row and, given `method`,
-    per row whose `method` cell failed."""
+def render_flags(report: EvaluationReport, out: TextIO) -> None:
+    """One `# <id>: <reason>` line per flagged row and one
+    `# <id>: <method>: <reason>` line per failed cell, in method order."""
     for row in report.rows:
-        reason = row.error
-        if reason is None and method is not None:
-            reason = row.cells[method].error
-        if reason is not None:
+        for reason in row.reasons(report.methods):
             out.write(f"# {row.student_id}: {reason}\n")
 
 
 def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
-    """Delimited text with a header; the csv writer makes one write per row."""
+    """Delimited text with a header, the `render_flags` reasons joined by
+    "; " in the `error` column; the csv writer makes one write per row."""
     writer = csv.writer(out, lineterminator="\n")
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
@@ -81,7 +78,7 @@ def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> 
     header.append("error")
     writer.writerow(header)
     for row, cells in zip(report.rows, _printed_rows(report, verbose, "", ("", ""))):
-        cells.append(row.error or "")
+        cells.append("; ".join(row.reasons(report.methods)))
         writer.writerow(cells)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -511,6 +512,23 @@ class TestCompare:
             rows = result.stdout.split("\n\n")[0].splitlines()[1:]
             flagged = {row.split()[0] for row in rows if row.split()[-2:] == ["!", "failed"]}
         assert flagged == massless
+
+    def test_grid_too_coarse_names_the_failed_cell_and_why(self, capsys):
+        # at 3 samples student 22's perceptual aggregate has no mass
+        flag = "# 22: perceptual: FOU carries no membership mass on the grid"
+        code, out, _ = run(capsys, "compare", "--grid", "3")
+        assert code == 2
+        table, _ = out.split("\n\n", 1)
+        assert table.splitlines()[-1] == flag
+        code, out, _ = run(capsys, "compare", "--grid", "3", "--format", "csv")
+        assert code == 2
+        rows, _ = out.split("\n\n", 1)
+        errors = {row["student_id"]: row["error"] for row in csv.DictReader(io.StringIO(rows))}
+        assert errors["22"] == flag.split(": ", 1)[1]
+        assert {errors[student] for student in errors if student != "22"} == {""}
+        code, out, _ = run(capsys, "rank", "--method", "perceptual", "--grid", "3")
+        assert code == 2
+        assert out.splitlines()[-1] == flag
 
     def test_invalid_paper_average_fails_one_cell(self, capsys, tmp_path, codebook_text):
         # two valid words whose parameter-wise average is not a footprint

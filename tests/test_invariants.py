@@ -138,8 +138,8 @@ COARSE_GRID_DROPS = {
 COARSEST_GRID_RAISES = {
     (3, "exact"): (100, 16, 160, 47),
     (3, "paper"): (100, 40, 160, 47),
-    (4, "exact"): (11, 219, 0, 0),
-    (4, "paper"): (11, 230, 0, 0),
+    (4, "exact"): (11, 242, 0, 0),
+    (4, "paper"): (11, 255, 0, 0),
     (5, "exact"): (0, 12, 0, 0),
     (5, "paper"): (0, 15, 0, 0),
     (6, "exact"): (0, 2, 0, 0),

@@ -5,7 +5,9 @@ The digests cover every `evaluate` combination of `--format`,
 `--lwa-mode` and `--verbose-precision`, `evaluate` on the coarse
 `--grid 51` for every `--format` and `--lwa-mode`, `rank` for each
 method, `compare --format json` and `compare --format csv --lwa-mode
-paper`. Two more runs read `data/district_sample.csv`, a small file
+paper`. Two `compare --grid 3 --format json` runs, one per `--lwa-mode`,
+cover a report with a failed perceptual cell. Two more runs read
+`data/district_sample.csv`, a small file
 shaped like a district's: repeated vectors, mixed-case labels with
 surrounding spaces, an unknown word and a repeated student id. Below the
 CLI, one digest covers the `repr` of every `Recommendation` field for all
@@ -87,6 +89,15 @@ DISTRICT_STDOUT_SHA256 = {
         "33c0b19c291f8976f9db4bc6dfe0cbda086e37bc89347d6ee7d15be143db4c90",
 }
 
+# Runs on the bundled sample at 3 samples, where student 22's perceptual
+# cell fails; exit status 2.
+FAILED_CELL_STDOUT_SHA256 = {
+    ('compare', '--format', 'json', '--grid', '3', '--lwa-mode', 'exact'):
+        "b9a0de8eb9e9324149a1073c6182edef5167ef34035f9d4748a0770c135f7701",
+    ('compare', '--format', 'json', '--grid', '3', '--lwa-mode', 'paper'):
+        "87a3cde69286373fc285ea43b5eae14e22b8c7b31272481941c15cba178069b9",
+}
+
 RECOMMENDATION_FIELDS_SHA256 = (
     "8b8ea88bce4af6d8b8021bc6f0c58d5623267c7ab6b9e295b8144b9b79fdde25")
 
@@ -105,6 +116,12 @@ def test_stdout_digest(capsys, argv):
 def test_district_sample_stdout_digest(capsys, argv):
     assert main([*argv, "--feedback", str(DISTRICT_SAMPLE)]) == 2
     assert _digest(capsys.readouterr().out) == DISTRICT_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(FAILED_CELL_STDOUT_SHA256), ids=" ".join)
+def test_failed_cell_stdout_digest(capsys, argv):
+    assert main(list(argv)) == 2
+    assert _digest(capsys.readouterr().out) == FAILED_CELL_STDOUT_SHA256[argv]
 
 
 def test_recommendation_fields_digest(codebook):

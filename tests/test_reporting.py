@@ -93,25 +93,45 @@ def test_a_cell_holds_exactly_one_of_a_recommendation_and_an_error(full_report):
 
 
 def test_an_empty_error_still_flags_its_cell(full_report):
-    # every reader tests `error is not None`, so an empty reason is a failure
+    # a cell without a recommendation failed, so an empty reason still flags it
     valid = full_report.rows[0]
     cells = {**valid.cells, Method.SYMBOLIC: MethodCell(error="")}
     report = EvaluationReport(methods=full_report.methods,
                               rows=(ReportRow("e", valid.codes, cells),))
     flags = io.StringIO()
-    render_flags(report, flags, Method.SYMBOLIC)
-    assert flags.getvalue() == "# e: \n"
+    render_flags(report, flags)
+    assert flags.getvalue() == "# e: symbolic: \n"
     assert _exit_status(report) == EXIT_DATA
     assert _text(render_table, report).splitlines()[1].split()[7:9] == ["!", "failed"]
     assert rank_students(report, Method.SYMBOLIC) == []
     assert uniqueness_report(report)[Method.SYMBOLIC] == ()
 
+
+def test_a_row_with_two_failed_cells_gives_both_reasons_in_method_order(full_report):
+    valid = full_report.rows[0]
+    cells = {**valid.cells, Method.PERCEPTUAL: MethodCell(error="no mass"),
+             Method.SYMBOLIC: MethodCell(error="bad index")}
+    # the cells in reverse, so that only the report's method order can sort them
+    row = ReportRow("t", valid.codes, dict(reversed(cells.items())))
+    report = EvaluationReport(methods=full_report.methods, rows=(row,))
+    assert row.reasons(report.methods) == ["symbolic: bad index", "perceptual: no mass"]
+    assert _text(render_flags, report) == ("# t: symbolic: bad index\n"
+                                           "# t: perceptual: no mass\n")
+    assert _text(render_table, report).splitlines()[-2:] == [
+        "# t: symbolic: bad index", "# t: perceptual: no mass"]
+    rows = list(csv.DictReader(io.StringIO(_text(render_csv, report))))
+    assert rows[0]["error"] == "symbolic: bad index; perceptual: no mass"
+    assert _exit_status(report) == EXIT_DATA
+    assert row.recommendation(Method.SYMBOLIC) is None
+    assert row.recommendation(Method.TWO_TUPLE) is valid.cells[Method.TWO_TUPLE].recommendation
+
+
 # sha256 of each text format of `_printed_rows_report`, by (renderer, verbose)
 PRINTED_ROWS_SHA256 = {
-    (render_table, False): "7e4589f3bb792d6796e9cd9b48eee341903ae3de3e2b85bb083348c3f5fe50cc",
-    (render_table, True): "b455ef346739175417f48dc62d338e6144b2fe641729f14913f21249dd79d934",
-    (render_csv, False): "09e9447193c1ecaaa34737bad0f6dc8cdf3433c835f9ec1a704c7d620300654e",
-    (render_csv, True): "2ee093898154f885745ce6bd39ae3c8eb7614888a81b0010208c3d49844c8dc9",
+    (render_table, False): "efa092fcddb651b1332a181a35543cf1e095dae2064d974ec3892405537aab01",
+    (render_table, True): "02ba6aa41b400f9b412637e60265b9d47699bf490b44eee00710626baa6cf2b8",
+    (render_csv, False): "41c9421cae5f99193fc65558690cfdf3638006f092d809af4fef5a8539737556",
+    (render_csv, True): "b4f3f4e5c958b45731d44d0632c90ad75355dcc188d26f9965691d8801db3dad",
 }
 
 
@@ -125,12 +145,14 @@ def test_flagged_rows_and_failed_cells_print_as_pinned(full_report, render, verb
             "x7,,,,,,,,,,,,,unknown word 'Tiny' for parameter "
             "'Time taken to solve the question'",
             '1,S,SLA,AM,PM,,,,,,,,,"duplicate student id \'1\', first used by row 1"',
-            'f,S,SLA,AM,PM,"{0.25,0.5,0.75}",SSA,2,SSA,2,SSA,,,',
+            'f,S,SLA,AM,PM,"{0.25,0.5,0.75}",SSA,2,SSA,2,SSA,,,'
+            'perceptual: FOU carries no membership mass on the grid',
         ]
     if render is render_table:
         lines = text.splitlines()
         assert lines[2].split() == ["x7"] + ["?"] * 4 + ["!", "failed"] * 4
         assert lines[4].split()[-2:] == ["!", "failed"]
+        assert lines[-1] == "# f: perceptual: FOU carries no membership mass on the grid"
 
 
 def test_json_structure(full_report):
