@@ -265,7 +265,8 @@ def verify_stored_centroids(cb: Codebook, grid: DiscretizationGrid = DEFAULT_GRI
     Each centroid is also recomputed by the exhaustive switch scan; the
     verification fails if the two routes differ by more than
     SCAN_TOLERANCE at either end. A word whose switch search runs out of
-    weight takes the scan's interval in `centroid`, so its delta is 0.
+    weight or cycles takes the scan's interval in `centroid`, so its
+    delta is 0.
     """
     checks = []
     scan_delta = 0.0

@@ -11,6 +11,7 @@ realizations and Jaccard similarity, all over a shared uniform grid.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -170,7 +171,10 @@ class DiscretizationGrid(Value):
     _fields = ("sample_count",)
 
     def __init__(self, sample_count: int = 1001):
-        set_field(self, "sample_count", sample_count)
+        try:
+            set_field(self, "sample_count", operator.index(sample_count))
+        except TypeError:
+            raise TypeError(f"grid needs a whole number of samples, got {sample_count!r}") from None
         if self.sample_count < 3:
             raise ValueError(f"grid needs at least 3 samples, got {self.sample_count}")
         if self.sample_count > MAX_SAMPLE_COUNT:
@@ -277,63 +281,51 @@ def _check_mass(upper: np.ndarray) -> None:
 
 
 def _ekm_side(grid: DiscretizationGrid, upper: np.ndarray, lower: np.ndarray,
-              gap: np.ndarray, left: bool) -> tuple[float, int] | None:
-    """Iterative switch-point search for one end of the centroid interval.
+              left: bool) -> tuple[float, int] | None:
+    """Switch-point search for one end of the centroid interval.
 
     The switch k counts the samples in the leading block; for the left
     end the leading block is weighted with upper memberships, for the
-    right end with lower memberships. `gap` is `upper - lower`. The
-    converged value is recomputed from scratch so incremental updates
-    cannot accumulate drift. None if the weight falls below _MIN_WEIGHT
-    or the search cycles."""
+    right end with lower memberships. None if the weight falls below
+    _MIN_WEIGHT, the search cycles or it does not settle in n passes."""
     xs, points = grid.samples, grid.sample_list
     n = len(points)
     head, tail = (upper, lower) if left else (lower, upper)
     add = np.add.reduce  # what `ndarray.sum` calls, without its wrapper
-
-    def evaluate(switch: int) -> tuple[float, float]:
-        leading, trailing = head[:switch], tail[switch:]
-        num = float(xs[:switch].dot(leading) + xs[switch:].dot(trailing))
-        den = float(add(leading) + add(trailing))
-        return num, den
-
     k = int(round(n / 2.4)) if left else int(round(n / 1.7))
     k = min(max(k, 1), n - 1)
-    a, b = evaluate(k)
     previous = -1
     for _ in range(n):
-        if b < _MIN_WEIGHT:
+        num = float(xs[:k].dot(head[:k]) + xs[k:].dot(tail[k:]))
+        den = float(add(head[:k]) + add(tail[k:]))
+        if den < _MIN_WEIGHT:
             return None
-        y = a / b
+        y = num / den
         # the first sample above y, clamped to [1, n - 1]
         k_new = bisect_right(points, y, 1, n - 1)
         if k_new == k:
-            break
+            return y, k
         if k_new == previous:
             return None  # a two-cycle on an exact boundary value
-        lo, hi = (k, k_new) if k_new > k else (k_new, k)
-        diff = gap[lo:hi]
-        sign = 1.0 if (k_new > k) == left else -1.0
-        a += sign * float(xs[lo:hi].dot(diff))
-        b += sign * float(add(diff))
         previous, k = k, k_new
-    num, den = evaluate(k)
-    return num / den, k
+    return None
 
 
 def centroid(fou, grid: DiscretizationGrid = DEFAULT_GRID) -> CentroidInterval:
-    """Centroid interval by the enhanced switch-point iteration; where a
-    search runs out of weight (a grid too coarse for the footprint, a word
-    narrower than one sample) or cycles, the exhaustive scan's interval.
+    """Centroid interval by a switch-point search that keeps the starting
+    switches and stop rule of the enhanced Karnik-Mendel algorithm (Wu &
+    Mendel, IEEE TFS 17(4), 2009) and computes each candidate from
+    scratch; where a search runs out of weight (a grid too coarse for the
+    footprint, a word narrower than one sample), cycles or does not
+    settle, the exhaustive scan's interval.
 
     Raises DegenerateInputError when the upper mass on the grid is below
     _MIN_WEIGHT; otherwise both ends lie within the first and last sample
     with upper mass."""
     upper, lower = membership_samples(fou, grid)
     _check_mass(upper)
-    gap = upper - lower
-    left = _ekm_side(grid, upper, lower, gap, left=True)
-    right = _ekm_side(grid, upper, lower, gap, left=False)
+    left = _ekm_side(grid, upper, lower, left=True)
+    right = _ekm_side(grid, upper, lower, left=False)
     if left is None or right is None:
         return _scan(grid, upper, lower)
     return CentroidInterval(left[0], right[0], left[1], right[1])

@@ -237,6 +237,8 @@ def resolve_feedback(
     if extra:
         raise SchemaError(f"unknown parameters in feedback: {sorted(extra)}")
     lowered = {k.lower(): v for k, v in raw.items()}
+    if len(lowered) < len(raw):
+        raise SchemaError(f"feedback names a parameter more than once: {sorted(raw)}")
     for name, param in known.items():
         if name not in lowered:
             raise SchemaError(f"feedback is missing parameter {param.name!r}")

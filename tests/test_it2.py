@@ -232,6 +232,17 @@ class TestValidation:
         assert grid.samples[-1] == 10.0
         assert len(grid.samples) == 1001
 
+    @pytest.mark.parametrize("count", [5.5, 51.0, "51"])
+    def test_grid_rejects_a_count_that_is_not_a_whole_number(self, count):
+        # rejected when the grid is built, not deep in numpy on first use
+        with pytest.raises(TypeError, match=f"whole number of samples, got {count!r}"):
+            DiscretizationGrid(sample_count=count)
+
+    def test_grid_takes_a_numpy_integer_as_a_python_int(self):
+        grid = DiscretizationGrid(sample_count=np.int64(51))
+        assert type(grid.sample_count) is int
+        assert grid == DiscretizationGrid(51)
+
 
 class TestCentroid:
     def test_small_word_interval(self):

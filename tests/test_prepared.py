@@ -223,7 +223,9 @@ def test_large_batch_costs_one_evaluation_per_distinct_vector(
 # calls the engine used before it cut its per-vector call count: scalar
 # `searchsorted`, `ndarray.sum`, `@` and interpolation over the whole grid,
 # where the engine now uses `bisect`, `np.add.reduce`, `ndarray.dot` and
-# interpolates only the cut edges. The engine must match them bit for bit.
+# interpolates only the cut edges. The centroid's switch search is restated
+# with its sums taken from scratch at every candidate, as the engine takes
+# them. The engine must match them bit for bit.
 
 def _lwa_exact_per_call(fous, grid, alpha_levels=65):
     """`lwa_exact` as it was before words kept their cuts: the cut matrices
@@ -261,62 +263,31 @@ def _cuts_to_membership_reference(xs, alphas, lefts, rights):
     return mu
 
 
-def _ekm_side_reference(xs, upper, lower, gap, left):
+def _ekm_side_reference(xs, upper, lower, left):
+    """One end of the centroid: the enhanced Karnik-Mendel starting switch
+    and stop rule, every candidate computed from scratch. The inputs here
+    never run the search out of weight, into a cycle or past n passes."""
     n = len(xs)
     head, tail = (upper, lower) if left else (lower, upper)
-
-    def evaluate(switch):
-        num = float(xs[:switch] @ head[:switch] + xs[switch:] @ tail[switch:])
-        den = float(head[:switch].sum() + tail[switch:].sum())
-        return num, den
-
     k = int(round(n / 2.4)) if left else int(round(n / 1.7))
     k = min(max(k, 1), n - 1)
-    a, b = evaluate(k)
-    if b <= 0.0:
-        nz = np.flatnonzero(upper)
-        k = min(max(int(nz[-1]) if left else int(nz[0]), 1), n - 1)
-        a, b = evaluate(k)
     previous = -1
     for _ in range(n):
-        y = a / b
-        k_new = int(np.searchsorted(xs, y, side="right"))
-        k_new = min(max(k_new, 1), n - 1)
+        num = float(xs[:k] @ head[:k] + xs[k:] @ tail[k:])
+        den = float(head[:k].sum() + tail[k:].sum())
+        assert den >= 1e-12, "the search ran out of weight"
+        y = num / den
+        k_new = min(max(int(np.searchsorted(xs, y, side="right")), 1), n - 1)
         if k_new == k:
-            break
-        lo, hi = (k, k_new) if k_new > k else (k_new, k)
-        diff = gap[lo:hi]
-        moved_mass = float(diff.sum())
-        moved_first = float(xs[lo:hi] @ diff)
-        sign = 1.0 if k_new > k else -1.0
-        if not left:
-            sign = -sign
-        a_new = a + sign * moved_first
-        b_new = b + sign * moved_mass
-        if b_new <= 0.0:
-            break
-        if b_new < 1e-12:
-            a_new, b_new = evaluate(k_new)
-            if b_new <= 0.0:
-                break
-        if k_new == previous:
-            num_here, den_here = evaluate(k)
-            num_there, den_there = evaluate(k_new)
-            if den_here > 0.0 and den_there > 0.0:
-                better = num_there / den_there < num_here / den_here
-                if better == left:
-                    k = k_new
-            break
+            return y, k
+        assert k_new != previous, "the search cycled"
         previous, k = k, k_new
-        a, b = a_new, b_new
-    num, den = evaluate(k)
-    return num / den, k
+    raise AssertionError("the search did not settle")
 
 
 def _centroid_reference(xs, upper, lower):
-    gap = upper - lower
-    c_l, k_l = _ekm_side_reference(xs, upper, lower, gap, left=True)
-    c_r, k_r = _ekm_side_reference(xs, upper, lower, gap, left=False)
+    c_l, k_l = _ekm_side_reference(xs, upper, lower, left=True)
+    c_r, k_r = _ekm_side_reference(xs, upper, lower, left=False)
     return CentroidInterval(c_l=c_l, c_r=c_r, switch_left=k_l, switch_right=k_r)
 
 

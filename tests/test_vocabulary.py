@@ -95,6 +95,12 @@ def test_missing_parameter_is_schema_error(schema):
         resolve_feedback(schema, words)
 
 
+def test_a_parameter_named_twice_is_schema_error(schema):
+    # keys fold to lower case, so these two name one parameter
+    with pytest.raises(SchemaError, match="more than once"):
+        resolve_feedback(schema, {**SS1_WORDS, TIME_TAKEN: "S", TIME_TAKEN.upper(): "L"})
+
+
 def test_unknown_parameter_is_schema_error(schema):
     with pytest.raises(SchemaError):
         resolve_feedback(schema, {**SS1_WORDS, "Mood": "Good"})
