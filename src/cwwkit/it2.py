@@ -219,8 +219,8 @@ class SampledFOU(Value):
 
     @classmethod
     def _contained(cls, xs: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> SampledFOU:
-        """A sampled FOU whose `lower` is `np.minimum(lower, upper)` by
-        construction, so the containment check cannot fail and is skipped."""
+        """A sampled FOU whose `lower` lies under `upper` by construction (`lwa_exact`'s
+        `np.minimum`, or the samples of a checked word model), so the check is skipped."""
         fou = cls.__new__(cls)
         set_field(fou, "xs", xs)
         set_field(fou, "upper", upper)
@@ -247,9 +247,9 @@ def membership_samples(fou, grid: DiscretizationGrid) -> tuple[np.ndarray, np.nd
 
 
 def sample_fou(fou: TrapezoidIT2, grid: DiscretizationGrid) -> SampledFOU:
-    """`fou` sampled once on `grid`, for a caller that type-reduces and decodes it."""
+    """`fou` sampled once on `grid`, trusting the containment its constructor checked."""
     upper, lower = membership_samples(fou, grid)
-    return SampledFOU(xs=grid.samples, upper=upper, lower=lower)
+    return SampledFOU._contained(grid.samples, upper, lower)
 
 
 class CentroidInterval(Value):

@@ -191,10 +191,7 @@ def _evaluate_perceptual(fb: FeedbackRecord, cb: Codebook | None,
                          options: EvalOptions) -> Recommendation:
     if cb is None:
         raise ConfigurationError("the perceptual method needs a loaded codebook")
-    fous = [
-        words[choice.index]
-        for words, choice in zip(cb.parameter_fous, fb.choices)
-    ]
+    fous = [words[i] for words, i in zip(cb.parameter_fous, fb.indices)]
     grid = options.grid
     if options.lwa_mode == "paper":
         # sampled once: the centroid and the decode read the same arrays
@@ -354,11 +351,9 @@ def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, f
 class DuplicateGroup(Value):
     """Students sharing one (numeric, word) cell despite differing feedback."""
 
-    _fields = ("method", "numeric", "word", "students", "distinct_feedback")
+    _fields = ("numeric", "word", "students", "distinct_feedback")
 
-    def __init__(self, method: Method, numeric: str, word: str,
-                 students: tuple[str, ...], distinct_feedback: int):
-        set_field(self, "method", method)
+    def __init__(self, numeric: str, word: str, students: tuple[str, ...], distinct_feedback: int):
         set_field(self, "numeric", numeric)
         set_field(self, "word", word)
         set_field(self, "students", students)
@@ -390,7 +385,6 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
             if len(feedbacks) < 2:
                 continue
             found.append(DuplicateGroup(
-                method=method,
                 numeric=numeric,
                 word=word,
                 students=tuple(m.student_id for m in members),

@@ -125,24 +125,28 @@ class ParameterSchema(Value):
 
 
 class RawFeedback(Value):
-    """Unresolved feedback: one word of free text per parameter name."""
+    """Unresolved feedback under a text student id: one free-text word per parameter name."""
 
     _fields = ("student_id", "words")
 
     def __init__(self, student_id: str, words: Mapping[str, str]):
+        if not isinstance(student_id, str):
+            raise SchemaError(f"student id {student_id!r} is not text")
         set_field(self, "student_id", student_id)
         set_field(self, "words", words)
 
 
 class FeedbackRecord(Value):
     """Feedback resolved against the default schema: one term of each
-    parameter, in order. Other choices raise SchemaError when the record
-    is built, so every record can be scored; equal copies of the schema's
-    terms are accepted."""
+    parameter, in order, under a text student id. Other choices or ids
+    raise SchemaError when the record is built, so every record can be
+    scored and reported; equal copies of the schema's terms are accepted."""
 
     _fields = ("student_id", "choices")
 
     def __init__(self, student_id: str, choices: tuple[LinguisticTerm, ...]):
+        if not isinstance(student_id, str):
+            raise SchemaError(f"student id {student_id!r} is not text")
         # One comparison: tuples compare items by identity before `==`, so
         # a record of the schema's own terms runs no `Value.__eq__`.
         try:

@@ -14,7 +14,7 @@ from cwwkit import (DegenerateInputError, DiscretizationGrid, EvalOptions,
                     FeedbackRecord, Method, SampledFOU, build_default_schema,
                     centroid, centroid_brute_force, evaluate_batch,
                     evaluate_student, lwa_exact, lwa_paper)
-from cwwkit.it2 import _trapezoid
+from cwwkit.it2 import _trapezoid, membership_samples
 from cwwkit.pipeline import ALL_METHODS, LWA_MODES
 
 INDEX_METHODS = (Method.EXTENSION_PRINCIPLE, Method.SYMBOLIC, Method.TWO_TUPLE)
@@ -52,6 +52,11 @@ def test_ekm_equals_exhaustive_scan(codebook, vectors, lwa_mode, sample_count):
                 for param, term in zip(build_default_schema().parameters, choices)]
         aggregate = lwa_paper(fous) if lwa_mode == "paper" else lwa_exact(fous, grid=grid)
         codes = [term.code for term in choices]
+        if lwa_mode == "paper":
+            # `sample_fou` does not check its samples again: the word
+            # model's constructor checked containment at every knot
+            upper, lower = membership_samples(aggregate, grid)
+            assert (lower - upper).max() <= 1e-9, codes
         try:
             ekm = centroid(aggregate, grid)
         except DegenerateInputError:

@@ -137,6 +137,9 @@ class TestTrapezoidKernel:
             fou = entry.fou
             self.assert_same_bits(grid, *fou.umf, 1.0)
             self.assert_same_bits(grid, *fou.lmf, fou.lmf_height)
+            # the samples keep the containment the constructor checked
+            upper, lower = membership_samples(fou, grid)
+            assert (lower - upper).max() <= 1e-9, entry.term.code
 
     @pytest.mark.parametrize("sample_count", [3, 51, 1001])
     def test_words_and_paper_aggregates(self, codebook, sample_count):

@@ -1,4 +1,5 @@
 import csv
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -164,6 +165,18 @@ class TestErrorHandling:
         assert flagged.error == f"unknown word {word!r} for parameter {LIKING!r}"
         assert flagged.codes is None and flagged.cells == {}
         assert ok.error is None
+
+    @pytest.mark.parametrize("student_id", [5, None, 7.0, b"7"])
+    def test_student_id_that_is_not_text_is_schema_error(self, schema, sample_rows,
+                                                         student_id):
+        # the table, the JSON and the ranking's tie-break read ids as text,
+        # so neither kind of row can be built with another id
+        message = f"^student id {re.escape(repr(student_id))} is not text$"
+        valid = tuple(param[2] for param in schema.parameters)
+        with pytest.raises(SchemaError, match=message):
+            FeedbackRecord(student_id, valid)
+        with pytest.raises(SchemaError, match=message):
+            RawFeedback(student_id, _words(sample_rows[0]))
 
     def test_reader_rows_evaluate_as_the_raw_rows_they_replace(self, tmp_path, codebook):
         path = tmp_path / "batch.csv"

@@ -91,9 +91,9 @@ TYPES = [
      ("7", ("S",), {}, "bad word"), ("7", ("S",))),
     (EvaluationReport, [*map(_no_default, ("methods", "rows")), _factory("metadata", dict)],
      True, ((Method.SYMBOLIC,), (ROW,), {"students": 1}), ((Method.SYMBOLIC,), (ROW,))),
-    (DuplicateGroup, list(map(_no_default, ("method", "numeric", "word", "students",
+    (DuplicateGroup, list(map(_no_default, ("numeric", "word", "students",
                                             "distinct_feedback"))), True,
-     (Method.SYMBOLIC, "1", "SSBA", ("1", "2"), 2), (Method.SYMBOLIC, "1", "SSBA", ("1", "3"), 2)),
+     ("1", "SSBA", ("1", "2"), 2), ("1", "SSBA", ("1", "3"), 2)),
     (Recommendation, [*map(_no_default, ("method", "numeric", "linguistic", "score")),
                       *(_default(name, None) for name in ("aggregate", "two_tuple", "centroid",
                                                           "similarities"))], True,
