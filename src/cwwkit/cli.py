@@ -222,12 +222,9 @@ def main(argv=None) -> int:
         return _cmd_rank(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigurationError, OSError) as exc:  # a missing file, a directory
+    except (CwwError, ValueError, OSError) as exc:  # OSError: a missing file, a directory
         print(f"cwwkit: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CwwError, ValueError) as exc:
-        print(f"cwwkit: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_CONFIG if isinstance(exc, (ConfigurationError, OSError)) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -155,21 +155,17 @@ def _parse_codebook(handle, source) -> Codebook:
             numbers = [float(cell) for cell in row[3:12]]
         except ValueError:
             raise CodebookError(f"{source}:{lineno}: malformed numeric cell") from None
-        try:
-            fou = TrapezoidIT2(*numbers)
-        except ValueError as exc:
-            raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
         stored_cells = [cell.strip() for cell in row[12:15]]
         stored = None
-        if any(stored_cells):
-            if not all(stored_cells):
-                raise CodebookError(
-                    f"{source}:{lineno}: partial stored centroid for {label!r}"
-                )
-            try:
+        try:
+            fou = TrapezoidIT2(*numbers)
+            if any(stored_cells):
+                if not all(stored_cells):
+                    raise CodebookError(
+                        f"{source}:{lineno}: partial stored centroid for {label!r}")
                 stored = StoredCentroid(*(float(cell) for cell in stored_cells))
-            except ValueError as exc:
-                raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
+        except ValueError as exc:  # not the CodebookError above
+            raise CodebookError(f"{source}:{lineno}: word {label!r}: {exc}") from None
         entries.append(CodebookEntry(ts.name, term, fou, stored))
     return Codebook(entries)
 
@@ -234,25 +230,23 @@ class CentroidVerification(Value):
                 and self.scan_delta <= SCAN_TOLERANCE)
 
     def format_text(self) -> str:
+        def line(parameter, code, recomputed, stored, d_cl, d_cr, status):
+            return (f"{parameter:34s} {code:6s} {recomputed:>19s} "
+                    f"{stored:>17s} {d_cl:>7s} {d_cr:>7s} {status}")
+
         lines = [
             f"codebook centroid verification (tolerance {self.tolerance:g})",
-            f"{'parameter':34s} {'word':6s} {'recomputed':>19s} "
-            f"{'stored':>17s} {'d_cl':>7s} {'d_cr':>7s} status",
+            line("parameter", "word", "recomputed", "stored", "d_cl", "d_cr", "status"),
         ]
         for ch in self.checks:
             rec = f"[{ch.recomputed.c_l:7.4f},{ch.recomputed.c_r:8.4f}]"
             if ch.stored is None:
-                lines.append(
-                    f"{ch.parameter:34s} {ch.code:6s} {rec:>19s} "
-                    f"{'(none)':>17s} {'-':>7s} {'-':>7s} no stored centroid"
-                )
+                cells = ("(none)", "-", "-", "no stored centroid")
             else:
-                sto = f"[{ch.stored.c_l:6.2f}, {ch.stored.c_r:6.2f}]"
-                status = "ok" if ch.passed else "FAIL"
-                lines.append(
-                    f"{ch.parameter:34s} {ch.code:6s} {rec:>19s} "
-                    f"{sto:>17s} {ch.delta_c_l:7.4f} {ch.delta_c_r:7.4f} {status}"
-                )
+                cells = (f"[{ch.stored.c_l:6.2f}, {ch.stored.c_r:6.2f}]",
+                         f"{ch.delta_c_l:7.4f}", f"{ch.delta_c_r:7.4f}",
+                         "ok" if ch.passed else "FAIL")
+            lines.append(line(ch.parameter, ch.code, rec, *cells))
         lines.append(f"iterative vs exhaustive scan, worst delta: {self.scan_delta:.3e}")
         lines.append("result: " + ("all entries pass" if self.passed else "FAILED"))
         return "\n".join(lines)

@@ -379,8 +379,6 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
             buckets.setdefault(key, []).append(row)
         found = []
         for (numeric, word), members in buckets.items():
-            if len(members) < 2:
-                continue
             feedbacks = {m.codes for m in members}
             if len(feedbacks) < 2:
                 continue

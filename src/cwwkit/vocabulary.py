@@ -108,20 +108,17 @@ class ParameterSchema(Value):
         return self.parameters + (self.recommendation,)
 
     @cached_property
-    def parameters_by_name(self) -> Mapping[str, TermSet]:
-        """Lower-cased parameter name -> term set, in parameter order."""
-        return {p.name.lower(): p for p in self.parameters}
+    def _by_name(self) -> dict[str, TermSet]:
+        """Lower-cased name -> term set; a parameter wins a name clash."""
+        return {ts.name.lower(): ts for ts in reversed(self.term_sets)}
 
     def term_set(self, name: str) -> TermSet:
         """The parameter or recommendation term set called `name`,
         case-insensitively."""
-        needle = name.lower()
-        ts = self.parameters_by_name.get(needle)
-        if ts is None and self.recommendation.name.lower() == needle:
-            ts = self.recommendation
-        if ts is None:
-            raise SchemaError(f"unknown parameter {name!r}")
-        return ts
+        try:
+            return self._by_name[name.lower()]
+        except KeyError:
+            raise SchemaError(f"unknown parameter {name!r}") from None
 
 
 class RawFeedback(Value):
@@ -233,13 +230,15 @@ def resolve_feedback(
     """Resolve one word per parameter, matching labels or codes.
 
     `schema` is the one default schema, `build_default_schema()`. Raises
-    SchemaError for missing or unknown parameter names and
-    WordResolutionError for words not present in the term set.
+    SchemaError for a `raw` that is not a mapping, a missing parameter or an
+    unknown (or non-text) name, and WordResolutionError for an unknown word.
     """
-    known = schema.parameters_by_name
-    extra = [k for k in raw if k.lower() not in known]
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"feedback {raw!r} is not a mapping of parameter names to words")
+    known = {param.name.lower(): param for param in schema.parameters}
+    extra = [k for k in raw if not isinstance(k, str) or k.lower() not in known]
     if extra:
-        raise SchemaError(f"unknown parameters in feedback: {sorted(extra)}")
+        raise SchemaError(f"unknown parameters in feedback: {sorted(extra, key=str)}")
     lowered = {k.lower(): v for k, v in raw.items()}
     if len(lowered) < len(raw):
         raise SchemaError(f"feedback names a parameter more than once: {sorted(raw)}")

@@ -167,6 +167,15 @@ def test_rejects_partial_stored_centroid(lines):
         loads_codebook("\n".join(lines) + "\n")
 
 
+def test_invalid_word_model_is_reported_before_partial_stored_centroid(lines):
+    cells = lines[2].split(",")
+    cells[11] = "1.5"  # lower-bound height of the Small row
+    cells[13:15] = ["", ""]  # its stored c_r and mean
+    lines[2] = ",".join(cells)
+    with pytest.raises(CodebookError, match=r"^<string>:3: word 'Small': .*height exceeds 1"):
+        loads_codebook("\n".join(lines) + "\n")
+
+
 def test_rejects_malformed_number(lines):
     lines[2] = lines[2].replace("0.59", "abc", 1)
     with pytest.raises(CodebookError, match="malformed"):

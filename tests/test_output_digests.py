@@ -11,7 +11,9 @@ cover a report with a failed perceptual cell. Two more runs read
 shaped like a district's: repeated vectors, mixed-case labels with
 surrounding spaces, an unknown word and a repeated student id. Below the
 CLI, one digest covers the `repr` of every `Recommendation` field for all
-625 feedback vectors. A change that alters any printed byte fails
+625 feedback vectors. `codebook validate` is pinned at the default grid,
+at `--grid 51`, where ten words fail, and on the shipped codebook with one
+word's stored centroid blanked. A change that alters any printed byte fails
 here; if the change is meant to alter output, recompute the digest and
 say why in CHANGES.md.
 """
@@ -98,6 +100,20 @@ FAILED_CELL_STDOUT_SHA256 = {
         "87a3cde69286373fc285ea43b5eae14e22b8c7b31272481941c15cba178069b9",
 }
 
+# `codebook validate` runs on the shipped codebook: (exit status, digest of
+# stdout without its `worst delta:` line, whose last digits depend on the
+# BLAS kernel).
+VALIDATE_STDOUT_SHA256 = {
+    ('codebook', 'validate'):
+        (0, "26d1d8e4560f269e5a39220d8b4c0b5136d8416abb6f89c3d27721364a2f8860"),
+    ('codebook', 'validate', '--grid', '51'):
+        (2, "8d8adc52316cdd00d7f1327a735562ce9dddb21f536e2df457ad758ab52ede09"),
+}
+
+# The same digest with the Small time word's stored centroid blanked.
+BLANKED_VALIDATE_STDOUT_SHA256 = (
+    "c26b335ea161a8782217dd79813458016da9776bbf07c6c2933d3c3884eeb1f6")
+
 RECOMMENDATION_FIELDS_SHA256 = (
     "8b8ea88bce4af6d8b8021bc6f0c58d5623267c7ab6b9e295b8144b9b79fdde25")
 
@@ -122,6 +138,31 @@ def test_district_sample_stdout_digest(capsys, argv):
 def test_failed_cell_stdout_digest(capsys, argv):
     assert main(list(argv)) == 2
     assert _digest(capsys.readouterr().out) == FAILED_CELL_STDOUT_SHA256[argv]
+
+
+def _validate_digest(text: str) -> str:
+    return _digest("".join(line for line in text.splitlines(keepends=True)
+                           if "worst delta:" not in line))
+
+
+@pytest.mark.parametrize("argv", list(VALIDATE_STDOUT_SHA256), ids=" ".join)
+def test_codebook_validate_stdout_digest(capsys, argv):
+    status, digest = VALIDATE_STDOUT_SHA256[argv]
+    assert main(list(argv)) == status
+    assert _validate_digest(capsys.readouterr().out) == digest
+
+
+def test_codebook_validate_without_a_stored_centroid_digest(capsys, tmp_path, codebook_text):
+    lines = codebook_text.splitlines()
+    cells = lines[2].split(",")
+    cells[12:15] = ["", "", ""]  # stored c_l, c_r and mean of the Small time word
+    lines[2] = ",".join(cells)
+    path = tmp_path / "no_stored.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["codebook", "validate", "--codebook", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "(none)" in out
+    assert _validate_digest(out) == BLANKED_VALIDATE_STDOUT_SHA256
 
 
 def test_recommendation_fields_digest(codebook):

@@ -3,11 +3,12 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cwwkit import (ConfigurationError, DiscretizationGrid, EvalOptions,
+from cwwkit import (ConfigurationError, CwwError, DiscretizationGrid, EvalOptions,
                     FeedbackRecord, LinguisticTerm, Method, SchemaError,
-                    build_default_schema, default_feedback_path, evaluate_batch,
-                    evaluate_student, rank_students, read_feedback_file,
+                    build_default_schema, default_codebook, default_feedback_path,
+                    evaluate_batch, evaluate_student, rank_students, read_feedback_file,
                     resolve_feedback, uniqueness_report)
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
                                SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
@@ -103,6 +104,19 @@ class TestDeterminism:
             assert (a.numeric_text, a.linguistic.code) == (b.numeric_text, b.linguistic.code)
 
 
+_NAMES = [param.name for param in build_default_schema().parameters]
+# the keys and words of a raw row: parameter names and vocabulary words,
+# folded or not, among text, numbers, None, bytes and tuples
+_RAW_NAMES = st.one_of(st.sampled_from(_NAMES), st.sampled_from(_NAMES).map(str.upper),
+                       st.text(max_size=8), st.integers(), st.none(), st.binary(max_size=4),
+                       st.tuples(st.text(max_size=4)))
+_RAW_WORDS = st.one_of(
+    st.sampled_from([w for param in build_default_schema().parameters
+                     for term in param for w in (term.label, term.code.lower())]),
+    st.text(max_size=8), st.integers(), st.floats(), st.none(), st.binary(max_size=4),
+    st.tuples(st.text(max_size=4)), st.lists(st.integers(), max_size=2))
+
+
 class TestErrorHandling:
     def test_single_bad_word_flags_one_row(self, sample_rows, codebook):
         rows = list(sample_rows)
@@ -165,6 +179,42 @@ class TestErrorHandling:
         assert flagged.error == f"unknown word {word!r} for parameter {LIKING!r}"
         assert flagged.codes is None and flagged.cells == {}
         assert ok.error is None
+
+    @pytest.mark.parametrize("words, error", [
+        ({5: "S"}, "unknown parameters in feedback: [5]"),
+        ({None: "x"}, "unknown parameters in feedback: [None]"),
+        ({TIME_TAKEN: "S", 5: "S", "Mood": "x"}, "unknown parameters in feedback: [5, 'Mood']"),
+        (None, "feedback None is not a mapping of parameter names to words"),
+        (5, "feedback 5 is not a mapping of parameter names to words"),
+        ([(TIME_TAKEN, "S")], f"feedback {[(TIME_TAKEN, 'S')]!r} is not a mapping "
+                              "of parameter names to words"),
+    ])
+    def test_raw_words_not_a_mapping_of_text_names_flag_their_row(self, schema, sample_rows,
+                                                                  codebook, words, error):
+        flagged, ok = evaluate_batch([RawFeedback("x", words), sample_rows[1]], cb=codebook).rows
+        assert flagged.error == error
+        assert flagged.codes is None and flagged.cells == {}
+        assert ok.error is None
+        with pytest.raises(SchemaError, match=f"^{re.escape(error)}$"):
+            resolve_feedback(schema, words)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words=st.one_of(
+        st.dictionaries(_RAW_NAMES, _RAW_WORDS, max_size=6),
+        st.lists(st.tuples(_RAW_NAMES, _RAW_WORDS), max_size=4),
+        st.none(), st.integers()))
+    def test_any_raw_row_fails_alone(self, words):
+        # no fixtures: Hypothesis prints every argument of a failing example
+        rows, cb = read_feedback_file(default_feedback_path()), default_codebook()
+        report = evaluate_batch([RawFeedback("x", words), *rows], cb=cb)
+        row = report.rows[0]
+        try:
+            record = resolve_feedback(build_default_schema(), words, "x")
+        except CwwError as exc:
+            assert row.error == str(exc)
+        else:  # the drawn words happen to name one word of each parameter
+            assert row.error is None and row.codes == record.codes
+        assert report.rows[1:] == evaluate_batch(rows, cb=cb).rows
 
     @pytest.mark.parametrize("student_id", [5, None, 7.0, b"7"])
     def test_student_id_that_is_not_text_is_schema_error(self, schema, sample_rows,
