@@ -6,10 +6,12 @@ The digests cover every `evaluate` combination of `--format`,
 `--grid 51` for every `--format` and `--lwa-mode`, `rank` for each
 method, `compare --format json` and `compare --format csv --lwa-mode
 paper`. Two `compare --grid 3 --format json` runs, one per `--lwa-mode`,
-cover a report with a failed perceptual cell. Two more runs read
-`data/district_sample.csv`, a small file
-shaped like a district's: repeated vectors, mixed-case labels with
-surrounding spaces, an unknown word and a repeated student id. Below the
+cover a report with a failed perceptual cell. Five more runs read
+`data/district_sample.csv`, a small file shaped like a district's:
+repeated vectors, mixed-case labels with surrounding spaces, an unknown
+word and a repeated student id. They pin the CSV, JSON and table formats
+(the table in both `--lwa-mode`s) and `rank --method perceptual`, whose
+flag lines name the two flagged rows. Below the
 CLI, one digest covers the `repr` of every `Recommendation` field for all
 625 feedback vectors. `codebook validate` is pinned at the default grid,
 at `--grid 51`, where ten words fail, and on the shipped codebook with one
@@ -89,6 +91,12 @@ DISTRICT_STDOUT_SHA256 = {
         "22ba46e30a0387c9c003653e436211fbcb99599f42566d3fb3526b9254dafd1a",
     ('evaluate', '--format', 'json', '--verbose-precision', '--lwa-mode', 'paper'):
         "33c0b19c291f8976f9db4bc6dfe0cbda086e37bc89347d6ee7d15be143db4c90",
+    ('compare', '--format', 'table', '--lwa-mode', 'exact'):
+        "c55fee98a612e22cd5c03c06b3a7082405e89b1879c219dfee50f81afd41f8f6",
+    ('compare', '--format', 'table', '--lwa-mode', 'paper'):
+        "e49fcb1aef00e3f6ab610992c0fa18b57b1245b301c351932001e7d428b94e89",
+    ('rank', '--method', 'perceptual'):
+        "db94e32c582103d92845c9b62e7ed775a22a7e2ccceb45863d26ad0ce4feab72",
 }
 
 # Runs on the bundled sample at 3 samples, where student 22's perceptual
