@@ -10,6 +10,7 @@ multiset of term indices once with the others.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -112,15 +113,17 @@ class MethodCell(Value):
         set_field(self, "error", error)
 
 
-class ReportRow(Value):
-    _fields = ("student_id", "codes", "cells", "error")
+class ReportEntry(Value):
+    """What the rows of one feedback vector share: the codes, the cells,
+    whose recommendations hold their printed texts, and a flagged row's
+    error. `evaluate_batch` builds one per distinct vector and flagged row."""
 
-    def __init__(self, student_id: str, codes: tuple[str, ...] | None,
-                 cells: Mapping[Method, MethodCell] | None = None,
-                 error: str | None = None):
-        set_field(self, "student_id", student_id)
+    _fields = ("codes", "cells", "error")
+
+    def __init__(self, codes: tuple[str, ...] | None,
+                 cells: Mapping[Method, MethodCell], error: str | None = None):
         set_field(self, "codes", codes)
-        set_field(self, "cells", {} if cells is None else cells)
+        set_field(self, "cells", cells)
         set_field(self, "error", error)
 
     def recommendation(self, method: Method) -> Recommendation | None:
@@ -136,6 +139,32 @@ class ReportRow(Value):
                 if self.cells[m].recommendation is None]
 
 
+class ReportRow(Value):
+    """A student id and the entry of its feedback vector, which the rows
+    that repeat the vector share; `ReportRow(...)` builds an entry of its own."""
+
+    _fields = ("student_id", "codes", "cells", "error")
+
+    def __init__(self, student_id: str, codes: tuple[str, ...] | None,
+                 cells: Mapping[Method, MethodCell] | None = None,
+                 error: str | None = None):
+        set_field(self, "student_id", student_id)
+        set_field(self, "entry", ReportEntry(codes, {} if cells is None else cells, error))
+
+    @classmethod
+    def _sharing(cls, student_id: str, entry: ReportEntry) -> ReportRow:
+        row = cls.__new__(cls)
+        set_field(row, "student_id", student_id)
+        set_field(row, "entry", entry)
+        return row
+
+    codes = property(lambda self: self.entry.codes)
+    cells = property(lambda self: self.entry.cells)
+    error = property(lambda self: self.entry.error)
+    recommendation = ReportEntry.recommendation
+    reasons = ReportEntry.reasons
+
+
 class EvaluationReport(Value):
     _fields = ("methods", "rows", "metadata")
 
@@ -144,6 +173,15 @@ class EvaluationReport(Value):
         set_field(self, "methods", methods)
         set_field(self, "rows", rows)
         set_field(self, "metadata", {} if metadata is None else metadata)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[ReportEntry, tuple[int, ...]], ...]:
+        """Each distinct entry and the positions of its rows, in the order
+        of their first rows: the stages after the batch read each once."""
+        groups: dict[int, list] = {}
+        for position, row in enumerate(self.rows):
+            groups.setdefault(id(row.entry), [row.entry]).append(position)
+        return tuple([(group[0], tuple(group[1:])) for group in groups.values()])
 
 
 def _evaluate_extension(fb: FeedbackRecord, cb: Codebook | None,
@@ -254,8 +292,8 @@ def evaluate_batch(
     Each distinct feedback vector is evaluated once per method, and the
     extension, symbolic and 2-tuple methods once per multiset of term
     indices; rows that share a vector or multiset share the resulting
-    cells, failed ones included, and rows that share a vector share its
-    codes tuple.
+    cells, failed ones included, and rows that share a vector share one
+    `ReportEntry`.
     """
     if not feedback:
         raise ValueError("cannot evaluate an empty batch")
@@ -273,31 +311,25 @@ def evaluate_batch(
     # on its index vector. The index methods average with equal weights,
     # so theirs depend only on the multiset of indices; a perceptual cell
     # needs the vector, since each parameter has its own words.
-    memo: dict[tuple[int, ...], tuple[tuple[str, ...], Mapping[Method, MethodCell]]] = {}
+    memo: dict[tuple[int, ...], ReportEntry] = {}
     by_multiset: dict[tuple[Method, tuple[int, ...]], MethodCell] = {}
     first_rows: dict[str, int] = {}
     rows = []
-    for position, item in enumerate(feedback, start=1):
-        record, row_error = item, None
-        if not isinstance(item, FeedbackRecord):
+    for position, record in enumerate(feedback, start=1):
+        student_id, row_error = record.student_id, None
+        if not isinstance(record, FeedbackRecord):
             try:
-                record = resolve_feedback(schema, item.words, item.student_id)
+                record = resolve_feedback(schema, record.words, student_id)
             except CwwError as exc:
                 record, row_error = None, str(exc)
-        first = first_rows.setdefault(item.student_id, position)
+        first = first_rows.setdefault(student_id, position)
         if first != position:
-            row_error = (f"duplicate student id {item.student_id!r}, "
-                         f"first used by row {first}")
+            row_error = f"duplicate student id {student_id!r}, first used by row {first}"
         if row_error is not None:
-            rows.append(ReportRow(student_id=item.student_id,
-                                  codes=record.codes if record is not None else None,
-                                  cells={}, error=row_error))
-            continue
-        indices = record.indices
-        known = memo.get(indices)
-        if known is None:
+            entry = ReportEntry(record.codes if record is not None else None, {}, row_error)
+        elif (entry := memo.get(record.indices)) is None:
             evaluated = {}
-            multiset = tuple(sorted(indices))
+            multiset = tuple(sorted(record.indices))
             for method in methods:
                 if method is Method.PERCEPTUAL:
                     cell = _cell(record, method, cb, options)
@@ -307,11 +339,10 @@ def evaluate_batch(
                         cell = by_multiset[method, multiset] = _cell(
                             record, method, cb, options)
                 evaluated[method] = cell
-            # read-only, since every row with this vector holds the same
-            # codes and cells
-            known = memo[indices] = (record.codes, MappingProxyType(evaluated))
-        codes, cells = known
-        rows.append(ReportRow(student_id=record.student_id, codes=codes, cells=cells))
+            # read-only, since every row with this vector shares the entry
+            entry = memo[record.indices] = ReportEntry(record.codes,
+                                                       MappingProxyType(evaluated))
+        rows.append(ReportRow._sharing(student_id, entry))
 
     metadata = {
         "methods": [m.value for m in methods],
@@ -369,26 +400,23 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
     feedback still appear inside qualifying groups).
     """
     groups: dict[Method, tuple[DuplicateGroup, ...]] = {}
+    ids = [row.student_id for row in report.rows]
     for method in report.methods:
-        buckets: dict[tuple[str, str], list[ReportRow]] = {}
-        for row in report.rows:
-            rec = row.recommendation(method)
-            if rec is None:
-                continue
-            key = (rec.numeric_text, rec.linguistic.code)
-            buckets.setdefault(key, []).append(row)
+        buckets: dict[tuple[str, str], list[tuple[ReportEntry, tuple[int, ...]]]] = {}
+        for entry, positions in report.entries:
+            if (rec := entry.recommendation(method)) is not None:
+                key = (rec.numeric_text, rec.linguistic.code)
+                buckets.setdefault(key, []).append((entry, positions))
         found = []
         for (numeric, word), members in buckets.items():
-            feedbacks = {m.codes for m in members}
+            feedbacks = {entry.codes for entry, _ in members}
             if len(feedbacks) < 2:
                 continue
-            found.append(DuplicateGroup(
-                numeric=numeric,
-                word=word,
-                students=tuple(m.student_id for m in members),
-                distinct_feedback=len(feedbacks),
-            ))
+            # the students of all the members' rows, in row order
+            positions = sorted(chain.from_iterable([rows for _, rows in members]))
+            found.append(DuplicateGroup(numeric=numeric, word=word,
+                                        students=tuple(map(ids.__getitem__, positions)),
+                                        distinct_feedback=len(feedbacks)))
         found.sort(key=lambda grp: (-len(grp.students), grp.numeric, grp.word))
         groups[method] = tuple(found)
     return groups
-

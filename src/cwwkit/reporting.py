@@ -7,6 +7,7 @@ no timestamps, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import Mapping, TextIO
 
@@ -26,60 +27,82 @@ _UNIQUENESS_NOTE = (
 )
 
 
-def _printed_rows(report: EvaluationReport, verbose: bool, unknown: str,
-                  failed: tuple[str, str]):
-    """Each row's printed cells, in column order: the student id, its four
+def _printed_id(student_id: str) -> str:
+    """A student id as the line formats print it: its `repr` if it holds a
+    line break or another unprintable character, so it keeps to its line."""
+    return student_id if student_id.isprintable() else repr(student_id)
+
+
+def _printed_cells(report: EvaluationReport, verbose: bool, unknown: str,
+                   failed: tuple[str, str]) -> dict[int, list[str]]:
+    """id(entry) -> the entry's printed cells after the student id: its four
     codes (`unknown` for each if it has none) and, for each method, the
     numeric text and the word (the full perceptual score under `verbose`),
     or `failed` for a flagged row or a failed cell."""
     no_codes = (unknown,) * len(FEEDBACK_COLUMNS)
-    for row in report.rows:
-        cells = [row.student_id, *(row.codes or no_codes)]
+    printed = {}
+    for entry, _ in report.entries:
+        cells = printed[id(entry)] = [*(entry.codes or no_codes)]
         for method in report.methods:
-            rec = row.recommendation(method)
+            rec = entry.recommendation(method)
             if rec is None:
                 cells += failed
                 continue
             numeric = (repr(rec.score) if verbose and method is Method.PERCEPTUAL
                        else rec.numeric_text)
             cells += (numeric, rec.linguistic.code)
-        yield cells
+    return printed
 
 
 def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
     """Fixed-width table: one row per student, two columns per method,
-    then the `render_flags` lines; one write per line."""
+    then the `render_flags` lines; one write per line, each entry laid out once."""
     header = ["student"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         title = _METHOD_TITLES[method]
         header += [f"{title} numeric", f"{title} word"]
-    table = [header, *_printed_rows(report, verbose, "?", ("!", "failed"))]
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for r in table:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    printed = _printed_cells(report, verbose, "?", ("!", "failed"))
+    ids = [_printed_id(row.student_id) for row in report.rows]
+    widths = [max(map(len, column)) for column in zip(header[1:], *printed.values())]
+    tails = {key: "  ".join(map(str.ljust, cells, widths)).rstrip()
+             for key, cells in printed.items()}
+    width = max(map(len, [header[0], *ids]))
+    out.write("  ".join(map(str.ljust, header, [width, *widths])).rstrip() + "\n")
+    for student_id, row in zip(ids, report.rows):
+        tail = tails[id(row.entry)]  # if empty, the line's rstrip reaches the id
+        out.write((student_id.ljust(width) + "  " + tail if tail else student_id.rstrip()) + "\n")
     render_flags(report, out)
 
 
 def render_flags(report: EvaluationReport, out: TextIO) -> None:
     """One `# <id>: <reason>` line per flagged row and one
     `# <id>: <method>: <reason>` line per failed cell, in method order."""
+    reasons = {id(entry): entry.reasons(report.methods) for entry, _ in report.entries}
     for row in report.rows:
-        for reason in row.reasons(report.methods):
-            out.write(f"# {row.student_id}: {reason}\n")
+        for reason in reasons[id(row.entry)]:
+            out.write(f"# {_printed_id(row.student_id)}: {reason}\n")
 
 
 def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
     """Delimited text with a header, the `render_flags` reasons joined by
-    "; " in the `error` column; the csv writer makes one write per row."""
+    "; " in the `error` column; one write per row, each entry quoted once."""
     writer = csv.writer(out, lineterminator="\n")
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         header += [f"{method.value}_numeric", f"{method.value}_word"]
-    header.append("error")
-    writer.writerow(header)
-    for row, cells in zip(report.rows, _printed_rows(report, verbose, "", ("", ""))):
-        cells.append("; ".join(row.reasons(report.methods)))
-        writer.writerow(cells)
+    writer.writerow(header + ["error"])
+    printed = _printed_cells(report, verbose, "", ("", ""))
+    tails = {}
+    for entry, _ in report.entries:
+        cells = printed[id(entry)] + ["; ".join(entry.reasons(report.methods))]
+        csv.writer(line := io.StringIO(), lineterminator="\n").writerow(cells)
+        tails[id(entry)] = (cells, line.getvalue())
+    for row in report.rows:
+        student_id, (cells, tail) = row.student_id, tails[id(row.entry)]
+        if student_id.isprintable() and "," not in student_id and '"' not in student_id:
+            out.write(student_id + "," + tail)  # such an id the writer leaves as it is
+        else:
+            writer.writerow([student_id, *cells])
 
 
 # The C string encoder json.dumps uses, bound by `render_json`, which alone
@@ -147,31 +170,34 @@ def _cell_entry(cell, verbose: bool) -> dict:
 
 
 def _write_json_rows(report: EvaluationReport, out: TextIO, verbose: bool) -> None:
-    """The report's "rows" list, one write per row. Rows that repeat a
-    feedback vector or an index multiset share cell objects, so each cell's
-    entry is formatted once and spliced into every row that holds it."""
+    """The report's "rows" list, one write per row. Each entry's fields
+    after the student id are formatted once, and each cell once: entries
+    of one index multiset share their index-method cells."""
     keys = [(method, _METHOD_KEY + _json_str(method.value) + ": ")
             for method in report.methods]
-    entries: dict[int, str] = {}  # id(cell) -> entry; the report keeps cells alive
-    opening = "[\n" + _ROW_INDENT
-    for row in report.rows:
-        words = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
-        text = (opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + ","
-                + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ",")
-        if row.error is not None:
-            text += _ROW_KEY + '"error": ' + _json_str(row.error)
+    cells: dict[int, str] = {}  # id(cell) -> its text; the report keeps cells alive
+    tails: dict[int, str] = {}
+    for entry, _ in report.entries:
+        words = dict(zip(FEEDBACK_COLUMNS, entry.codes)) if entry.codes else None
+        text = "," + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ","
+        if entry.error is not None:
+            text += _ROW_KEY + '"error": ' + _json_str(entry.error)
         elif not keys:
             text += _ROW_KEY + '"methods": {}'
         else:
             parts = []
             for method, key in keys:
-                cell = row.cells[method]
-                entry = entries.get(id(cell))
-                if entry is None:
-                    entry = entries[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
-                parts.append(key + entry)
+                cell = entry.cells[method]
+                printed = cells.get(id(cell))
+                if printed is None:
+                    printed = cells[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
+                parts.append(key + printed)
             text += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
-        out.write(text + "\n" + _ROW_INDENT + "}")
+        tails[id(entry)] = text + "\n" + _ROW_INDENT + "}"
+    opening = "[\n" + _ROW_INDENT
+    for row in report.rows:
+        out.write(opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id)
+                  + tails[id(row.entry)])
         opening = ",\n" + _ROW_INDENT
     out.write("\n  ]" if report.rows else "[]")
 
@@ -230,7 +256,7 @@ def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]],
         for grp in groups:
             out.write(
                 f"  ({grp.numeric}, {grp.word}) shared by {len(grp.students)} students "
-                f"[{', '.join(grp.students)}] "
+                f"[{', '.join(map(_printed_id, grp.students))}] "
                 f"({grp.distinct_feedback} distinct feedback vectors)\n"
             )
 
@@ -239,4 +265,4 @@ def render_ranking(ranking, method: Method, out: TextIO) -> None:
     title = _METHOD_TITLES[Method(method)]
     out.write(f"ranking by {title}\n")
     for position, (student_id, score) in enumerate(ranking, start=1):
-        out.write(f"{position:3d}. student {student_id:8s} score {score:.4f}\n")
+        out.write(f"{position:3d}. student {_printed_id(student_id):8s} score {score:.4f}\n")

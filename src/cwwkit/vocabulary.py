@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from enum import Enum
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterator, Mapping, TextIO
 
 from ._value import Value, set_field
 from .errors import CwwError, SchemaError, WordResolutionError
@@ -114,10 +114,11 @@ class ParameterSchema(Value):
 
     def term_set(self, name: str) -> TermSet:
         """The parameter or recommendation term set called `name`,
-        case-insensitively."""
+        case-insensitively; SchemaError for any other name, or one that is
+        not text."""
         try:
             return self._by_name[name.lower()]
-        except KeyError:
+        except (AttributeError, KeyError):
             raise SchemaError(f"unknown parameter {name!r}") from None
 
 
@@ -137,7 +138,8 @@ class FeedbackRecord(Value):
     """Feedback resolved against the default schema: one term of each
     parameter, in order, under a text student id. Other choices or ids
     raise SchemaError when the record is built, so every record can be
-    scored and reported; equal copies of the schema's terms are accepted."""
+    scored and reported; equal copies of the schema's terms are accepted.
+    `indices`, the term index of each choice, is stored with the record."""
 
     _fields = ("student_id", "choices")
 
@@ -156,14 +158,21 @@ class FeedbackRecord(Value):
             raise SchemaError(f"feedback {choices!r} is not one word of each parameter")
         set_field(self, "student_id", student_id)
         set_field(self, "choices", choices)
+        set_field(self, "indices", tuple([c.index for c in choices]))
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple([c.index for c in self.choices])
+    @classmethod
+    def _resolved(cls, student_id: str, choices: tuple[LinguisticTerm, ...]) -> FeedbackRecord:
+        """A record of a text id and the schema's own terms, one per parameter
+        by construction (`read_feedback_file`'s), so the check is skipped."""
+        record = cls.__new__(cls)
+        set_field(record, "student_id", student_id)
+        set_field(record, "choices", choices)
+        set_field(record, "indices", tuple([c.index for c in choices]))
+        return record
 
     @property
     def codes(self) -> tuple[str, ...]:
-        return tuple(c.code for c in self.choices)
+        return tuple([c.code for c in self.choices])
 
 
 @cache
@@ -245,14 +254,8 @@ def resolve_feedback(
     for name, param in known.items():
         if name not in lowered:
             raise SchemaError(f"feedback is missing parameter {param.name!r}")
-    return FeedbackRecord(student_id, _find_each(schema.parameters,
-                                                 [lowered[name] for name in known]))
-
-
-def _find_each(parameters: tuple[TermSet, ...],
-               words: Iterable[str]) -> tuple[LinguisticTerm, ...]:
-    """The term of each parameter that its word, in parameter order, names."""
-    return tuple([param.find(word) for param, word in zip(parameters, words)])
+    return FeedbackRecord(student_id, tuple([
+        param.find(lowered[name]) for name, param in known.items()]))
 
 
 def read_csv(handle: TextIO, source, header: tuple[str, ...],
@@ -292,12 +295,15 @@ def read_feedback_file(path) -> list[FeedbackRecord | RawFeedback]:
     records raises SchemaError naming the file.
     """
     parameters = build_default_schema().parameters
+    seen = [{} for _ in parameters]  # per column: each cell text's term, found once
     rows: list[FeedbackRecord | RawFeedback] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         for _, row in read_csv(handle, path, FEEDBACK_HEADER, SchemaError):
             student_id, cells = row[0].strip(), row[1:]
             try:
-                rows.append(FeedbackRecord(student_id, _find_each(parameters, cells)))
+                rows.append(FeedbackRecord._resolved(student_id, tuple([
+                    terms.get(cell) or terms.setdefault(cell, param.find(cell))
+                    for param, terms, cell in zip(parameters, seen, cells)])))
             except WordResolutionError:
                 rows.append(RawFeedback(student_id, {
                     param.name: cell.strip() for param, cell in zip(parameters, cells)}))

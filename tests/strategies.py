@@ -1,4 +1,4 @@
-"""Shared generators for randomized FOUs and tri-tuples.
+"""Shared generators for randomized FOUs, tri-tuples and feedback batches.
 
 The trapezoid construction guarantees validity: the lower plateau sits
 inside the upper plateau, and the lower edges start no earlier than the
@@ -12,7 +12,8 @@ in floating point a fraction of 1.0 can land a last-bit past the end
 import numpy as np
 from hypothesis import strategies as st
 
-from cwwkit import TrapezoidIT2, TriTuple
+from cwwkit import (FeedbackRecord, RawFeedback, TrapezoidIT2, TriTuple,
+                    build_default_schema)
 
 DOMAIN = (0.0, 10.0)
 MIN_SUPPORT = 0.5  # keeps a handful of grid samples inside the support
@@ -64,3 +65,25 @@ def tri_tuple(draw):
         draw(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=3, max_size=3))
     )
     return TriTuple(*values)
+
+
+# any text: non-ASCII, control characters, line breaks, quotes and commas included
+STUDENT_IDS = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def feedback_batches(draw, max_rows: int = 12):
+    """Feedback rows that repeat a few vectors of the default schema, under
+    drawn ids, some of them repeated. About one row in six is raw, with a
+    word that does not resolve."""
+    parameters = build_default_schema().parameters
+    vectors = draw(st.lists(st.tuples(*[st.sampled_from(p.terms) for p in parameters]),
+                            min_size=1, max_size=3))
+    ids = st.sampled_from(draw(st.lists(STUDENT_IDS, min_size=1, max_size=4))) | STUDENT_IDS
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        if draw(st.integers(0, 5)):
+            rows.append(FeedbackRecord(draw(ids), draw(st.sampled_from(vectors))))
+        else:
+            rows.append(RawFeedback(draw(ids), {p.name: "Tiny" for p in parameters}))
+    return rows

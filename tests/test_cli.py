@@ -246,6 +246,35 @@ class TestEvaluate:
         assert code == 2
         assert out.count("student 1 ") == 1
 
+    def test_an_unprintable_student_id_stays_on_its_line(self, capsys, tmp_path):
+        # quoted ids with a line feed, a carriage return and a tab: the line
+        # formats print each as its repr, while CSV and JSON write it as before
+        path = tmp_path / "feedback.csv"
+        path.write_text('student_id,time_taken,subject_knowledge,liking,preparation\n'
+                        '"a\nb",S,SL,AM,PM\n"c\rd",Tiny,SL,AH,PL\n"a\nb",L,SL,AH,PL\n'
+                        '"x\ty",M,SL,AL,PM\n', newline="")
+        flags = ["# 'c\\rd': unknown word 'Tiny' for parameter "
+                 "'Time taken to solve the question'",
+                 "# 'a\\nb': duplicate student id 'a\\nb', first used by row 1"]
+        code, out, _ = run(capsys, "compare", "--methods", "symbolic", "--feedback", str(path))
+        assert code == 2 and "\r" not in out and "\t" not in out
+        lines = out.split("\n")
+        assert [line.split()[0] for line in lines[1:5]] == [
+            "'a\\nb'", "'c\\rd'", "'a\\nb'", "'x\\ty'"]
+        assert lines[5:8] == [*flags, ""]
+        assert "shared by 2 students ['a\\nb', 'x\\ty']" in out
+        code, out, _ = run(capsys, "rank", "--method", "symbolic", "--feedback", str(path))
+        assert code == 2
+        assert out.split("\n")[1:] == ["  1. student 'a\\nb'   score 1.0000",
+                                      "  2. student 'x\\ty'   score 1.0000", *flags, ""]
+        code, out, _ = run(capsys, "evaluate", "--methods", "symbolic", "--format", "csv",
+                           "--feedback", str(path))
+        assert out.split("\n")[1:3] == ['"a', 'b",S,SL,AM,PM,1,SSBA,']
+        code, out, _ = run(capsys, "evaluate", "--methods", "symbolic", "--format", "json",
+                           "--feedback", str(path))
+        assert [row["student_id"] for row in json.loads(out)["rows"]] == [
+            "a\nb", "c\rd", "a\nb", "x\ty"]
+
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path, sample_feedback,
                                         codebook_text):
         plain_cb = tmp_path / "cb.csv"

@@ -44,6 +44,12 @@ def test_lookup_unknown_word(codebook):
         codebook.lookup("No such parameter", "S")
 
 
+@pytest.mark.parametrize("parameter, word", [(5, "S"), (None, "S"), (TIME_TAKEN, 5)])
+def test_lookup_of_a_non_text_name_or_word_is_codebook_error(codebook, parameter, word):
+    with pytest.raises(CodebookError):
+        codebook.lookup(parameter, word)
+
+
 def test_recommendation_fous_in_index_order(codebook, schema):
     by_word = {(e.parameter, e.term.code): e.fou for e in codebook.entries}
     fous = [codebook.lookup(RECOMMENDATION, term.label) for term in schema.recommendation]

@@ -13,9 +13,10 @@ from cwwkit import EvalOptions, FeedbackRecord, Method, evaluate_batch, uniquene
 from cwwkit.cli import EXIT_DATA, _exit_status
 from cwwkit.reporting import (_UNIQUENESS_NOTE, render_csv, render_flags, render_json,
                               render_ranking, render_table, render_uniqueness)
-from cwwkit.pipeline import (ALL_METHODS, LWA_MODES, EvaluationReport,
+from cwwkit.pipeline import (ALL_METHODS, LWA_MODES, DuplicateGroup, EvaluationReport,
                              MethodCell, ReportRow, rank_students)
 from cwwkit.vocabulary import FEEDBACK_COLUMNS, TIME_TAKEN, RawFeedback
+from strategies import feedback_batches
 
 
 def _text(render, *args, **kwargs) -> str:
@@ -294,6 +295,67 @@ def test_json_equals_json_dumps_of_the_document(full_report, data, verbose):
     uniqueness = data.draw(st.sampled_from([None, {}, summary]))
     assert (_text(render_json, report, verbose=verbose, uniqueness=uniqueness)
             == _render_json_reference(report, verbose, uniqueness))
+
+
+def _unshared(report):
+    """`report` with each row's cells copied into a fresh dict, so that no
+    two rows share an entry."""
+    rows = tuple(ReportRow(row.student_id, row.codes, dict(row.cells), row.error)
+                 for row in report.rows)
+    return EvaluationReport(methods=report.methods, rows=rows, metadata=report.metadata)
+
+
+def _uniqueness_reference(report):
+    """`uniqueness_report` as it grouped rows before rows shared entries."""
+    groups = {}
+    for method in report.methods:
+        buckets = {}
+        for row in report.rows:
+            if (rec := row.recommendation(method)) is not None:
+                buckets.setdefault((rec.numeric_text, rec.linguistic.code), []).append(row)
+        found = [DuplicateGroup(numeric, word, tuple(m.student_id for m in members),
+                                len({m.codes for m in members}))
+                 for (numeric, word), members in buckets.items()
+                 if len({m.codes for m in members}) > 1]
+        found.sort(key=lambda grp: (-len(grp.students), grp.numeric, grp.word))
+        groups[method] = tuple(found)
+    return groups
+
+
+def _csv_reference(report, verbose):
+    """`render_csv` as a csv writer writes it, one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["student_id", *FEEDBACK_COLUMNS,
+                     *(f"{m.value}_{part}" for m in report.methods
+                       for part in ("numeric", "word")), "error"])
+    for row in report.rows:
+        cells = [row.student_id, *(row.codes or ("",) * len(FEEDBACK_COLUMNS))]
+        for method in report.methods:
+            rec = row.recommendation(method)
+            cells += (("", "") if rec is None else (
+                repr(rec.score) if verbose and method is Method.PERCEPTUAL
+                else rec.numeric_text, rec.linguistic.code))
+        writer.writerow(cells + ["; ".join(row.reasons(report.methods))])
+    return out.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=feedback_batches(), methods=st.lists(st.sampled_from(ALL_METHODS), min_size=1,
+                                                 unique=True), verbose=st.booleans())
+def test_shared_entries_do_not_show_in_the_output(codebook, batch, methods, verbose):
+    report = evaluate_batch(batch, methods, cb=codebook)
+    copy = _unshared(report)
+    summary = uniqueness_report(report)
+    assert summary == uniqueness_report(copy) == _uniqueness_reference(report)
+    for shown in (report, copy):
+        assert _text(render_csv, shown, verbose=verbose) == _csv_reference(report, verbose)
+    for render, kwargs in ((render_table, {"verbose": verbose}), (render_flags, {}),
+                           (render_json, {"verbose": verbose, "uniqueness": summary})):
+        assert _text(render, report, **kwargs) == _text(render, copy, **kwargs)
+    assert _exit_status(report) == _exit_status(copy)
+    assert (_text(render_uniqueness, summary)
+            == _text(render_uniqueness, uniqueness_report(copy)))
 
 
 def test_json_rejects_what_json_dumps_rejects():

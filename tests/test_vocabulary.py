@@ -106,6 +106,12 @@ def test_unknown_parameter_is_schema_error(schema):
         resolve_feedback(schema, {**SS1_WORDS, "Mood": "Good"})
 
 
+@pytest.mark.parametrize("name", [5, None, b"Liking towards Subject", "Mood"])
+def test_term_set_of_an_unknown_or_non_text_name_is_schema_error(schema, name):
+    with pytest.raises(SchemaError, match="unknown parameter"):
+        schema.term_set(name)
+
+
 def test_choice_indices_always_in_range(schema):
     for param in schema.parameters:
         for term in param:
