@@ -9,9 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Mapping, TextIO
+from typing import Iterator, Mapping, TextIO
 
-from .pipeline import DuplicateGroup, EvaluationReport, Method
+from .pipeline import DuplicateGroup, EvaluationReport, Method, ReportEntry
 from .vocabulary import FEEDBACK_COLUMNS
 
 _METHOD_TITLES = {
@@ -34,15 +34,14 @@ def _printed_id(student_id: str) -> str:
 
 
 def _printed_cells(report: EvaluationReport, verbose: bool, unknown: str,
-                   failed: tuple[str, str]) -> dict[int, list[str]]:
-    """id(entry) -> the entry's printed cells after the student id: its four
+                   failed: tuple[str, str]) -> Iterator[tuple[ReportEntry, list[str]]]:
+    """Each entry and its printed cells after the student id: its four
     codes (`unknown` for each if it has none) and, for each method, the
     numeric text and the word (the full perceptual score under `verbose`),
     or `failed` for a flagged row or a failed cell."""
     no_codes = (unknown,) * len(FEEDBACK_COLUMNS)
-    printed = {}
     for entry, _ in report.entries:
-        cells = printed[id(entry)] = [*(entry.codes or no_codes)]
+        cells = [*(entry.codes or no_codes)]
         for method in report.methods:
             rec = entry.recommendation(method)
             if rec is None:
@@ -51,7 +50,7 @@ def _printed_cells(report: EvaluationReport, verbose: bool, unknown: str,
             numeric = (repr(rec.score) if verbose and method is Method.PERCEPTUAL
                        else rec.numeric_text)
             cells += (numeric, rec.linguistic.code)
-    return printed
+        yield entry, cells
 
 
 def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
@@ -61,7 +60,8 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
     for method in report.methods:
         title = _METHOD_TITLES[method]
         header += [f"{title} numeric", f"{title} word"]
-    printed = _printed_cells(report, verbose, "?", ("!", "failed"))
+    printed = {id(entry): cells for entry, cells
+               in _printed_cells(report, verbose, "?", ("!", "failed"))}
     ids = [_printed_id(row.student_id) for row in report.rows]
     widths = [max(map(len, column)) for column in zip(header[1:], *printed.values())]
     tails = {key: "  ".join(map(str.ljust, cells, widths)).rstrip()
@@ -86,23 +86,27 @@ def render_flags(report: EvaluationReport, out: TextIO) -> None:
 def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
     """Delimited text with a header, the `render_flags` reasons joined by
     "; " in the `error` column; one write per row, each entry quoted once."""
-    writer = csv.writer(out, lineterminator="\n")
+    buffer = io.StringIO()
+    quoted = csv.writer(buffer, lineterminator="\n")
+
+    def line(cells: list[str]) -> str:
+        quoted.writerow(cells)
+        text = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return text
+
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         header += [f"{method.value}_numeric", f"{method.value}_word"]
-    writer.writerow(header + ["error"])
-    printed = _printed_cells(report, verbose, "", ("", ""))
-    tails = {}
-    for entry, _ in report.entries:
-        cells = printed[id(entry)] + ["; ".join(entry.reasons(report.methods))]
-        csv.writer(line := io.StringIO(), lineterminator="\n").writerow(cells)
-        tails[id(entry)] = (cells, line.getvalue())
+    out.write(line(header + ["error"]))
+    tails = {id(entry): line(cells + ["; ".join(entry.reasons(report.methods))])
+             for entry, cells in _printed_cells(report, verbose, "", ("", ""))}
     for row in report.rows:
-        student_id, (cells, tail) = row.student_id, tails[id(row.entry)]
-        if student_id.isprintable() and "," not in student_id and '"' not in student_id:
-            out.write(student_id + "," + tail)  # such an id the writer leaves as it is
-        else:
-            writer.writerow([student_id, *cells])
+        student_id = row.student_id
+        if not student_id.isprintable() or "," in student_id or '"' in student_id:
+            student_id = line([student_id, ""])[:-2]  # as the writer quotes it
+        out.write(student_id + "," + tails[id(row.entry)])
 
 
 # The C string encoder json.dumps uses, bound by `render_json`, which alone
@@ -170,34 +174,39 @@ def _cell_entry(cell, verbose: bool) -> dict:
 
 
 def _write_json_rows(report: EvaluationReport, out: TextIO, verbose: bool) -> None:
-    """The report's "rows" list, one write per row. Each entry's fields
-    after the student id are formatted once, and each cell once: entries
-    of one index multiset share their index-method cells."""
+    """The report's "rows" list, one write per row. An entry's fields after
+    the student id are formatted at its first row and kept only if it has
+    more, and each cell once: entries of one index multiset share their
+    index-method cells."""
     keys = [(method, _METHOD_KEY + _json_str(method.value) + ": ")
             for method in report.methods]
     cells: dict[int, str] = {}  # id(cell) -> its text; the report keeps cells alive
     tails: dict[int, str] = {}
-    for entry, _ in report.entries:
-        words = dict(zip(FEEDBACK_COLUMNS, entry.codes)) if entry.codes else None
-        text = "," + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ","
-        if entry.error is not None:
-            text += _ROW_KEY + '"error": ' + _json_str(entry.error)
-        elif not keys:
-            text += _ROW_KEY + '"methods": {}'
-        else:
-            parts = []
-            for method, key in keys:
-                cell = entry.cells[method]
-                printed = cells.get(id(cell))
-                if printed is None:
-                    printed = cells[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
-                parts.append(key + printed)
-            text += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
-        tails[id(entry)] = text + "\n" + _ROW_INDENT + "}"
+    repeated = {id(entry) for entry, positions in report.entries if len(positions) > 1}
     opening = "[\n" + _ROW_INDENT
     for row in report.rows:
-        out.write(opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id)
-                  + tails[id(row.entry)])
+        entry = row.entry
+        tail = tails.get(id(entry))
+        if tail is None:
+            words = dict(zip(FEEDBACK_COLUMNS, entry.codes)) if entry.codes else None
+            tail = "," + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ","
+            if entry.error is not None:
+                tail += _ROW_KEY + '"error": ' + _json_str(entry.error)
+            elif not keys:
+                tail += _ROW_KEY + '"methods": {}'
+            else:
+                parts = []
+                for method, key in keys:
+                    cell = entry.cells[method]
+                    printed = cells.get(id(cell))
+                    if printed is None:
+                        printed = cells[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
+                    parts.append(key + printed)
+                tail += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
+            tail += "\n" + _ROW_INDENT + "}"
+            if id(entry) in repeated:
+                tails[id(entry)] = tail
+        out.write(opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + tail)
         opening = ",\n" + _ROW_INDENT
     out.write("\n  ]" if report.rows else "[]")
 

@@ -161,13 +161,14 @@ class FeedbackRecord(Value):
         set_field(self, "indices", tuple([c.index for c in choices]))
 
     @classmethod
-    def _resolved(cls, student_id: str, choices: tuple[LinguisticTerm, ...]) -> FeedbackRecord:
+    def _resolved(cls, student_id: str, choices: tuple[LinguisticTerm, ...],
+                  indices: tuple[int, ...]) -> FeedbackRecord:
         """A record of a text id and the schema's own terms, one per parameter
         by construction (`read_feedback_file`'s), so the check is skipped."""
         record = cls.__new__(cls)
         set_field(record, "student_id", student_id)
         set_field(record, "choices", choices)
-        set_field(record, "indices", tuple([c.index for c in choices]))
+        set_field(record, "indices", indices)
         return record
 
     @property
@@ -295,18 +296,21 @@ def read_feedback_file(path) -> list[FeedbackRecord | RawFeedback]:
     records raises SchemaError naming the file.
     """
     parameters = build_default_schema().parameters
-    seen = [{} for _ in parameters]  # per column: each cell text's term, found once
+    # indices -> (choices, indices): the rows that repeat a vector share both
+    vectors: dict[tuple[int, ...], tuple[tuple[LinguisticTerm, ...], tuple[int, ...]]] = {}
     rows: list[FeedbackRecord | RawFeedback] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         for _, row in read_csv(handle, path, FEEDBACK_HEADER, SchemaError):
             student_id, cells = row[0].strip(), row[1:]
             try:
-                rows.append(FeedbackRecord._resolved(student_id, tuple([
-                    terms.get(cell) or terms.setdefault(cell, param.find(cell))
-                    for param, terms, cell in zip(parameters, seen, cells)])))
+                choices = tuple([param.find(cell) for param, cell in zip(parameters, cells)])
             except WordResolutionError:
                 rows.append(RawFeedback(student_id, {
                     param.name: cell.strip() for param, cell in zip(parameters, cells)}))
+                continue
+            indices = tuple([term.index for term in choices])
+            rows.append(FeedbackRecord._resolved(
+                student_id, *vectors.setdefault(indices, (choices, indices))))
     if not rows:
         raise SchemaError(f"{path}: no feedback rows")
     return rows
