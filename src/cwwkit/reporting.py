@@ -263,10 +263,12 @@ def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]],
             continue
         out.write(f"{title}: {len(groups)} duplicate group(s)\n")
         for grp in groups:
+            students = ", ".join(grp.students)
+            if not students.isprintable():  # some id prints as its repr
+                students = ", ".join(map(_printed_id, grp.students))
             out.write(
                 f"  ({grp.numeric}, {grp.word}) shared by {len(grp.students)} students "
-                f"[{', '.join(map(_printed_id, grp.students))}] "
-                f"({grp.distinct_feedback} distinct feedback vectors)\n"
+                f"[{students}] ({grp.distinct_feedback} distinct feedback vectors)\n"
             )
 
 
