@@ -163,7 +163,7 @@ def _evaluate(args, methods):
 
 def _exit_status(report) -> int:
     """EXIT_DATA if any row of the report was flagged or has a failed cell."""
-    flagged = any(entry.reasons(report.methods) for entry, _ in report.entries)
+    flagged = any(entry.reasons(report.methods) for entry in report.entries)
     return EXIT_DATA if flagged else EXIT_OK
 
 

@@ -175,13 +175,10 @@ class EvaluationReport(Value):
         set_field(self, "metadata", {} if metadata is None else metadata)
 
     @cached_property
-    def entries(self) -> tuple[tuple[ReportEntry, tuple[int, ...]], ...]:
-        """Each distinct entry and the positions of its rows, in the order
-        of their first rows: the stages after the batch read each once."""
-        groups: dict[int, list] = {}
-        for position, row in enumerate(self.rows):
-            groups.setdefault(id(row.entry), [row.entry]).append(position)
-        return tuple([(group[0], tuple(group[1:])) for group in groups.values()])
+    def entries(self) -> tuple[ReportEntry, ...]:
+        """Each distinct entry, in the order of their first rows: the stages
+        after the batch read each once."""
+        return tuple({id(row.entry): row.entry for row in self.rows}.values())
 
 
 def _evaluate_extension(fb: FeedbackRecord, cb: Codebook | None,
@@ -401,21 +398,24 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
     """
     groups: dict[Method, tuple[DuplicateGroup, ...]] = {}
     ids = [row.student_id for row in report.rows]
+    positions: dict[int, list[int]] = {}  # id(entry) -> the positions of its rows
+    for position, row in enumerate(report.rows):
+        positions.setdefault(id(row.entry), []).append(position)
     for method in report.methods:
-        buckets: dict[tuple[str, str], list[tuple[ReportEntry, tuple[int, ...]]]] = {}
-        for entry, positions in report.entries:
+        buckets: dict[tuple[str, str], list[ReportEntry]] = {}
+        for entry in report.entries:
             if (rec := entry.recommendation(method)) is not None:
                 key = (rec.numeric_text, rec.linguistic.code)
-                buckets.setdefault(key, []).append((entry, positions))
+                buckets.setdefault(key, []).append(entry)
         found = []
         for (numeric, word), members in buckets.items():
-            feedbacks = {entry.codes for entry, _ in members}
+            feedbacks = {entry.codes for entry in members}
             if len(feedbacks) < 2:
                 continue
             # the students of all the members' rows, in row order
-            positions = sorted(chain.from_iterable([rows for _, rows in members]))
+            rows = sorted(chain.from_iterable([positions[id(entry)] for entry in members]))
             found.append(DuplicateGroup(numeric=numeric, word=word,
-                                        students=tuple(map(ids.__getitem__, positions)),
+                                        students=tuple(map(ids.__getitem__, rows)),
                                         distinct_feedback=len(feedbacks)))
         found.sort(key=lambda grp: (-len(grp.students), grp.numeric, grp.word))
         groups[method] = tuple(found)

@@ -7,8 +7,8 @@ no timestamps, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from types import SimpleNamespace
 from typing import Iterator, Mapping, TextIO
 
 from .pipeline import DuplicateGroup, EvaluationReport, Method, ReportEntry
@@ -40,7 +40,7 @@ def _printed_cells(report: EvaluationReport, verbose: bool, unknown: str,
     numeric text and the word (the full perceptual score under `verbose`),
     or `failed` for a flagged row or a failed cell."""
     no_codes = (unknown,) * len(FEEDBACK_COLUMNS)
-    for entry, _ in report.entries:
+    for entry in report.entries:
         cells = [*(entry.codes or no_codes)]
         for method in report.methods:
             rec = entry.recommendation(method)
@@ -63,7 +63,7 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
     printed = {id(entry): cells for entry, cells
                in _printed_cells(report, verbose, "?", ("!", "failed"))}
     ids = [_printed_id(row.student_id) for row in report.rows]
-    widths = [max(map(len, column)) for column in zip(header[1:], *printed.values())]
+    widths = [max(map(len, column)) for column in zip(header[1:], *printed.values(), strict=True)]
     tails = {key: "  ".join(map(str.ljust, cells, widths)).rstrip()
              for key, cells in printed.items()}
     width = max(map(len, [header[0], *ids]))
@@ -77,7 +77,7 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
 def render_flags(report: EvaluationReport, out: TextIO) -> None:
     """One `# <id>: <reason>` line per flagged row and one
     `# <id>: <method>: <reason>` line per failed cell, in method order."""
-    reasons = {id(entry): entry.reasons(report.methods) for entry, _ in report.entries}
+    reasons = {id(entry): entry.reasons(report.methods) for entry in report.entries}
     for row in report.rows:
         for reason in reasons[id(row.entry)]:
             out.write(f"# {_printed_id(row.student_id)}: {reason}\n")
@@ -86,15 +86,12 @@ def render_flags(report: EvaluationReport, out: TextIO) -> None:
 def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
     """Delimited text with a header, the `render_flags` reasons joined by
     "; " in the `error` column; one write per row, each entry quoted once."""
-    buffer = io.StringIO()
-    quoted = csv.writer(buffer, lineterminator="\n")
+    lines: list[str] = []  # the writer writes each row in one call
+    quoted = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
 
     def line(cells: list[str]) -> str:
         quoted.writerow(cells)
-        text = buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
-        return text
+        return lines.pop()
 
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
@@ -174,39 +171,31 @@ def _cell_entry(cell, verbose: bool) -> dict:
 
 
 def _write_json_rows(report: EvaluationReport, out: TextIO, verbose: bool) -> None:
-    """The report's "rows" list, one write per row. An entry's fields after
-    the student id are formatted at its first row and kept only if it has
-    more, and each cell once: entries of one index multiset share their
-    index-method cells."""
+    """The report's "rows" list, one write per row. Rows that repeat a
+    feedback vector or an index multiset share cell objects, so each cell's
+    entry is formatted once and spliced into every row that holds it."""
     keys = [(method, _METHOD_KEY + _json_str(method.value) + ": ")
             for method in report.methods]
-    cells: dict[int, str] = {}  # id(cell) -> its text; the report keeps cells alive
-    tails: dict[int, str] = {}
-    repeated = {id(entry) for entry, positions in report.entries if len(positions) > 1}
+    entries: dict[int, str] = {}  # id(cell) -> entry; the report keeps cells alive
     opening = "[\n" + _ROW_INDENT
     for row in report.rows:
-        entry = row.entry
-        tail = tails.get(id(entry))
-        if tail is None:
-            words = dict(zip(FEEDBACK_COLUMNS, entry.codes)) if entry.codes else None
-            tail = "," + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ","
-            if entry.error is not None:
-                tail += _ROW_KEY + '"error": ' + _json_str(entry.error)
-            elif not keys:
-                tail += _ROW_KEY + '"methods": {}'
-            else:
-                parts = []
-                for method, key in keys:
-                    cell = entry.cells[method]
-                    printed = cells.get(id(cell))
-                    if printed is None:
-                        printed = cells[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
-                    parts.append(key + printed)
-                tail += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
-            tail += "\n" + _ROW_INDENT + "}"
-            if id(entry) in repeated:
-                tails[id(entry)] = tail
-        out.write(opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + tail)
+        words = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
+        text = (opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + ","
+                + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ",")
+        if row.error is not None:
+            text += _ROW_KEY + '"error": ' + _json_str(row.error)
+        elif not keys:
+            text += _ROW_KEY + '"methods": {}'
+        else:
+            parts = []
+            for method, key in keys:
+                cell = row.cells[method]
+                entry = entries.get(id(cell))
+                if entry is None:
+                    entry = entries[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
+                parts.append(key + entry)
+            text += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
+        out.write(text + "\n" + _ROW_INDENT + "}")
         opening = ",\n" + _ROW_INDENT
     out.write("\n  ]" if report.rows else "[]")
 
@@ -263,9 +252,7 @@ def render_uniqueness(uniqueness: Mapping[Method, tuple[DuplicateGroup, ...]],
             continue
         out.write(f"{title}: {len(groups)} duplicate group(s)\n")
         for grp in groups:
-            students = ", ".join(grp.students)
-            if not students.isprintable():  # some id prints as its repr
-                students = ", ".join(map(_printed_id, grp.students))
+            students = ", ".join(map(_printed_id, grp.students))
             out.write(
                 f"  ({grp.numeric}, {grp.word}) shared by {len(grp.students)} students "
                 f"[{students}] ({grp.distinct_feedback} distinct feedback vectors)\n"

@@ -173,7 +173,7 @@ class FeedbackRecord(Value):
 
     @property
     def codes(self) -> tuple[str, ...]:
-        return tuple([c.code for c in self.choices])
+        return tuple(c.code for c in self.choices)
 
 
 @cache

@@ -127,6 +127,15 @@ def test_a_row_with_two_failed_cells_gives_both_reasons_in_method_order(full_rep
     assert row.recommendation(Method.TWO_TUPLE) is valid.cells[Method.TWO_TUPLE].recommendation
 
 
+def test_a_table_row_without_one_code_per_parameter_fails(full_report):
+    # a hand-built row with too few codes must not cut every line's columns short
+    valid = full_report.rows[0]
+    report = EvaluationReport(methods=full_report.methods,
+                              rows=(valid, ReportRow("7", ("S",), valid.cells)))
+    with pytest.raises(ValueError):
+        render_table(report, io.StringIO())
+
+
 # sha256 of each text format of `_printed_rows_report`, by (renderer, verbose)
 PRINTED_ROWS_SHA256 = {
     (render_table, False): "efa092fcddb651b1332a181a35543cf1e095dae2064d974ec3892405537aab01",
