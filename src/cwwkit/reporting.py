@@ -9,9 +9,9 @@ from __future__ import annotations
 import csv
 import math
 from types import SimpleNamespace
-from typing import Iterator, Mapping, TextIO
+from typing import Mapping, TextIO
 
-from .pipeline import DuplicateGroup, EvaluationReport, Method, ReportEntry
+from .pipeline import DuplicateGroup, EvaluationReport, Method
 from .vocabulary import FEEDBACK_COLUMNS
 
 _METHOD_TITLES = {
@@ -34,7 +34,7 @@ def _printed_id(student_id: str) -> str:
 
 
 def _printed_cells(report: EvaluationReport, verbose: bool, unknown: str,
-                   failed: tuple[str, str]) -> Iterator[tuple[ReportEntry, list[str]]]:
+                   failed: tuple[str, str]):
     """Each entry and its printed cells after the student id: its four
     codes (`unknown` for each if it has none) and, for each method, the
     numeric text and the word (the full perceptual score under `verbose`),
@@ -63,14 +63,12 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
     printed = {id(entry): cells for entry, cells
                in _printed_cells(report, verbose, "?", ("!", "failed"))}
     ids = [_printed_id(row.student_id) for row in report.rows]
-    widths = [max(map(len, column)) for column in zip(header[1:], *printed.values(), strict=True)]
-    tails = {key: "  ".join(map(str.ljust, cells, widths)).rstrip()
-             for key, cells in printed.items()}
     width = max(map(len, [header[0], *ids]))
+    widths = [max(map(len, column)) for column in zip(header[1:], *printed.values(), strict=True)]
+    tails = {key: "  ".join(map(str.ljust, cells, widths)) for key, cells in printed.items()}
     out.write("  ".join(map(str.ljust, header, [width, *widths])).rstrip() + "\n")
     for student_id, row in zip(ids, report.rows):
-        tail = tails[id(row.entry)]  # if empty, the line's rstrip reaches the id
-        out.write((student_id.ljust(width) + "  " + tail if tail else student_id.rstrip()) + "\n")
+        out.write((student_id.ljust(width) + "  " + tails[id(row.entry)]).rstrip() + "\n")
     render_flags(report, out)
 
 
@@ -86,24 +84,23 @@ def render_flags(report: EvaluationReport, out: TextIO) -> None:
 def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> None:
     """Delimited text with a header, the `render_flags` reasons joined by
     "; " in the `error` column; one write per row, each entry quoted once."""
-    lines: list[str] = []  # the writer writes each row in one call
-    quoted = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-
-    def line(cells: list[str]) -> str:
-        quoted.writerow(cells)
-        return lines.pop()
-
+    lines = []  # the writer writes each row in one call
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         header += [f"{method.value}_numeric", f"{method.value}_word"]
-    out.write(line(header + ["error"]))
-    tails = {id(entry): line(cells + ["; ".join(entry.reasons(report.methods))])
-             for entry, cells in _printed_cells(report, verbose, "", ("", ""))}
+    writer.writerow(header + ["error"])
+    out.write(lines.pop())
+    tails = {}  # id(entry) -> its line from the comma after the student id
+    for entry, cells in _printed_cells(report, verbose, "", ("", "")):
+        writer.writerow(["", *cells, "; ".join(entry.reasons(report.methods))])
+        tails[id(entry)] = lines.pop()
     for row in report.rows:
         student_id = row.student_id
         if not student_id.isprintable() or "," in student_id or '"' in student_id:
-            student_id = line([student_id, ""])[:-2]  # as the writer quotes it
-        out.write(student_id + "," + tails[id(row.entry)])
+            writer.writerow([student_id])  # quoted as the writer quotes it
+            student_id = lines.pop()[:-1]
+        out.write(student_id + tails[id(row.entry)])
 
 
 # The C string encoder json.dumps uses, bound by `render_json`, which alone
