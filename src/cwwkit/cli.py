@@ -127,20 +127,19 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-def _load_codebook(path: str | None):
-    if path is None:
-        return default_codebook()
+def _existing(path: str, kind: str) -> str:
     if not os.path.exists(path):
-        raise FileNotFoundError(f"codebook file not found: {path}")
-    return load_codebook(path)
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    return path
+
+
+def _load_codebook(path: str | None):
+    return default_codebook() if path is None else load_codebook(_existing(path, "codebook"))
 
 
 def _load_feedback(path: str | None):
-    if path is None:
-        return read_feedback_file(default_feedback_path())
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"feedback file not found: {path}")
-    return read_feedback_file(path)
+    return read_feedback_file(default_feedback_path() if path is None
+                              else _existing(path, "feedback"))
 
 
 def _destination(path: str | None):

@@ -69,9 +69,10 @@ class TrapezoidIT2(Value):
     support [a, d] must lie on [DOMAIN_MIN, DOMAIN_MAX], within 1e-9.
 
     A word keeps the alpha cuts `lwa_exact` averages, each built on first
-    use: its upper cuts, and one set of lower cuts per minimum height it
-    is averaged at. They are not fields, so they change no comparison,
-    hash or repr, and a pickle or copy of the word leaves them behind.
+    use: one set per trapezoid and top level, so its upper cuts (top 1)
+    and its lower cuts at each minimum height it is averaged at. They are
+    not fields, so they change no comparison, hash or repr, and a pickle
+    or copy of the word leaves them behind.
     """
 
     _fields = ("umf_a", "umf_b", "umf_c", "umf_d",
@@ -136,27 +137,19 @@ class TrapezoidIT2(Value):
         return (self.lmf_e, self.lmf_f, self.lmf_g, self.lmf_i)
 
     @cached_property
-    def _upper_cuts(self) -> np.ndarray:
-        """(2, L, 1) left and right ends of the upper trapezoid cut at the
-        ALPHA_LEVELS levels 0..1."""
-        a, b, c, d = self.umf
-        alphas = _levels(1.0)[0]
-        return np.array([a + alphas * (b - a), d - alphas * (d - c)])[:, :, None]
-
-    @cached_property
-    def _lower_cut_sets(self) -> dict[float, np.ndarray]:
+    def _cut_sets(self) -> dict[tuple[bool, float], np.ndarray]:
         return {}
 
-    def _lower_cuts(self, h_min: float) -> np.ndarray:
-        """(2, L, 1) ends of the lower trapezoid cut at the ALPHA_LEVELS
-        levels 0..h_min, absolute levels, so h_min must not exceed the
-        word's own height."""
-        cuts = self._lower_cut_sets.get(h_min)
+    def _cuts(self, lower: bool, top: float) -> np.ndarray:
+        """(2, L, 1) left and right ends of the lower or upper trapezoid
+        cut at the ALPHA_LEVELS absolute levels 0..top, so `top` must not
+        exceed that trapezoid's height (1 for the upper one)."""
+        cuts = self._cut_sets.get((lower, top))
         if cuts is None:
-            e, f, g, i, h = self.params[4:]
-            frac = _levels(h_min)[0] / h
-            cuts = self._lower_cut_sets[h_min] = np.array(
-                [e + frac * (f - e), i - frac * (i - g)])[:, :, None]
+            a, b, c, d, h = self.params[4:] if lower else (*self.umf, 1.0)
+            frac = _levels(top)[0] / h
+            cuts = self._cut_sets[lower, top] = np.array(
+                [a + frac * (b - a), d - frac * (d - c)])[:, :, None]
         return cuts
 
 
@@ -422,9 +415,8 @@ def lwa_exact(inputs: Sequence[TrapezoidIT2], *,
         raise ValueError("cannot aggregate an empty list of FOUs")
     w = np.full(len(inputs), 1.0 / len(inputs))
     h_min = min([f.lmf_height for f in inputs])
-    upper = _cuts_to_membership(grid, _levels(1.0), [f._upper_cuts for f in inputs], w)
-    lower = _cuts_to_membership(grid, _levels(h_min),
-                                [f._lower_cuts(h_min) for f in inputs], w)
+    upper = _cuts_to_membership(grid, _levels(1.0), [f._cuts(False, 1.0) for f in inputs], w)
+    lower = _cuts_to_membership(grid, _levels(h_min), [f._cuts(True, h_min) for f in inputs], w)
     return SampledFOU._contained(grid.samples, upper, np.minimum(lower, upper))
 
 

@@ -10,7 +10,6 @@ multiset of term indices once with the others.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -116,9 +115,11 @@ class MethodCell(Value):
 class ReportEntry(Value):
     """What the rows of one feedback vector share: the codes, the cells,
     whose recommendations hold their printed texts, and a flagged row's
-    error. `evaluate_batch` builds one per distinct vector and flagged row."""
+    error. `evaluate_batch` builds one per distinct vector and flagged row;
+    an entry equals and hashes as itself alone, so per-entry maps key on it."""
 
     _fields = ("codes", "cells", "error")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, codes: tuple[str, ...] | None,
                  cells: Mapping[Method, MethodCell], error: str | None = None):
@@ -178,7 +179,7 @@ class EvaluationReport(Value):
     def entries(self) -> tuple[ReportEntry, ...]:
         """Each distinct entry, in the order of their first rows: the stages
         after the batch read each once."""
-        return tuple({id(row.entry): row.entry for row in self.rows}.values())
+        return tuple(dict.fromkeys([row.entry for row in self.rows]))
 
 
 def _evaluate_extension(fb: FeedbackRecord, cb: Codebook | None,
@@ -371,7 +372,7 @@ def rank_students(report: EvaluationReport, method: Method) -> list[tuple[str, f
     scored = [
         (row.student_id, rec.score)
         for row in report.rows
-        if (rec := row.recommendation(method)) is not None
+        if (rec := row.entry.recommendation(method)) is not None
     ]
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
@@ -397,26 +398,24 @@ def uniqueness_report(report: EvaluationReport) -> dict[Method, tuple[DuplicateG
     feedback still appear inside qualifying groups).
     """
     groups: dict[Method, tuple[DuplicateGroup, ...]] = {}
-    ids = [row.student_id for row in report.rows]
-    positions: dict[int, list[int]] = {}  # id(entry) -> the positions of its rows
-    for position, row in enumerate(report.rows):
-        positions.setdefault(id(row.entry), []).append(position)
     for method in report.methods:
         buckets: dict[tuple[str, str], list[ReportEntry]] = {}
         for entry in report.entries:
             if (rec := entry.recommendation(method)) is not None:
-                key = (rec.numeric_text, rec.linguistic.code)
-                buckets.setdefault(key, []).append(entry)
-        found = []
+                buckets.setdefault((rec.numeric_text, rec.linguistic.code), []).append(entry)
+        qualifying = []
+        students: dict[ReportEntry, list[str]] = {}  # entry -> its group's students
         for (numeric, word), members in buckets.items():
             feedbacks = {entry.codes for entry in members}
-            if len(feedbacks) < 2:
-                continue
-            # the students of all the members' rows, in row order
-            rows = sorted(chain.from_iterable([positions[id(entry)] for entry in members]))
-            found.append(DuplicateGroup(numeric=numeric, word=word,
-                                        students=tuple(map(ids.__getitem__, rows)),
-                                        distinct_feedback=len(feedbacks)))
-        found.sort(key=lambda grp: (-len(grp.students), grp.numeric, grp.word))
-        groups[method] = tuple(found)
+            if len(feedbacks) > 1:
+                names: list[str] = []
+                students.update(dict.fromkeys(members, names))
+                qualifying.append((numeric, word, names, len(feedbacks)))
+        for row in report.rows:  # each group's students, in row order
+            if (group := students.get(row.entry)) is not None:
+                group.append(row.student_id)
+        groups[method] = tuple(sorted(
+            [DuplicateGroup(numeric, word, tuple(names), distinct)
+             for numeric, word, names, distinct in qualifying],
+            key=lambda grp: (-len(grp.students), grp.numeric, grp.word)))
     return groups

@@ -60,24 +60,23 @@ def render_table(report: EvaluationReport, out: TextIO, verbose: bool = False) -
     for method in report.methods:
         title = _METHOD_TITLES[method]
         header += [f"{title} numeric", f"{title} word"]
-    printed = {id(entry): cells for entry, cells
-               in _printed_cells(report, verbose, "?", ("!", "failed"))}
+    printed = dict(_printed_cells(report, verbose, "?", ("!", "failed")))
     ids = [_printed_id(row.student_id) for row in report.rows]
     width = max(map(len, [header[0], *ids]))
     widths = [max(map(len, column)) for column in zip(header[1:], *printed.values(), strict=True)]
-    tails = {key: "  ".join(map(str.ljust, cells, widths)) for key, cells in printed.items()}
+    tails = {entry: "  ".join(map(str.ljust, cells, widths)) for entry, cells in printed.items()}
     out.write("  ".join(map(str.ljust, header, [width, *widths])).rstrip() + "\n")
     for student_id, row in zip(ids, report.rows):
-        out.write((student_id.ljust(width) + "  " + tails[id(row.entry)]).rstrip() + "\n")
+        out.write((student_id.ljust(width) + "  " + tails[row.entry]).rstrip() + "\n")
     render_flags(report, out)
 
 
 def render_flags(report: EvaluationReport, out: TextIO) -> None:
     """One `# <id>: <reason>` line per flagged row and one
     `# <id>: <method>: <reason>` line per failed cell, in method order."""
-    reasons = {id(entry): entry.reasons(report.methods) for entry in report.entries}
+    reasons = {entry: entry.reasons(report.methods) for entry in report.entries}
     for row in report.rows:
-        for reason in reasons[id(row.entry)]:
+        for reason in reasons[row.entry]:
             out.write(f"# {_printed_id(row.student_id)}: {reason}\n")
 
 
@@ -85,22 +84,24 @@ def render_csv(report: EvaluationReport, out: TextIO, verbose: bool = False) -> 
     """Delimited text with a header, the `render_flags` reasons joined by
     "; " in the `error` column; one write per row, each entry quoted once."""
     lines = []  # the writer writes each row in one call
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    # a "\r\n" terminator cut to "\n": with "\n" the writer leaves a "\r" unquoted
+    writer = csv.writer(SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n")),
+                        lineterminator="\r\n")
     header = ["student_id"] + list(FEEDBACK_COLUMNS)
     for method in report.methods:
         header += [f"{method.value}_numeric", f"{method.value}_word"]
     writer.writerow(header + ["error"])
     out.write(lines.pop())
-    tails = {}  # id(entry) -> its line from the comma after the student id
+    tails = {}  # entry -> its line from the comma after the student id
     for entry, cells in _printed_cells(report, verbose, "", ("", "")):
         writer.writerow(["", *cells, "; ".join(entry.reasons(report.methods))])
-        tails[id(entry)] = lines.pop()
+        tails[entry] = lines.pop()
     for row in report.rows:
         student_id = row.student_id
         if not student_id.isprintable() or "," in student_id or '"' in student_id:
             writer.writerow([student_id])  # quoted as the writer quotes it
             student_id = lines.pop()[:-1]
-        out.write(student_id + tails[id(row.entry)])
+        out.write(student_id + tails[row.entry])
 
 
 # The C string encoder json.dumps uses, bound by `render_json`, which alone
@@ -170,27 +171,28 @@ def _cell_entry(cell, verbose: bool) -> dict:
 def _write_json_rows(report: EvaluationReport, out: TextIO, verbose: bool) -> None:
     """The report's "rows" list, one write per row. Rows that repeat a
     feedback vector or an index multiset share cell objects, so each cell's
-    entry is formatted once and spliced into every row that holds it."""
+    text is formatted once and spliced into every row that holds it."""
     keys = [(method, _METHOD_KEY + _json_str(method.value) + ": ")
             for method in report.methods]
-    entries: dict[int, str] = {}  # id(cell) -> entry; the report keeps cells alive
+    formatted: dict[int, str] = {}  # id(cell) -> its text; the report keeps cells alive
     opening = "[\n" + _ROW_INDENT
     for row in report.rows:
-        words = dict(zip(FEEDBACK_COLUMNS, row.codes)) if row.codes else None
+        entry = row.entry
+        words = dict(zip(FEEDBACK_COLUMNS, entry.codes)) if entry.codes else None
         text = (opening + "{" + _ROW_KEY + '"student_id": ' + _json_str(row.student_id) + ","
                 + _ROW_KEY + '"words": ' + _json(words, _ROW_INDENT + "  ") + ",")
-        if row.error is not None:
-            text += _ROW_KEY + '"error": ' + _json_str(row.error)
+        if entry.error is not None:
+            text += _ROW_KEY + '"error": ' + _json_str(entry.error)
         elif not keys:
             text += _ROW_KEY + '"methods": {}'
         else:
             parts = []
             for method, key in keys:
-                cell = row.cells[method]
-                entry = entries.get(id(cell))
-                if entry is None:
-                    entry = entries[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
-                parts.append(key + entry)
+                cell = entry.cells[method]
+                cell_text = formatted.get(id(cell))
+                if cell_text is None:
+                    cell_text = formatted[id(cell)] = _json(_cell_entry(cell, verbose), " " * 8)
+                parts.append(key + cell_text)
             text += _ROW_KEY + '"methods": {' + ",".join(parts) + _ROW_KEY + "}"
         out.write(text + "\n" + _ROW_INDENT + "}")
         opening = ",\n" + _ROW_INDENT

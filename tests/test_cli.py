@@ -5,17 +5,21 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cwwkit.cli
 import cwwkit.codebook
 from cwwkit.cli import CODEBOOK_ENV, main
-from cwwkit.codebook import default_feedback_path
-from cwwkit import DiscretizationGrid, build_default_schema, lwa_exact, lwa_paper
+from cwwkit.codebook import default_feedback_path, load_codebook
+from cwwkit import (DiscretizationGrid, Method, build_default_schema, evaluate_batch,
+                    lwa_exact, lwa_paper, rank_students, read_feedback_file, uniqueness_report)
 from cwwkit.it2 import CentroidInterval, membership_samples
+from cwwkit.pipeline import ALL_METHODS
+from cwwkit.reporting import _printed_id, render_uniqueness
 from strategies import random_fou
 
 
@@ -275,6 +279,18 @@ class TestEvaluate:
         assert [row["student_id"] for row in json.loads(out)["rows"]] == [
             "a\nb", "c\rd", "a\nb", "x\ty"]
 
+    def test_a_carriage_return_in_an_id_reads_back_from_csv(self, capsys, tmp_path):
+        path = tmp_path / "feedback.csv"
+        path.write_text('student_id,time_taken,subject_knowledge,liking,preparation\n'
+                        '"c\rd",S,SL,AM,PM\n"e\r\nf",L,SL,AH,PL\n"g,h",M,SL,AL,PM\n',
+                        newline="")
+        code, out, _ = run(capsys, "evaluate", "--format", "csv", "--feedback", str(path))
+        assert code == 0
+        assert out.startswith("student_id,") and out.count("\r") == 2
+        records = list(csv.reader(io.StringIO(out, newline="")))
+        assert [record[0] for record in records] == ["student_id", "c\rd", "e\r\nf", "g,h"]
+        assert {len(record) for record in records} == {14}
+
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path, sample_feedback,
                                         codebook_text):
         plain_cb = tmp_path / "cb.csv"
@@ -469,6 +485,113 @@ def test_builtin_codebook_is_loaded_only_for_perceptual(capsys, monkeypatch):
     code, out, _ = run(capsys, "evaluate", "--methods", "symbolic")
     assert code == 0
     assert out
+
+
+FEEDBACK_BYTES = default_feedback_path().read_bytes()
+CODEBOOK_BYTES = resources.files("cwwkit.data").joinpath("codebook_default.csv").read_bytes()
+# Bytes the mutations insert: quotes, delimiters, line breaks, other
+# control characters and bytes that are not UTF-8 on their own.
+_NOISE = st.sampled_from([b'"', b",", b"\r", b"\n", b"\r\n", b"\t", b"\0", b"\x85", b"\xff",
+                          b"\xe2\x80\xa8", b" "]) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """`data` after one to four insertions, deletions, bit flips or
+    duplicated spans, in three cases of four past its header line. A
+    quoted insertion goes at the start of a cell, so the row keeps its
+    cells and the cell holds the noise."""
+    start = draw(st.sampled_from([data.index(b"\n") + 1] * 3 + [0]))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(start, len(data)))
+        kind = draw(st.sampled_from(["insert", "quoted", "delete", "flip", "duplicate"]))
+        if kind == "insert":
+            data = data[:at] + draw(_NOISE) + data[at:]
+        elif kind == "quoted":
+            at = max([0, *(i + 1 for i in range(at) if data[i] in b",\n")])
+            data = data[:at] + b'"' + draw(_NOISE).replace(b'"', b'""') + b'"' + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 8)):]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+        else:
+            data = data[:at] + data[at:at + draw(st.integers(1, 40))] + data[at:]
+    return data
+
+
+_COMMANDS = [("evaluate", "--format", "table"), ("evaluate", "--format", "csv"),
+             ("evaluate", "--format", "json"), ("compare", "--format", "table"),
+             ("compare", "--format", "csv"), ("compare", "--format", "json"),
+             *(("rank", "--method", method.value) for method in ALL_METHODS)]
+
+
+def _main(*argv):
+    out, err = io.StringIO(newline=""), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _expected_report(command, feedback_path, codebook_path):
+    methods = (Method(command[2]),) if command[0] == "rank" else ALL_METHODS
+    report = evaluate_batch(read_feedback_file(feedback_path), methods,
+                            load_codebook(codebook_path))
+    flags = sum(len(row.reasons(methods)) for row in report.rows)
+    return report, flags
+
+
+def _check_lines(command, out, report, flags):
+    """Each student's row and each flag of `out` take exactly one line."""
+    if command[0] == "rank":
+        ranked = rank_students(report, report.methods[0])
+        assert len(out.splitlines()) == 1 + len(ranked) + flags
+        return
+    if command[0] == "compare" and command[2] != "json":
+        summary = io.StringIO()
+        render_uniqueness(uniqueness_report(report), summary)
+        assert out.endswith("\n" + summary.getvalue())
+        out = out[:-len(summary.getvalue()) - 1]
+    if command[2] == "table":
+        lines = out.splitlines()
+        assert len(lines) == 1 + len(report.rows) + flags
+        for row, line in zip(report.rows, lines[1:]):
+            assert line.startswith(_printed_id(row.student_id))
+    elif command[2] == "csv":
+        records = list(csv.reader(io.StringIO(out, newline="")))
+        assert [record[0] for record in records[1:]] == [row.student_id for row in report.rows]
+        assert len({len(record) for record in records}) == 1
+    else:
+        rows = json.loads(out)["rows"]
+        assert [row["student_id"] for row in rows] == [row.student_id for row in report.rows]
+
+
+# The exit-code and line contracts hold for any bytes in the input files:
+# each command exits 0 or 2, writes at most one error line and no
+# traceback, writes the same bytes to stdout and to --out, and gives each
+# student's row and each flag one line, or one CSV record. The feedback
+# file is always mutated, the codebook in one case of four.
+@settings(max_examples=60, deadline=None)
+@example(command=("evaluate", "--format", "csv"), codebook=CODEBOOK_BYTES,
+         feedback=FEEDBACK_BYTES.replace(b"\n1,", b'\n"c\rd",'))
+@given(command=st.sampled_from(_COMMANDS), feedback=_mutated(FEEDBACK_BYTES),
+       codebook=st.sampled_from([False] * 3 + [True]).flatmap(
+           lambda mutate: _mutated(CODEBOOK_BYTES) if mutate else st.just(CODEBOOK_BYTES)))
+def test_mutated_input_files_keep_the_contracts(tmp_path_factory, command, feedback, codebook):
+    folder = tmp_path_factory.mktemp("mutated")
+    feedback_path, codebook_path = folder / "feedback.csv", folder / "codebook.csv"
+    feedback_path.write_bytes(feedback)
+    codebook_path.write_bytes(codebook)
+    argv = (*command, "--feedback", str(feedback_path), "--codebook", str(codebook_path))
+    code, out, err = _main(*argv)
+    assert code in (0, 2)
+    assert err.count("cwwkit: error:") <= 1 and "Traceback" not in err
+    written = folder / "out"
+    assert _main(*argv, "--out", str(written)) == (code, "", err)
+    assert (written.read_bytes() if written.exists() else b"") == out.encode()
+    if err:
+        assert out == ""
+        return
+    _check_lines(command, out, *_expected_report(command, feedback_path, codebook_path))
 
 
 class TestRank:

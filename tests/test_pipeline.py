@@ -12,6 +12,7 @@ from cwwkit import (ConfigurationError, CwwError, DiscretizationGrid, EvalOption
                     resolve_feedback, uniqueness_report)
 from cwwkit.vocabulary import (FEEDBACK_HEADER, LIKING, PREPARATION,
                                SUBJECT_KNOWLEDGE, TIME_TAKEN, RawFeedback)
+from cwwkit.pipeline import ReportEntry
 from reference_data import (ENGINE_EXTENSION_WORD, ENGINE_PERCEPTUAL,
                             ENGINE_PERCEPTUAL_PARAM_MODE, PUBLISHED)
 
@@ -94,6 +95,24 @@ class TestDeterminism:
         assert row2.codes is row11.codes
         codes = [row.codes for row in full_report.rows]
         assert len({id(c) for c in codes}) == len(set(codes))
+
+    def test_an_entry_equals_and_hashes_as_itself_alone(self, sample_rows, codebook,
+                                                         full_report):
+        row2, row11 = _row(full_report, 2), _row(full_report, 11)
+        entry = row2.entry
+        assert entry is row11.entry
+        twin = ReportEntry(entry.codes, entry.cells, entry.error)
+        assert entry == entry and entry != twin and twin != entry
+        assert hash(entry) == object.__hash__(entry) and hash(twin) != hash(entry)
+        assert {entry: 1, twin: 2} == {entry: 1, twin: 2} and len({entry, twin}) == 2
+        # each shared entry once, in the order of its first row
+        ids = [id(row.entry) for row in full_report.rows]
+        assert [id(entry) for entry in full_report.entries] == sorted(set(ids), key=ids.index)
+        assert len(full_report.entries) < len(full_report.rows)
+        # a report evaluated again shares no entry, yet its rows compare equal
+        again = evaluate_batch(sample_rows, cb=codebook)
+        assert not {*again.entries} & {*full_report.entries}
+        assert again == full_report and again.rows == full_report.rows
 
     def test_identical_feedback_identical_cells(self, full_report):
         row2, row11 = _row(full_report, 2), _row(full_report, 11)

@@ -355,8 +355,7 @@ def test_words_keep_their_cuts(codebook, all_records):
                                 TrapezoidIT2(*entry.fou.params), entry.stored)
                   for entry in codebook.entries)
     words = [word for parameter in cb.parameter_fous for word in parameter]
-    assert not any("_upper_cuts" in vars(word) or "_lower_cut_sets" in vars(word)
-                   for word in words)
+    assert not any("_cut_sets" in vars(word) for word in words)
     evaluate_batch(all_records, [Method.PERCEPTUAL], cb, EvalOptions(grid=DiscretizationGrid(51)))
     assert len({word.lmf_height for word in words}) == 6
     # the minimum heights each word is averaged at
@@ -365,16 +364,17 @@ def test_words_keep_their_cuts(codebook, all_records):
         for word in vector:
             averaged_at[id(word)].add(min([w.lmf_height for w in vector]))
     for word in words:
-        assert word._upper_cuts is word._upper_cuts
-        assert word._upper_cuts.shape == (2, 65, 1)
+        sets = dict(word._cut_sets)
+        # one upper set, cut up to 1
+        assert [top for lower, top in sets if not lower] == [1.0]
         # one lower set per minimum height the word was averaged at
-        sets = dict(word._lower_cut_sets)
-        assert 1 <= len(sets) <= 6
-        assert set(sets) == averaged_at[id(word)]
-        for h_min, cuts in sets.items():
-            assert word._lower_cuts(h_min) is cuts
+        lower_tops = {top for lower, top in sets if lower}
+        assert 1 <= len(lower_tops) <= 6
+        assert lower_tops == averaged_at[id(word)]
+        for (lower, top), cuts in sets.items():
+            assert word._cuts(lower, top) is cuts
             assert cuts.shape == (2, 65, 1)
-        assert len(word._lower_cut_sets) == len(sets)
+        assert len(word._cut_sets) == len(sets)
 
 
 @settings(max_examples=200, deadline=None)

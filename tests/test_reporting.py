@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,7 +335,9 @@ def _uniqueness_reference(report):
 def _csv_reference(report, verbose):
     """`render_csv` as a csv writer writes it, one row at a time."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    # each line ended by "\r\n", so a field holding "\r" is quoted, then by "\n"
+    writer = csv.writer(SimpleNamespace(write=lambda line: out.write(line[:-2] + "\n")),
+                        lineterminator="\r\n")
     writer.writerow(["student_id", *FEEDBACK_COLUMNS,
                      *(f"{m.value}_{part}" for m in report.methods
                        for part in ("numeric", "word")), "error"])

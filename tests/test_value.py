@@ -192,7 +192,8 @@ def test_kept_cuts_change_no_value_behaviour():
     expected = lwa_exact([fresh, lower])
     lwa_exact([kept])
     lwa_exact([kept, lower])
-    assert len(kept._lower_cut_sets) == 2 and "_upper_cuts" in vars(kept)
+    # the upper set and one lower set per minimum height, 0.5 and 0.25
+    assert sorted(kept._cut_sets) == [(False, 1.0), (True, 0.25), (True, 0.5)]
     never_cut = TrapezoidIT2(*WORD.params)
     assert pickle.dumps(kept) == pickle.dumps(never_cut)
     for copied in (kept, pickle.loads(pickle.dumps(kept)), copy.deepcopy(kept), copy.copy(kept)):
