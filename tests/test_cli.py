@@ -532,18 +532,14 @@ def _main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _expected_report(command, feedback_path, codebook_path):
+def _check_lines(command, out, feedback_path, codebook_path):
+    """Each student's row and each flag of `out` take exactly one line."""
     methods = (Method(command[2]),) if command[0] == "rank" else ALL_METHODS
     report = evaluate_batch(read_feedback_file(feedback_path), methods,
                             load_codebook(codebook_path))
     flags = sum(len(row.reasons(methods)) for row in report.rows)
-    return report, flags
-
-
-def _check_lines(command, out, report, flags):
-    """Each student's row and each flag of `out` take exactly one line."""
     if command[0] == "rank":
-        ranked = rank_students(report, report.methods[0])
+        ranked = rank_students(report, methods[0])
         assert len(out.splitlines()) == 1 + len(ranked) + flags
         return
     if command[0] == "compare" and command[2] != "json":
@@ -591,7 +587,7 @@ def test_mutated_input_files_keep_the_contracts(tmp_path_factory, command, feedb
     if err:
         assert out == ""
         return
-    _check_lines(command, out, *_expected_report(command, feedback_path, codebook_path))
+    _check_lines(command, out, feedback_path, codebook_path)
 
 
 class TestRank:
